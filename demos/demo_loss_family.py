@@ -15,10 +15,10 @@ from crucial.loss import (
     Variant,
     advance_epoch_adp,
     baseline_confidence_loss,
-    crucial_adp,
     crucial_sin,
     initial_epoch_state,
     kappa_star,
+    modulate_epoch,
 )
 
 # 1. The closed form.  Confidence kappa minimizes kappa*(l - eps) +
@@ -53,7 +53,8 @@ print()
 
 # 4. The adaptive variant.  The threshold is last epoch's skewness times
 #    its mean loss, so a long right tail raises the bar and a symmetric
-#    epoch drops it back to zero.
+#    epoch drops it back to zero.  modulate_epoch weighs a whole epoch's
+#    losses at once and returns one record of arrays.
 cfg_adp = CrucialConfig(Variant.ADP, lam=0.01)
 state = initial_epoch_state()
 gen = np.random.default_rng(7)
@@ -61,8 +62,7 @@ print("adaptive schedule on a shrinking, right-skewed loss population")
 print(f"{'epoch':>5} {'threshold':>10} {'mean_kappa':>11} {'share_ge1':>10}")
 losses = np.concatenate([gen.uniform(0.1, 0.5, 48), gen.uniform(1.5, 3.0, 16)])
 for epoch in range(6):
-    mods = [crucial_adp(float(l), state, cfg_adp) for l in losses]
-    kappas = np.array([m.kappa for m in mods])
+    kappas = modulate_epoch(losses, state, cfg_adp).kappa
     print(f"{epoch:5d} {state.threshold:10.4f} {kappas.mean():11.4f} "
           f"{np.mean(kappas >= 1.0):10.2f}")
     state = advance_epoch_adp(losses, cfg_adp, epoch + 1)

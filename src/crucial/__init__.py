@@ -2,10 +2,11 @@
 
 The package has four layers:
 
-* ``numerics``  -- scalar kernels (Lambert W, erfc), population loss moments,
-  and a platform-stable seeded random source.
+* ``numerics``  -- array Lambert W plus its scalar reference, erfc, population
+  loss moments, and a platform-stable seeded random source.
 * ``loss``     -- the confidence-weighted loss family: closed-form confidence
-  weights, the skewness-adaptive variant, and the sinusoidally cycled variant.
+  weights and the skewness-adaptive and sinusoidally cycled variants, over a
+  whole epoch's losses at once (``modulate_epoch``) or one sample at a time.
 * ``sampler``  -- expected squared sampling error under uniform versus
   exponentially tilted selection, analytic and Monte Carlo, plus a toy
   selection/decay population simulator.
@@ -23,6 +24,7 @@ from .numerics import (
     derive_seed,
     erfc,
     lambert_w0,
+    lambert_w0_array,
     loss_stats,
 )
 from .loss import (
@@ -37,7 +39,7 @@ from .loss import (
     crucial_sin,
     initial_epoch_state,
     kappa_star,
-    loss_gradient_factor,
+    modulate_epoch,
     modulated_value,
     write_loss_trace,
 )

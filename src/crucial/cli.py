@@ -16,13 +16,16 @@ import os
 import sys
 from statistics import median
 
+import numpy as np
+
 from .data import gen_drift_classification, gen_sine_regression, load_csv, make_prefixes, save_csv
 from .loss import (
     CrucialConfig,
     KappaFormula,
     ModulatedLoss,
     Variant,
-    baseline_confidence_loss,
+    initial_epoch_state,
+    modulate_epoch,
     write_loss_trace,
 )
 from .numerics import SeededRng, derive_seed
@@ -288,7 +291,10 @@ def cmd_simulate(cfg: dict) -> int:
     for kind in kinds:
         for sigma in sigmas:
             for rate in rates:
-                pop = LossPopulation(kind=kind, mu=float(cfg["mu"]), sigma=sigma)
+                try:
+                    pop = LossPopulation(kind=kind, mu=float(cfg["mu"]), sigma=sigma)
+                except ValueError as exc:
+                    raise ConfigError(str(exc)) from None
                 point = master.derive(f"grid/{kind.value}/{sigma!r}/{rate!r}")
                 report = compare_conditions(pop, rate, n, point, workers=workers)
                 analytic_order = ordering_check(pop, rate)
@@ -391,24 +397,24 @@ def _kappa_formula(cfg: dict) -> KappaFormula:
         raise ConfigError(f"unknown kappa_formula {cfg['kappa_formula']!r}") from None
 
 
+def _generate(cfg: dict, kind: str, n: int, rng: SeededRng):
+    """n generated samples of kind (sine or drift) from cfg's generator keys."""
+    t = int(cfg["t"])
+    try:
+        if kind == "sine":
+            return gen_sine_regression(n, t, float(cfg["noise_sd"]), rng,
+                                       freq_range=(float(cfg["freq_lo"]), float(cfg["freq_hi"])))
+        if kind == "drift":
+            return gen_drift_classification(n, t, float(cfg["drift_rate"]),
+                                            float(cfg["label_noise"]), rng,
+                                            class_sep=float(cfg["class_sep"]))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    raise ConfigError(f"unknown dataset kind {kind!r}")
+
+
 def _make_datasets(cfg: dict, rng: SeededRng):
     kind = str(cfg["dataset"])
-    n, t = int(cfg["n"]), int(cfg["t"])
-    if kind == "sine":
-        freq = (float(cfg["freq_lo"]), float(cfg["freq_hi"]))
-        train = gen_sine_regression(n, t, float(cfg["noise_sd"]), rng.derive("data/train"),
-                                    freq_range=freq)
-        test = gen_sine_regression(int(cfg["test_n"]), t, float(cfg["noise_sd"]),
-                                   rng.derive("data/test"), freq_range=freq)
-        return train, test
-    if kind == "drift":
-        train = gen_drift_classification(n, t, float(cfg["drift_rate"]),
-                                         float(cfg["label_noise"]), rng.derive("data/train"),
-                                         class_sep=float(cfg["class_sep"]))
-        test = gen_drift_classification(int(cfg["test_n"]), t, float(cfg["drift_rate"]),
-                                        float(cfg["label_noise"]), rng.derive("data/test"),
-                                        class_sep=float(cfg["class_sep"]))
-        return train, test
     if kind == "csv":
         path = str(cfg["csv_path"])
         if not path:
@@ -418,15 +424,8 @@ def _make_datasets(cfg: dict, rng: SeededRng):
             msgs = "; ".join(issue.message for issue in result.rejected[:5])
             raise ConfigError(f"csv rejected {len(result.rejected)} rows: {msgs}")
         return result.dataset, result.dataset
-    raise ConfigError(f"unknown dataset {kind!r}")
-
-
-def _neutral_trace_row(epoch: int, sample_id: int, loss: float):
-    m = ModulatedLoss(
-        input_loss=loss, kappa=1.0, threshold=0.0, gate=-math.inf,
-        value=loss, selected=True,
-    )
-    return (epoch, sample_id, m)
+    return (_generate(cfg, kind, int(cfg["n"]), rng.derive("data/train")),
+            _generate(cfg, kind, int(cfg["test_n"]), rng.derive("data/test")))
 
 
 def _train_one(cfg: dict, run_seed: int, run_id: str, out_dir: str) -> dict:
@@ -438,15 +437,18 @@ def _train_one(cfg: dict, run_seed: int, run_id: str, out_dir: str) -> dict:
     is_regression = task_name == "regression"
     n_outputs = 1 if is_regression else 2
     base_loss = "mse" if is_regression else "cross_entropy"
-    task = TaskSpec(
-        task=task_name,
-        base_loss=base_loss,
-        epochs=int(cfg["epochs"]),
-        learning_rate=float(cfg["learning_rate"]),
-        wrapper=wrapper,
-    )
-    model = make_model(str(cfg["model"]), int(cfg["window"]), n_outputs,
-                       rng.derive("model"), hidden=tuple(hidden))
+    try:
+        task = TaskSpec(
+            task=task_name,
+            base_loss=base_loss,
+            epochs=int(cfg["epochs"]),
+            learning_rate=float(cfg["learning_rate"]),
+            wrapper=wrapper,
+        )
+        model = make_model(str(cfg["model"]), int(cfg["window"]), n_outputs,
+                           rng.derive("model"), hidden=tuple(hidden))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
     metrics_rows = []
     if task_name == "continuous":
@@ -462,15 +464,10 @@ def _train_one(cfg: dict, run_seed: int, run_id: str, out_dir: str) -> dict:
         final_metrics = {"bwt": bwt(tm), "fwt": fwt(tm)}
     else:
         result = train_model(model, train_ds.samples, task, keep_traces=True)
-        trace_rows = []
-        for trace in result.traces:
-            if trace.modulated is None:
-                for sample, loss in zip(train_ds.samples, trace.raw_losses):
-                    trace_rows.append(_neutral_trace_row(trace.epoch_index, sample.id, float(loss)))
-            else:
-                for sample, m in zip(train_ds.samples, trace.modulated):
-                    trace_rows.append((trace.epoch_index, sample.id, m))
-        write_loss_trace(os.path.join(out_dir, f"loss_trace_{run_id}.csv"), trace_rows)
+        ids = np.array([sample.id for sample in train_ds.samples])
+        write_loss_trace(os.path.join(out_dir, f"loss_trace_{run_id}.csv"),
+                         np.repeat(np.arange(task.epochs), ids.size), np.tile(ids, task.epochs),
+                         ModulatedLoss.concat(result.traces))
         for epoch, (mean_loss, k_count) in enumerate(
             zip(result.epoch_mean_losses, result.kappa_ge1_counts)
         ):
@@ -545,37 +542,29 @@ def cmd_trace_loss(cfg: dict) -> int:
     epochs = int(cfg["epochs"])
     if epochs < 1:
         raise ConfigError("epochs must be >= 1")
-    lam = float(cfg["lam"])
-    threshold = float(cfg["threshold"])
-    decay = float(cfg["decay"])
-    formula = _kappa_formula(cfg)
-    rows = []
-    easy = float(cfg["easy_start"])
-    hard = float(cfg["hard_start"])
-    for epoch in range(epochs):
-        rows.append((epoch, 0, baseline_confidence_loss(easy, threshold, lam, formula)))
-        rows.append((epoch, 1, baseline_confidence_loss(hard, threshold, lam, formula)))
-        easy *= decay
-        hard *= decay
-    write_loss_trace(os.path.join(out_dir, "trace.csv"), rows)
+    try:
+        wrapper = CrucialConfig(Variant.BASELINE, lam=float(cfg["lam"]),
+                                threshold=float(cfg["threshold"]),
+                                kappa_formula=_kappa_formula(cfg))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    # Row e holds the easy and hard losses after e decay steps, multiplied
+    # in the same order as a running product.
+    steps = np.full((epochs, 2), float(cfg["decay"]))
+    steps[0] = (float(cfg["easy_start"]), float(cfg["hard_start"]))
+    losses = np.cumprod(steps, axis=0).ravel()
+    write_loss_trace(os.path.join(out_dir, "trace.csv"), np.repeat(np.arange(epochs), 2),
+                     np.tile([0, 1], epochs),
+                     modulate_epoch(losses, initial_epoch_state(), wrapper))
     print(f"trace-loss: wrote {epochs} epochs for easy/hard trajectories")
     return 0
 
 
 def cmd_gen_data(cfg: dict) -> int:
     out_dir = cfg["output_dir"]
-    rng = SeededRng(int(cfg["seed"]))
     kind = str(cfg["kind"])
     n, t = int(cfg["n"]), int(cfg["t"])
-    if kind == "sine":
-        ds = gen_sine_regression(n, t, float(cfg["noise_sd"]), rng.derive("data/train"),
-                                 freq_range=(float(cfg["freq_lo"]), float(cfg["freq_hi"])))
-    elif kind == "drift":
-        ds = gen_drift_classification(n, t, float(cfg["drift_rate"]),
-                                      float(cfg["label_noise"]), rng.derive("data/train"),
-                                      class_sep=float(cfg["class_sep"]))
-    else:
-        raise ConfigError(f"unknown kind {kind!r}")
+    ds = _generate(cfg, kind, n, SeededRng(int(cfg["seed"])).derive("data/train"))
     path = os.path.join(out_dir, str(cfg["filename"]))
     save_csv(path, ds)
     meta = {

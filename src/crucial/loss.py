@@ -26,10 +26,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
-from .numerics import W_DOMAIN_MIN, LossStats, lambert_w0, loss_stats
+import numpy as np
+
+from .numerics import W_DOMAIN_MIN, lambert_w0, lambert_w0_array, loss_stats
 
 __all__ = [
     "KAPPA_CAP",
@@ -45,7 +47,7 @@ __all__ = [
     "crucial_sin",
     "initial_epoch_state",
     "kappa_star",
-    "loss_gradient_factor",
+    "modulate_epoch",
     "modulated_value",
     "write_loss_trace",
 ]
@@ -57,6 +59,8 @@ CAP_BETA = -2.0 * math.exp(-1.0)
 
 # sin^2 factors closer than this to 0 or 1 take the exact limit branches.
 _F_EPS = 1e-12
+
+_TRACE_CHUNK_ROWS = 4096
 
 
 class Variant(str, Enum):
@@ -115,32 +119,39 @@ class CrucialConfig:
 
 @dataclass(frozen=True)
 class ModulatedLoss:
-    """One sample's loss after confidence weighting.
+    """Losses after confidence weighting, one entry per sample.
 
-    gate is the selection bound of the cycled variant (-inf for variants
-    that never drop samples).  kappa == 0.0 appears only as an explicit
-    zero-weight flag on samples whose value is pinned to 0.
+    modulate_epoch fills every field with an array of shape (n,) (bool for
+    selected, float64 otherwise); the per-sample wrappers return the
+    one-sample record as Python scalars.  gate is the selection bound of the
+    cycled variant (-inf for variants that never drop samples).  kappa is
+    also each sample's gradient factor: it is 0.0 exactly on the samples
+    whose value is pinned to 0, unselected ones included.
     """
 
-    input_loss: float
-    kappa: float
-    threshold: float
-    gate: float
-    value: float
-    selected: bool
+    input_loss: np.ndarray
+    kappa: np.ndarray
+    threshold: np.ndarray
+    gate: np.ndarray
+    value: np.ndarray
+    selected: np.ndarray
+
+    @staticmethod
+    def concat(records) -> "ModulatedLoss":
+        """One record holding the rows of several records, in order."""
+        return ModulatedLoss(*(np.concatenate([getattr(r, f.name) for r in records])
+                               for f in fields(ModulatedLoss)))
 
 
 @dataclass(frozen=True)
 class EpochState:
-    """Adaptive-threshold state carried between epochs.
+    """Threshold state carried between epochs.
 
-    prev_stats are the population moments of the previous epoch's raw
-    losses (None before the first epoch); threshold is the eps used for
-    every sample of epoch epoch_index.
+    threshold is the adaptive eps used for every sample of epoch
+    epoch_index (0 for the other variants).
     """
 
     epoch_index: int
-    prev_stats: LossStats | None
     threshold: float
 
 
@@ -176,7 +187,7 @@ def modulated_value(loss: float, threshold: float, lam: float, kappa: float) -> 
 
 def initial_epoch_state() -> EpochState:
     """State for the first epoch: no previous population, threshold 0."""
-    return EpochState(epoch_index=0, prev_stats=None, threshold=0.0)
+    return EpochState(epoch_index=0, threshold=0.0)
 
 
 def advance_epoch_adp(prev_losses, cfg: CrucialConfig, next_epoch_index: int = 1) -> EpochState:
@@ -191,30 +202,27 @@ def advance_epoch_adp(prev_losses, cfg: CrucialConfig, next_epoch_index: int = 1
     stats = loss_stats(prev_losses)
     return EpochState(
         epoch_index=next_epoch_index,
-        prev_stats=stats,
         threshold=stats.skewness * stats.mean,
     )
 
 
-def crucial_adp(loss: float, state: EpochState, cfg: CrucialConfig) -> ModulatedLoss:
-    """Skewness-adaptive wrapped loss for one sample.
+def _kappa_and_value(losses: np.ndarray, threshold: float, lam: float,
+                     formula: KappaFormula):
+    """kappa_star and the shell value of every loss against one threshold.
 
-    Modulates every sample (never hard-drops): kappa comes from the closed
-    form against the epoch's adaptive threshold, and the value is the
-    shared shell.
+    W is never evaluated on capped entries: they sit at or beyond the
+    branch point, where it is undefined or slow.
     """
-    if cfg.variant is not Variant.ADP:
-        raise ValueError("crucial_adp: config variant must be ADP")
-    k = kappa_star(loss, state.threshold, cfg.lam, cfg.kappa_formula)
-    value = modulated_value(loss, state.threshold, cfg.lam, k)
-    return ModulatedLoss(
-        input_loss=loss,
-        kappa=k,
-        threshold=state.threshold,
-        gate=-math.inf,
-        value=value,
-        selected=True,
-    )
+    gap = losses - threshold
+    beta = gap / lam
+    if formula is KappaFormula.ARGMIN:
+        capped = beta <= CAP_BETA
+        w = lambert_w0_array(np.where(capped, 0.0, beta / 2.0))
+        kappa = np.where(capped, KAPPA_CAP, np.exp(-w))
+    else:
+        kappa = np.exp(-0.5 * lambert_w0_array(np.maximum(beta, W_DOMAIN_MIN)))
+    log_k = np.log(kappa)
+    return kappa, kappa * gap + lam * log_k * log_k
 
 
 def _sin_cycle_factor(epoch: int, omega: float, phase: float) -> float:
@@ -231,6 +239,75 @@ def _sin_cycle_factor(epoch: int, omega: float, phase: float) -> float:
         epoch = epoch % nearest
     s = math.sin(omega * epoch + phase)
     return s * s
+
+
+def _sin_losses(losses: np.ndarray, epoch: int, mu_l: float, cfg: CrucialConfig) -> ModulatedLoss:
+    """The cycled variant over one epoch's losses; see crucial_sin."""
+    if not math.isfinite(mu_l) or mu_l <= 0.0:
+        raise ValueError("crucial_sin: mu_l must be finite and positive")
+    f = _sin_cycle_factor(epoch, cfg.omega, cfg.phase)
+    gate = 0.5 * f * mu_l
+    thr = (f - 1.0) * mu_l
+    n = losses.shape[0]
+    selected = ~(losses < gate)
+    if f <= _F_EPS:
+        # lam_t -> inf limit: unit weight, plain centered loss.
+        kappa, threshold, value = np.ones(n), mu_l, losses - mu_l
+    elif f >= 1.0 - _F_EPS:
+        # lam_t -> 0 limit: survivors contribute nothing this epoch.
+        kappa, threshold, value = np.zeros(n), 0.0, np.zeros(n)
+    else:
+        kappa, value = _kappa_and_value(losses, thr, -math.log(f), cfg.kappa_formula)
+        threshold = thr
+    return ModulatedLoss(
+        input_loss=losses,
+        kappa=np.where(selected, kappa, 0.0),
+        threshold=np.where(selected, threshold, thr),
+        gate=np.full(n, gate),
+        value=np.where(selected, value, 0.0),
+        selected=selected,
+    )
+
+
+def modulate_epoch(losses, state: EpochState, cfg: CrucialConfig | None) -> ModulatedLoss:
+    """Wrap one epoch's raw losses under cfg; returns one record of arrays.
+
+    BASELINE weighs every loss against cfg.threshold, ADP against
+    state.threshold, and SIN follows its cycle at state.epoch_index with
+    mu = cfg.mu_fixed, or the epoch's mean loss when that is None.  With no
+    wrapper (cfg None) the record is neutral: kappa 1, threshold 0, value =
+    loss, every sample selected, so wrapped and unwrapped training share the
+    identical update arithmetic.
+    """
+    losses = np.asarray(losses, dtype=np.float64)
+    n = losses.shape[0]
+    if cfg is None:
+        kappa, threshold, value = np.ones(n), 0.0, losses
+    elif cfg.variant is Variant.SIN:
+        mu = cfg.mu_fixed if cfg.mu_fixed is not None else float(np.mean(losses))
+        return _sin_losses(losses, state.epoch_index, mu, cfg)
+    else:
+        threshold = state.threshold if cfg.variant is Variant.ADP else cfg.threshold
+        kappa, value = _kappa_and_value(losses, threshold, cfg.lam, cfg.kappa_formula)
+    return ModulatedLoss(losses, kappa, np.full(n, threshold), np.full(n, -math.inf),
+                         value, np.ones(n, dtype=bool))
+
+
+def _single(m: ModulatedLoss) -> ModulatedLoss:
+    """The record of a one-sample epoch as Python scalars."""
+    return ModulatedLoss(*(getattr(m, f.name)[0].item() for f in fields(ModulatedLoss)))
+
+
+def crucial_adp(loss: float, state: EpochState, cfg: CrucialConfig) -> ModulatedLoss:
+    """Skewness-adaptive wrapped loss for one sample.
+
+    Modulates every sample (never hard-drops): kappa comes from the closed
+    form against the epoch's adaptive threshold, and the value is the
+    shared shell.
+    """
+    if cfg.variant is not Variant.ADP:
+        raise ValueError("crucial_adp: config variant must be ADP")
+    return _single(modulate_epoch([loss], state, cfg))
 
 
 def crucial_sin(loss: float, epoch: int, mu_l: float, cfg: CrucialConfig) -> ModulatedLoss:
@@ -254,90 +331,40 @@ def crucial_sin(loss: float, epoch: int, mu_l: float, cfg: CrucialConfig) -> Mod
     """
     if cfg.variant is not Variant.SIN:
         raise ValueError("crucial_sin: config variant must be SIN")
-    if not math.isfinite(mu_l) or mu_l <= 0.0:
-        raise ValueError("crucial_sin: mu_l must be finite and positive")
-    f = _sin_cycle_factor(epoch, cfg.omega, cfg.phase)
-    gate = 0.5 * f * mu_l
-    if loss < gate:
-        return ModulatedLoss(
-            input_loss=loss,
-            kappa=0.0,
-            threshold=(f - 1.0) * mu_l,
-            gate=gate,
-            value=0.0,
-            selected=False,
-        )
-    if f <= _F_EPS:
-        # lam_t -> inf limit: unit weight, plain centered loss.
-        return ModulatedLoss(
-            input_loss=loss,
-            kappa=1.0,
-            threshold=mu_l,
-            gate=gate,
-            value=loss - mu_l,
-            selected=True,
-        )
-    if f >= 1.0 - _F_EPS:
-        # lam_t -> 0 limit: survivors contribute nothing this epoch.
-        return ModulatedLoss(
-            input_loss=loss,
-            kappa=0.0,
-            threshold=0.0,
-            gate=gate,
-            value=0.0,
-            selected=True,
-        )
-    thr = (f - 1.0) * mu_l
-    lam_t = -math.log(f)
-    k = kappa_star(loss, thr, lam_t, cfg.kappa_formula)
-    return ModulatedLoss(
-        input_loss=loss,
-        kappa=k,
-        threshold=thr,
-        gate=gate,
-        value=modulated_value(loss, thr, lam_t, k),
-        selected=True,
-    )
+    return _single(_sin_losses(np.array([loss], dtype=np.float64), epoch, mu_l, cfg))
 
 
 def baseline_confidence_loss(loss: float, threshold: float, lam: float,
                              formula: KappaFormula = KappaFormula.ARGMIN) -> ModulatedLoss:
     """Confidence weighting against a fixed, caller-supplied threshold."""
-    k = kappa_star(loss, threshold, lam, formula)
-    return ModulatedLoss(
-        input_loss=loss,
-        kappa=k,
-        threshold=threshold,
-        gate=-math.inf,
-        value=modulated_value(loss, threshold, lam, k),
-        selected=True,
-    )
+    cfg = CrucialConfig(Variant.BASELINE, lam=lam, threshold=threshold, kappa_formula=formula)
+    return _single(modulate_epoch([loss], initial_epoch_state(), cfg))
 
 
-def loss_gradient_factor(m: ModulatedLoss) -> float:
-    """Multiplier for this sample's raw-loss gradient.
+def write_loss_trace(path, epochs, sample_ids, modulated: ModulatedLoss) -> None:
+    """Write one CSV row per sample-epoch.
 
-    At the closed-form kappa the envelope theorem gives
-    d(value)/d(input_loss) = kappa, so trainers scale each sample's
-    gradient by kappa; unselected samples contribute nothing.
+    epochs, sample_ids and every field of modulated hold one entry per row.
+    Columns are (epoch, sample_id, input_loss, kappa, threshold, value,
+    selected); floats are written with repr so a reload round-trips
+    bit-exactly.
     """
-    return m.kappa if m.selected else 0.0
-
-
-def write_loss_trace(path, rows) -> None:
-    """Write per-sample trace rows to CSV.
-
-    rows is an iterable of (epoch, sample_id, ModulatedLoss).  Columns are
-    (epoch, sample_id, input_loss, kappa, threshold, value, selected);
-    floats are written with repr so a reload round-trips bit-exactly.
-    """
+    m = modulated
+    cols = [np.asarray(c) for c in (epochs, sample_ids, m.input_loss, m.kappa,
+                                    m.threshold, m.value, m.selected)]
+    if len({c.shape for c in cols}) != 1 or cols[0].ndim != 1:
+        raise ValueError("write_loss_trace: columns disagree on the number of rows")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["epoch", "sample_id", "input_loss", "kappa", "threshold", "value", "selected"]
         )
-        for epoch, sample_id, m in rows:
-            writer.writerow(
-                [epoch, sample_id, repr(m.input_loss), repr(m.kappa),
-                 repr(m.threshold), repr(m.value), str(m.selected).lower()]
-            )
+        # Rows become Python objects one chunk at a time, which bounds the
+        # writer's memory however long the trace is.
+        for start in range(0, cols[0].size, _TRACE_CHUNK_ROWS):
+            epoch, sample_id, *floats, selected = (c[start:start + _TRACE_CHUNK_ROWS] for c in cols)
+            writer.writerows(zip(
+                epoch.tolist(), sample_id.tolist(),
+                *(map(repr, c.astype(np.float64).tolist()) for c in floats),
+                np.where(selected, "true", "false").tolist(),
+            ))

@@ -1,10 +1,10 @@
 """Deterministic numeric kernels shared by every other module.
 
-Scalar special functions (principal-branch Lambert W, complementary error
-function), population moments over loss sets, and a seeded random source with
-one fixed generator so that identical seeds give identical streams on every
-platform.  Nothing in here draws randomness implicitly; stochastic routines
-elsewhere always take a SeededRng argument.
+Special functions (principal-branch Lambert W over arrays plus its scalar
+reference, complementary error function), population moments over loss sets,
+and a seeded random source with one fixed generator so that identical seeds
+give identical streams on every platform.  Nothing in here draws randomness
+implicitly; stochastic routines elsewhere always take a SeededRng argument.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import lambertw
 
 __all__ = [
     "W_DOMAIN_MIN",
@@ -22,12 +23,15 @@ __all__ = [
     "derive_seed",
     "erfc",
     "lambert_w0",
+    "lambert_w0_array",
     "loss_stats",
 ]
 
 # Branch point of the principal branch: W is real only for x >= -1/e.
 W_DOMAIN_MIN = -math.exp(-1.0)
 _DOMAIN_SLACK = 1e-15
+# Below this x the branch-point series parameter sqrt(2(e*x + 1)) is under 1e-5.
+_SERIES_EDGE = (0.5e-10 - 1.0) / math.e
 
 
 def lambert_w0(x: float) -> float:
@@ -81,6 +85,26 @@ def lambert_w0(x: float) -> float:
         if abs(f) <= 0.25e-12 * max(1.0, abs(x)):
             break
         w -= f / (ew * (w + 1.0))
+    return w
+
+
+def lambert_w0_array(x) -> np.ndarray:
+    """Principal-branch Lambert W of every entry of x, as a float64 array.
+
+    Same domain rule as lambert_w0: entries within 1e-15 below -1/e count
+    as -1/e, lower or nan entries raise ValueError.  scipy's lambertw does
+    the work except within about 2e-11 of the branch point, where it loses
+    accuracy (nan at the double nearest -1/e, and slow); those entries take
+    the square-root series that lambert_w0 uses there.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if not (x >= W_DOMAIN_MIN - _DOMAIN_SLACK).all():
+        raise ValueError("lambert_w0_array: an entry is nan or below the branch point -1/e")
+    near = x < _SERIES_EDGE
+    w = lambertw(np.where(near, 0.0, x)).real
+    if near.any():
+        p = np.sqrt(np.maximum(0.0, 2.0 * (math.e * x[near] + 1.0)))
+        w[near] = -1.0 + p * (1.0 - p * (1.0 / 3.0 - p * (11.0 / 72.0)))
     return w
 
 

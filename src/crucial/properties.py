@@ -18,7 +18,6 @@ from .loss import (
     CrucialConfig,
     KappaFormula,
     Variant,
-    baseline_confidence_loss,
     crucial_sin,
     kappa_star,
     modulated_value,

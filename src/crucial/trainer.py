@@ -34,13 +34,10 @@ from .loss import (
     ModulatedLoss,
     Variant,
     advance_epoch_adp,
-    baseline_confidence_loss,
-    crucial_adp,
-    crucial_sin,
     initial_epoch_state,
-    loss_gradient_factor,
+    modulate_epoch,
 )
-from .numerics import SeededRng, loss_stats
+from .numerics import SeededRng
 
 __all__ = [
     "DIVERGENCE_LIMIT",
@@ -387,51 +384,12 @@ def forward_backward(model: Model, X: np.ndarray, y: np.ndarray, base_loss: str)
     return losses, grads
 
 
-def _wrap_losses(losses: np.ndarray, task: TaskSpec, state: EpochState):
-    """Apply the configured wrapper to an epoch's raw losses.
-
-    Returns (modulated list or None, per-sample gradient factors).  The
-    no-wrapper path still produces an explicit all-ones factor vector so
-    that wrapped and unwrapped training share the identical update
-    arithmetic (neutrality is testable bit for bit).
-    """
-    cfg = task.wrapper
-    if cfg is None:
-        return None, np.ones(losses.shape[0], dtype=np.float64)
-    if cfg.variant is Variant.BASELINE:
-        mods = [baseline_confidence_loss(float(l), cfg.threshold, cfg.lam, cfg.kappa_formula)
-                for l in losses]
-    elif cfg.variant is Variant.ADP:
-        mods = [crucial_adp(float(l), state, cfg) for l in losses]
-    else:
-        mu = cfg.mu_fixed if cfg.mu_fixed is not None else float(np.mean(losses))
-        mods = [crucial_sin(float(l), state.epoch_index, mu, cfg) for l in losses]
-    factors = np.array([loss_gradient_factor(m) for m in mods], dtype=np.float64)
-    return mods, factors
-
-
-@dataclass
-class EpochTrace:
-    """What one epoch did: raw losses, modulation, and the applied factors."""
-
-    epoch_index: int
-    raw_losses: np.ndarray
-    modulated: list[ModulatedLoss] | None
-    factors: np.ndarray
-    mean_raw_loss: float
-
-    def kappa_ge1_count(self) -> int:
-        if self.modulated is None:
-            return len(self.factors)
-        return sum(1 for m in self.modulated if m.selected and m.kappa >= 1.0)
-
-
 def train_epoch(model: Model, data, task: TaskSpec, state: EpochState):
-    """One full-batch epoch; returns (model, EpochTrace).
+    """One full-batch epoch; returns (model, the epoch's ModulatedLoss record).
 
     data is the (X, y) pair from featurize.  Per-sample gradients are
-    scaled by each sample's confidence factor and averaged in fixed order;
-    a mean raw loss above DIVERGENCE_LIMIT aborts before the update.
+    scaled by each sample's confidence factor kappa and averaged in fixed
+    order; a mean raw loss above DIVERGENCE_LIMIT aborts before the update.
     """
     X, y = data
     losses, grads = forward_backward(model, X, y, task.base_loss)
@@ -441,17 +399,10 @@ def train_epoch(model: Model, data, task: TaskSpec, state: EpochState):
             f"mean loss {mean_loss:.3e} beyond guard {DIVERGENCE_LIMIT:.0e} "
             f"at epoch {state.epoch_index}"
         )
-    mods, factors = _wrap_losses(losses, task, state)
-    step = np.mean(factors[:, None] * grads, axis=0)
+    mod = modulate_epoch(losses, state, task.wrapper)
+    step = np.mean(mod.kappa[:, None] * grads, axis=0)
     model.params -= task.learning_rate * step
-    trace = EpochTrace(
-        epoch_index=state.epoch_index,
-        raw_losses=losses,
-        modulated=mods,
-        factors=factors,
-        mean_raw_loss=mean_loss,
-    )
-    return model, trace
+    return model, mod
 
 
 def _advance_state(state: EpochState, raw_losses: np.ndarray, task: TaskSpec) -> EpochState:
@@ -459,17 +410,21 @@ def _advance_state(state: EpochState, raw_losses: np.ndarray, task: TaskSpec) ->
     cfg = task.wrapper
     if cfg is not None and cfg.variant is Variant.ADP:
         return advance_epoch_adp(raw_losses, cfg, nxt)
-    return EpochState(epoch_index=nxt, prev_stats=loss_stats(raw_losses), threshold=0.0)
+    return EpochState(epoch_index=nxt, threshold=0.0)
 
 
 @dataclass
 class TrainResult:
-    """Outcome of train_model: final model plus per-epoch diagnostics."""
+    """Outcome of train_model: final model plus per-epoch diagnostics.
+
+    kappa_ge1_counts are the confident-set sizes (selected samples with
+    kappa >= 1); traces holds each epoch's ModulatedLoss when kept.
+    """
 
     model: Model
     epoch_mean_losses: list[float]
     kappa_ge1_counts: list[int]
-    traces: list[EpochTrace] = field(repr=False, default_factory=list)
+    traces: list[ModulatedLoss] = field(repr=False, default_factory=list)
     final_state: EpochState | None = None
 
 
@@ -481,14 +436,14 @@ def train_model(model: Model, samples: list[TimeSeriesSample], task: TaskSpec,
     state = initial_state if initial_state is not None else initial_epoch_state()
     mean_losses: list[float] = []
     counts: list[int] = []
-    traces: list[EpochTrace] = []
+    traces: list[ModulatedLoss] = []
     for _ in range(task.epochs):
-        model, trace = train_epoch(model, data, task, state)
-        mean_losses.append(trace.mean_raw_loss)
-        counts.append(trace.kappa_ge1_count())
+        model, mod = train_epoch(model, data, task, state)
+        mean_losses.append(float(np.mean(mod.input_loss)))
+        counts.append(int(np.count_nonzero(mod.selected & (mod.kappa >= 1.0))))
         if keep_traces:
-            traces.append(trace)
-        state = _advance_state(state, trace.raw_losses, task)
+            traces.append(mod)
+        state = _advance_state(state, mod.input_loss, task)
     return TrainResult(
         model=model,
         epoch_mean_losses=mean_losses,
@@ -507,17 +462,10 @@ def auc_roc(scores: np.ndarray, labels: np.ndarray) -> float:
     n_neg = labels.shape[0] - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("auc_roc: need both classes present")
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(labels.shape[0], dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(sorted_scores):
-        j = i
-        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i: j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    rank_sum = float(np.sum(ranks[pos]))
+    # A tie group ending at 1-based rank e with c members has midrank e - (c - 1)/2.
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    midranks = np.cumsum(counts) - 0.5 * (counts - 1)
+    rank_sum = float(np.sum(midranks[group][pos]))
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 

@@ -147,6 +147,10 @@ class TestSimulate:
         assert len(base) == 6  # 4 reports + summary + resolved config
         capsys.readouterr()
 
+    def test_nan_sigma_is_a_config_error(self, tmp_path, capsys):
+        assert run("simulate", "--output-dir", str(tmp_path), "--sigmas", "nan") == 2
+        assert "config error: LossPopulation" in capsys.readouterr().err
+
 
 class TestProperties:
     def test_subset_passes(self, tmp_path, capsys):
@@ -173,6 +177,8 @@ class TestProperties:
         assert payload["all_passed"] is False
         assert payload["suites"]["kappa_argmin_oracle"]["passed"] is False
         assert payload["suites"]["property4_differentiated_scaling"]["passed"] is True
+        failed = {name for name, entry in payload["suites"].items() if not entry["passed"]}
+        assert failed == {"kappa_argmin_oracle"}
 
     def test_unknown_suite_name(self, tmp_path, capsys):
         assert run("properties", "--output-dir", str(tmp_path),
@@ -244,6 +250,10 @@ class TestGenData:
     def test_unknown_kind(self, tmp_path, capsys):
         assert run("gen-data", "--output-dir", str(tmp_path), "--kind", "spiral") == 2
         capsys.readouterr()
+
+    def test_zero_samples_is_a_config_error(self, tmp_path, capsys):
+        assert run("gen-data", "--output-dir", str(tmp_path), "--n", "0") == 2
+        assert "config error: gen_sine_regression" in capsys.readouterr().err
 
 
 class TestTrain:
@@ -319,6 +329,14 @@ class TestTrain:
         assert run("train", "--output-dir", str(tmp_path), "--wrapper", "adp",
                    "--lam", "0") == 2
         capsys.readouterr()
+
+    def test_zero_epochs_is_a_config_error(self, tmp_path, capsys):
+        assert run("train", "--output-dir", str(tmp_path), "--epochs", "0") == 2
+        assert "config error: TaskSpec: epochs" in capsys.readouterr().err
+
+    def test_unknown_model_is_a_config_error(self, tmp_path, capsys):
+        assert run("train", "--output-dir", str(tmp_path), "--model", "foo") == 2
+        assert "config error: make_model: unknown kind" in capsys.readouterr().err
 
     def test_sin_wrapper_with_fixed_mu(self, tmp_path, capsys):
         out = tmp_path / "out"

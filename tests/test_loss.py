@@ -1,6 +1,7 @@
 """Confidence-weighted loss family: closed form, ADP and SIN variants."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from crucial.loss import (
     CAP_BETA,
     KAPPA_CAP,
     CrucialConfig,
+    EpochState,
     KappaFormula,
+    ModulatedLoss,
     Variant,
     advance_epoch_adp,
     baseline_confidence_loss,
@@ -17,11 +20,11 @@ from crucial.loss import (
     crucial_sin,
     initial_epoch_state,
     kappa_star,
-    loss_gradient_factor,
+    modulate_epoch,
     modulated_value,
     write_loss_trace,
 )
-from crucial.numerics import SeededRng
+from crucial.numerics import W_DOMAIN_MIN, SeededRng
 
 
 def golden_min(f, lo, hi, tol=1e-12):
@@ -130,7 +133,6 @@ class TestAdp:
         assert state.threshold == pytest.approx(sk * 0.4, rel=1e-12)
         assert state.threshold == pytest.approx(0.46188, abs=5e-6)
         assert state.epoch_index == 1
-        assert state.prev_stats is not None and state.prev_stats.n == 4
 
     def test_threshold_sign_follows_skew_sign(self):
         cfg = CrucialConfig(Variant.ADP, lam=0.01)
@@ -172,7 +174,7 @@ class TestSin:
         m = crucial_sin(0.249, 1, mu, self.CFG)  # below mu/4
         assert m.selected is False
         assert m.value == 0.0
-        assert loss_gradient_factor(m) == 0.0
+        assert m.kappa == 0.0
         m2 = crucial_sin(0.251, 1, mu, self.CFG)
         assert m2.selected is True
 
@@ -226,11 +228,11 @@ class TestGradientFactor:
     def test_selected_false_zeroes_gradient(self):
         cfg = CrucialConfig(Variant.SIN, lam=0.01, omega=math.pi / 4.0)
         m = crucial_sin(0.1, 1, 1.0, cfg)
-        assert m.selected is False and loss_gradient_factor(m) == 0.0
+        assert m.selected is False and m.kappa == 0.0
 
     def test_unit_at_threshold(self):
         m = baseline_confidence_loss(0.9, 0.9, 0.01)
-        assert loss_gradient_factor(m) == 1.0
+        assert m.kappa == 1.0
 
     def test_envelope_matches_finite_difference(self):
         # d/dl of the modulated value equals kappa at the inner minimum
@@ -245,8 +247,80 @@ class TestGradientFactor:
             up = crucial_adp(l + h, state, cfg).value
             dn = crucial_adp(l - h, state, cfg).value
             fd = (up - dn) / (2.0 * h)
-            factor = loss_gradient_factor(crucial_adp(l, state, cfg))
+            factor = crucial_adp(l, state, cfg).kappa
             assert fd == pytest.approx(factor, abs=1e-6)
+
+
+def _rows(m):
+    """The rows of a record of arrays, each as a one-sample record's fields."""
+    return list(zip(m.input_loss.tolist(), m.kappa.tolist(), m.threshold.tolist(),
+                    m.gate.tolist(), m.value.tolist(), m.selected.tolist()))
+
+
+class TestModulateEpoch:
+    LOSSES = np.concatenate([SeededRng(5).generator.uniform(0.0, 3.0, 200),
+                             [0.0, 0.7, 1e-3, 2.9]])
+
+    @pytest.mark.parametrize("formula", list(KappaFormula))
+    def test_kappa_matches_kappa_star(self, formula):
+        gen = SeededRng(8).generator
+        for _ in range(20):
+            thr = float(gen.uniform(0.0, 2.0))
+            lam = float(gen.uniform(1e-3, 1.0))
+            losses = np.concatenate([self.LOSSES, [thr, thr + 2.0 * lam * CAP_BETA]])
+            cfg = CrucialConfig(Variant.BASELINE, lam=lam, threshold=thr, kappa_formula=formula)
+            m = modulate_epoch(losses, initial_epoch_state(), cfg)
+            ref = np.array([kappa_star(float(l), thr, lam, formula) for l in losses])
+            beta = (losses - thr) / lam
+            x = beta / 2.0 if formula is KappaFormula.ARGMIN else beta
+            away = np.abs(x - W_DOMAIN_MIN) >= 1e-8
+            assert np.max(np.abs(m.kappa - ref)[away]) <= 1e-12
+            assert m.kappa[-2] == 1.0 and m.value[-2] == 0.0
+            if formula is KappaFormula.ARGMIN:
+                assert np.all(m.kappa[beta <= CAP_BETA] == KAPPA_CAP)
+                assert m.kappa[-1] == KAPPA_CAP
+            values = [modulated_value(float(l), thr, lam, float(k)) for l, k in zip(losses, m.kappa)]
+            assert np.max(np.abs(m.value - values)) <= 1e-12
+
+    def test_adp_and_baseline_match_the_per_sample_wrappers(self):
+        cfg = CrucialConfig(Variant.ADP, lam=0.01)
+        state = advance_epoch_adp([0.2, 0.2, 0.2, 1.0], cfg)
+        m = modulate_epoch(self.LOSSES, state, cfg)
+        assert _rows(m) == [astuple(crucial_adp(float(l), state, cfg)) for l in self.LOSSES]
+        assert m.threshold.tolist() == [state.threshold] * self.LOSSES.size
+        base = CrucialConfig(Variant.BASELINE, lam=0.05, threshold=0.9)
+        m = modulate_epoch(self.LOSSES, state, base)
+        assert _rows(m) == [astuple(baseline_confidence_loss(float(l), 0.9, 0.05))
+                            for l in self.LOSSES]
+
+    @pytest.mark.parametrize("formula", list(KappaFormula))
+    def test_sin_matches_the_per_sample_wrapper(self, formula):
+        cfg = CrucialConfig(Variant.SIN, lam=0.01, omega=math.pi / 4.0, kappa_formula=formula)
+        mu = float(np.mean(self.LOSSES))
+        for t in range(8):  # F = 0, 1/2, 1, 1/2, then again
+            m = modulate_epoch(self.LOSSES, EpochState(epoch_index=t, threshold=0.0), cfg)
+            assert _rows(m) == [astuple(crucial_sin(float(l), t, mu, cfg)) for l in self.LOSSES]
+            if t % 2:
+                assert 0 < np.count_nonzero(~m.selected) < self.LOSSES.size
+
+    def test_gated_rows_carry_zero_weight(self):
+        cfg = CrucialConfig(Variant.SIN, lam=0.01, omega=0.37, phase=0.4, mu_fixed=1.3)
+        for t in range(12):
+            m = modulate_epoch(self.LOSSES, EpochState(epoch_index=t, threshold=0.0), cfg)
+            assert np.all(m.kappa[~m.selected] == 0.0)
+            assert np.all(m.value[~m.selected] == 0.0)
+
+    def test_no_wrapper_is_the_neutral_record(self):
+        m = modulate_epoch(self.LOSSES, initial_epoch_state(), None)
+        assert np.all(m.kappa == 1.0) and np.all(m.threshold == 0.0) and np.all(m.selected)
+        assert np.array_equal(m.value, self.LOSSES)
+
+    def test_concat_keeps_row_order(self):
+        cfg = CrucialConfig(Variant.ADP, lam=0.01)
+        a = modulate_epoch(self.LOSSES[:3], initial_epoch_state(), cfg)
+        b = modulate_epoch(self.LOSSES[3:5], initial_epoch_state(), None)
+        both = ModulatedLoss.concat([a, b])
+        assert _rows(both) == _rows(a) + _rows(b)
 
 
 class TestConfigValidation:
@@ -276,12 +350,9 @@ class TestTraceExport:
     def test_csv_bytes_are_stable(self, tmp_path):
         cfg = CrucialConfig(Variant.ADP, lam=0.01)
         state = initial_epoch_state()
-        rows = [
-            (0, 0, crucial_adp(0.25, state, cfg)),
-            (0, 1, crucial_adp(2.5, state, cfg)),
-        ]
+        mod = modulate_epoch([0.25, 2.5], state, cfg)
         path = tmp_path / "trace.csv"
-        write_loss_trace(path, rows)
+        write_loss_trace(path, [0, 0], [0, 1], mod)
         text = path.read_text(encoding="utf-8")
         lines = text.strip().split("\n")
         assert lines[0] == "epoch,sample_id,input_loss,kappa,threshold,value,selected"
@@ -289,8 +360,25 @@ class TestTraceExport:
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] == "0"
         assert first[2] == repr(0.25)
+        assert first[3] == repr(crucial_adp(0.25, state, cfg).kappa)
         assert first[6] == "true"
         # rewriting produces identical bytes
         path2 = tmp_path / "trace2.csv"
-        write_loss_trace(path2, rows)
+        write_loss_trace(path2, [0, 0], [0, 1], mod)
         assert path2.read_bytes() == path.read_bytes()
+        with pytest.raises(ValueError):
+            write_loss_trace(path2, [0, 0, 0], [0, 1, 2], mod)
+
+    def test_long_trace_keeps_every_row_in_order(self, tmp_path):
+        cfg = CrucialConfig(Variant.SIN, lam=0.01, omega=math.pi / 4.0, mu_fixed=1.0)
+        losses = SeededRng(4).generator.uniform(0.0, 2.0, 10_000)
+        mod = modulate_epoch(losses, EpochState(epoch_index=1, threshold=0.0), cfg)
+        path = tmp_path / "trace.csv"
+        write_loss_trace(path, np.full(losses.size, 3), np.arange(losses.size), mod)
+        lines = path.read_text(encoding="utf-8").strip().split("\n")[1:]
+        assert len(lines) == losses.size
+        for i in (0, 4095, 4096, 8192, 9999):
+            m = crucial_sin(float(losses[i]), 1, 1.0, cfg)
+            assert lines[i] == ",".join(["3", str(i), repr(m.input_loss), repr(m.kappa),
+                                         repr(m.threshold), repr(m.value),
+                                         str(m.selected).lower()])

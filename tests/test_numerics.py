@@ -13,6 +13,7 @@ from crucial.numerics import (
     derive_seed,
     erfc,
     lambert_w0,
+    lambert_w0_array,
     loss_stats,
 )
 
@@ -66,6 +67,29 @@ class TestLambertW:
     def test_tiny_undershoot_is_clamped(self):
         # values inside the floating-point slack of the branch point land on -1
         assert lambert_w0(W_DOMAIN_MIN - 1e-16) == -1.0
+
+
+class TestLambertWArray:
+    def test_matches_the_scalar_reference(self):
+        gap = np.concatenate([np.geomspace(1e-8, 1.0, 2000), np.geomspace(1.0, 1e300, 2000)])
+        xs = np.concatenate([W_DOMAIN_MIN + gap, np.linspace(-0.3, 10.0, 4000), [0.0]])
+        ref = np.array([lambert_w0(float(x)) for x in xs])
+        assert np.max(np.abs(lambert_w0_array(xs) - ref)) <= 1e-12
+        assert lambert_w0_array([0.0])[0] == 0.0
+
+    def test_near_and_at_the_branch_point(self):
+        xs = np.concatenate([W_DOMAIN_MIN + np.geomspace(1e-17, 1e-8, 500),
+                             [W_DOMAIN_MIN, W_DOMAIN_MIN - 5e-16]])
+        got = lambert_w0_array(xs)
+        assert np.all(np.isfinite(got))
+        ref = np.array([lambert_w0(float(x)) for x in xs])
+        assert np.max(np.abs(got - ref)) <= 1e-7
+        assert got[-2] == pytest.approx(-1.0, abs=1e-7)
+
+    def test_domain(self):
+        for bad in ([W_DOMAIN_MIN - 1e-9], [0.5, math.nan]):
+            with pytest.raises(ValueError):
+                lambert_w0_array(bad)
 
 
 class TestErfc:

@@ -236,17 +236,46 @@ class TestTrainLoop:
         assert local_maxima(counts) >= 3
 
 
+def loop_midrank_auc(scores, labels):
+    """Rank-statistic AUC with midranks found by walking the sorted scores."""
+    pos = labels == 1
+    n_pos = int(np.sum(pos))
+    n_neg = labels.shape[0] - n_pos
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(labels.shape[0], dtype=np.float64)
+    sorted_scores = scores[order]
+    i = 0
+    while i < len(sorted_scores):
+        j = i
+        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i: j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    rank_sum = float(np.sum(ranks[pos]))
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
 class TestAuc:
     def test_matches_pair_counting_with_ties(self):
         gen = SeededRng(14).generator
         scores = np.round(gen.standard_normal(80), 1)  # rounding forces ties
         labels = (gen.random(80) < 0.45).astype(int)
-        pos = scores[labels == 1]
-        neg = scores[labels == 0]
-        wins = sum(1.0 for p in pos for q in neg if p > q)
-        ties = sum(0.5 for p in pos for q in neg if p == q)
-        expect = (wins + ties) / (len(pos) * len(neg))
-        assert auc_roc(scores, labels) == pytest.approx(expect, abs=1e-12)
+        heavy_ties = [
+            np.round(gen.standard_normal(300), 0),  # a handful of distinct values
+            gen.integers(0, 2, 300).astype(float),  # two tie groups
+            np.full(40, 0.5),                       # one tie group
+        ]
+        cases = [(scores, labels)] + [
+            (s, np.resize([0, 1], s.size)[gen.permutation(s.size)]) for s in heavy_ties
+        ]
+        for scores, labels in cases:
+            pos = scores[labels == 1]
+            neg = scores[labels == 0]
+            wins = sum(1.0 for p in pos for q in neg if p > q)
+            ties = sum(0.5 for p in pos for q in neg if p == q)
+            expect = (wins + ties) / (len(pos) * len(neg))
+            assert auc_roc(scores, labels) == pytest.approx(expect, abs=1e-12)
+            assert auc_roc(scores, labels) == loop_midrank_auc(scores, labels)
 
     def test_extremes(self):
         labels = np.array([0, 0, 1, 1])
