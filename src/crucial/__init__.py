@@ -11,8 +11,9 @@ The package has four layers:
   exponentially tilted selection, analytic and Monte Carlo, plus a toy
   selection/decay population simulator.
 * ``data`` / ``trainer`` -- synthetic time-series generators, CSV interchange,
-  prefix datasets, small numpy models, the training loop that consumes
-  per-sample gradient factors, and backward/forward transfer metrics.
+  prefix datasets, small numpy models, the training loop that folds the
+  per-sample gradient factors into one backward pass, and backward/forward
+  transfer metrics.
 
 ``properties`` packages the executable invariant suites and ``cli`` exposes
 everything as subcommands.

@@ -279,6 +279,8 @@ def cmd_simulate(cfg: dict) -> int:
             raise ConfigError(f"unknown population kind {p!r}") from None
     sigmas = _float_list(str(cfg["sigmas"]), "sigmas")
     rates = _float_list(str(cfg["rates"]), "rates")
+    if not all(math.isfinite(r) and r > 0.0 for r in rates):
+        raise ConfigError(f"key rates: every rate must be finite and > 0, got {cfg['rates']}")
     n = int(cfg["n"])
     workers = int(cfg["workers"])
     tol = float(cfg["tolerance_se"])
@@ -453,7 +455,10 @@ def _train_one(cfg: dict, run_seed: int, run_id: str, out_dir: str) -> dict:
     metrics_rows = []
     if task_name == "continuous":
         cuts = _int_list(str(cfg["cuts"]), "cuts")
-        prefixes = make_prefixes(train_ds, cuts)
+        try:
+            prefixes = make_prefixes(train_ds, cuts)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         tm = run_continuous(model, prefixes, task, rng.derive("continuous"))
         write_transfer_json(os.path.join(out_dir, f"transfer_{run_id}.json"), tm)
         for i in range(tm.R.shape[0]):

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import erfcx, ndtr, ndtri
 
-from .numerics import LossStats, SeededRng, erfc, loss_stats
+from .numerics import LossStats, SeededRng, loss_stats
 
 __all__ = [
     "ErrorReport",
@@ -105,10 +105,11 @@ class LossPopulation:
 
     def log_tilt_ratio(self, l: np.ndarray, rate: float) -> np.ndarray:
         """log of tilted density over population density at l."""
-        a = -rate * (l - self.mu) - 0.5 * (rate * self.sigma) ** 2
         if self.kind is PopulationKind.HALF_NORMAL:
-            a = a - math.log(erfc(rate * self.sigma / math.sqrt(2.0)))
-        return a
+            # The normal's -x^2 (x = rate*sigma/sqrt 2) cancels against
+            # log erfc(x) = log erfcx(x) - x^2; erfc underflows past x ~ 27.
+            return -rate * (l - self.mu) - math.log(erfcx(rate * self.sigma / math.sqrt(2.0)))
+        return -rate * (l - self.mu) - 0.5 * (rate * self.sigma) ** 2
 
 
 class SelectionMode(str, Enum):
@@ -192,9 +193,9 @@ def analytic_expected_errors(pop: LossPopulation, rate: float):
         e_p = (rate * rate) * (s ** 4) + s * s
         return e_u, e_p, None
     e_u = s * s * (1.0 - 2.0 / math.pi)
-    diamond = (math.sqrt(2.0) * s * math.exp(-(s * s) * (rate * rate) / 2.0)) / (
-        math.sqrt(math.pi) * erfc(math.sqrt(2.0) / 2.0 * s * rate)
-    )
+    # exp(-x^2) / erfc(x) = 1 / erfcx(x), finite where erfc underflows to 0.
+    x = math.sqrt(2.0) / 2.0 * s * rate
+    diamond = math.sqrt(2.0) * s / (math.sqrt(math.pi) * float(erfcx(x)))
     e_p = s * s * (2.0 / math.pi + 1.0) + (
         2.0 * s * (2.0 / math.pi) + rate * s * s
     ) * (rate * s * s - diamond)

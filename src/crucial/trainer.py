@@ -1,21 +1,22 @@
 """Desk-scale models and training loops for the three task shapes.
 
 Three small numpy models (linear, tanh MLP, Elman recurrent) expose a flat
-parameter vector and per-sample gradient contributions, so the confidence
-wrapper can scale each sample's gradient by its factor before the full-batch
-descent step:
+parameter vector and a summed backward pass: ``backward(cache, dout)`` is the
+gradient of sum_i dout_i . out_i.  The confidence factor kappa_i is a detached
+per-sample weight (envelope theorem), so the full-batch descent step
 
-    w  <-  w - eta * mean_i( factor_i * dl_i/dw )
+    w  <-  w - eta * mean_i( kappa_i * dl_i/dw )
 
-With no wrapper the factors are identically 1.0 and the epoch is a plain
-gradient-descent epoch, bit for bit.  The continuous task trains one model
-sequentially over nested prefix datasets and fills the transfer matrix R
-(R[i, j] = score on prefix j after stage i) from which backward and forward
-transfer are computed.
+is one ordinary backward pass with each row of dl/dout scaled by kappa_i / n;
+no per-sample gradient is formed.  With no wrapper the factors are
+identically 1.0 and the epoch is a plain gradient-descent epoch, bit for
+bit.  The continuous task trains one model sequentially over nested prefix
+datasets and fills the transfer matrix R (R[i, j] = score on prefix j after
+stage i) from which backward and forward transfer are computed.
 
-Batch forward/backward is vectorized across samples; the gradient reduction
-is a fixed-order numpy mean, so runs are deterministic for a given seed
-regardless of thread count.
+Batch forward/backward is vectorized across samples; the reductions over
+samples are matrix products, so a given seed gives the same bits on the
+same machine and BLAS build.
 """
 
 from __future__ import annotations
@@ -73,8 +74,9 @@ class TrainingDiverged(RuntimeError):
 class Model:
     """Base for the desk-scale zoo: flat parameter vector, deterministic forward.
 
-    Subclasses implement forward_with_cache/per_sample_grads; ``params`` is
-    the single flat float64 vector the trainer updates in place.
+    Subclasses implement forward_with_cache and backward; ``params`` is the
+    single flat float64 vector the trainer updates in place.  Training makes
+    one backward pass per epoch with the kappa-scaled ``dout``.
     """
 
     kind: str = "base"
@@ -96,8 +98,16 @@ class Model:
     def forward_with_cache(self, X: np.ndarray):
         raise NotImplementedError
 
-    def per_sample_grads(self, cache, dout: np.ndarray) -> np.ndarray:
+    def backward(self, cache, dout: np.ndarray) -> np.ndarray:
+        """Gradient of sum_i dout_i . out_i with respect to params, (n_params,)."""
         raise NotImplementedError
+
+    def per_sample_grads(self, cache, dout: np.ndarray) -> np.ndarray:
+        """Reference (n, n_params) rows: row i is backward on dout's i-th row
+        alone, so the rows sum to backward(cache, dout).  Costs n backward
+        passes; the training path never calls it."""
+        onehot = np.eye(dout.shape[0])[:, :, None]
+        return np.stack([self.backward(cache, dout * rows) for rows in onehot])
 
     def fresh(self, rng: SeededRng) -> "Model":
         """A new model of the same architecture with freshly drawn parameters."""
@@ -127,10 +137,9 @@ class LinearModel(Model):
         w, b = self._unpack()
         return X @ w + b, X
 
-    def per_sample_grads(self, cache, dout: np.ndarray) -> np.ndarray:
+    def backward(self, cache, dout: np.ndarray) -> np.ndarray:
         X = cache
-        gw = np.einsum("nf,nc->nfc", X, dout).reshape(X.shape[0], -1)
-        return np.concatenate([gw, dout], axis=1)
+        return np.concatenate([(X.T @ dout).reshape(-1), dout.sum(axis=0)])
 
     def fresh(self, rng: SeededRng) -> "LinearModel":
         return LinearModel(self.window, self.n_outputs, rng)
@@ -180,19 +189,16 @@ class MLPModel(Model):
         out = h @ w + b
         return out, (mats, acts)
 
-    def per_sample_grads(self, cache, dout: np.ndarray) -> np.ndarray:
+    def backward(self, cache, dout: np.ndarray) -> np.ndarray:
         mats, acts = cache
-        n = dout.shape[0]
-        grads = [None] * len(mats)
+        grads = []
         delta = dout
         for layer in range(len(mats) - 1, -1, -1):
-            a_in = acts[layer]
-            gw = np.einsum("nf,nc->nfc", a_in, delta).reshape(n, -1)
-            grads[layer] = np.concatenate([gw, delta], axis=1)
+            grads += [delta.sum(axis=0), (acts[layer].T @ delta).reshape(-1)]
             if layer > 0:
                 w, _ = mats[layer]
                 delta = (delta @ w.T) * (1.0 - acts[layer] ** 2)
-        return np.concatenate(grads, axis=1)
+        return np.concatenate(grads[::-1])
 
     def fresh(self, rng: SeededRng) -> "MLPModel":
         return MLPModel(self.window, self.n_outputs, rng, self.hidden)
@@ -203,7 +209,8 @@ class ElmanRNN(Model):
 
     Consumes the whole series (no windowing): h_t = tanh(x_t * w_xh +
     h_{t-1} W_hh + b_h), output from h_T.  Backpropagation through time is
-    exact and per-sample.
+    exact and summed over samples: each step adds one (h, h) product to the
+    W_hh gradient.
     """
 
     kind = "elman_rnn"
@@ -247,25 +254,25 @@ class ElmanRNN(Model):
         out = hs[T] @ w_ho + b_o
         return out, (X, hs)
 
-    def per_sample_grads(self, cache, dout: np.ndarray) -> np.ndarray:
+    def backward(self, cache, dout: np.ndarray) -> np.ndarray:
         X, hs = cache
-        w_xh, w_hh, b_h, w_ho, b_o = self._unpack()
-        n, T = X.shape
+        _, w_hh, _, w_ho, _ = self._unpack()
+        T = X.shape[1]
         h = self.hidden_size
-        g_xh = np.zeros((n, h))
-        g_hh = np.zeros((n, h, h))
-        g_bh = np.zeros((n, h))
-        g_ho = np.einsum("nh,nc->nhc", hs[T], dout)
-        g_bo = dout
+        g_xh = np.zeros(h)
+        g_hh = np.zeros((h, h))
+        g_bh = np.zeros(h)
         dh = dout @ w_ho.T
+        # Accumulate step by step: buffering every step's dpre for one
+        # batched product costs another (T, n, h) array of peak memory.
         for t in range(T - 1, -1, -1):
             dpre = dh * (1.0 - hs[t + 1] ** 2)
-            g_xh += X[:, t][:, None] * dpre
-            g_bh += dpre
-            g_hh += np.einsum("nh,nk->nhk", hs[t], dpre)
+            g_xh += X[:, t] @ dpre
+            g_bh += dpre.sum(axis=0)
+            g_hh += hs[t].T @ dpre
             dh = dpre @ w_hh.T
         return np.concatenate(
-            [g_xh, g_hh.reshape(n, -1), g_bh, g_ho.reshape(n, -1), g_bo], axis=1
+            [g_xh, g_hh.reshape(-1), g_bh, (hs[T].T @ dout).reshape(-1), dout.sum(axis=0)]
         )
 
     def fresh(self, rng: SeededRng) -> "ElmanRNN":
@@ -291,8 +298,8 @@ class TaskSpec:
     """One training job: task shape, base loss, budget, optional wrapper.
 
     Regression pairs with MSE; both classification shapes pair with
-    cross-entropy.  The wrapper, when present, scales per-sample gradients
-    by its confidence factors.
+    cross-entropy.  The wrapper, when present, scales each sample's row of
+    dl/dout by its confidence factor before the one backward pass.
     """
 
     task: str                        # regression | single_shot | continuous
@@ -351,13 +358,8 @@ def featurize(samples: list[TimeSeriesSample], model: Model):
     return X, y
 
 
-def forward_backward(model: Model, X: np.ndarray, y: np.ndarray, base_loss: str):
-    """Per-sample losses l_i and per-sample gradients dl_i/dw.
-
-    MSE uses l = (yhat - y)^2 (so the linear single-sample gradient is
-    2*(yhat - y)*x); cross-entropy is softmax negative log-likelihood.
-    Returns (losses shaped (n,), grads shaped (n, n_params)).
-    """
+def _losses_and_dout(model: Model, X: np.ndarray, y: np.ndarray, base_loss: str):
+    """Forward pass: per-sample losses l_i, dl_i/dout_i rows, and the cache."""
     if X.shape[0] == 0:
         raise ValueError("forward_backward: empty batch")
     if X.shape[0] != y.shape[0]:
@@ -376,23 +378,34 @@ def forward_backward(model: Model, X: np.ndarray, y: np.ndarray, base_loss: str)
         idx = np.arange(X.shape[0])
         cls = y.astype(np.intp)
         losses = -np.log(np.maximum(p[idx, cls], 1e-300))
-        dout = p.copy()
+        dout = p
         dout[idx, cls] -= 1.0
     else:
         raise ValueError(f"forward_backward: unknown base_loss {base_loss!r}")
-    grads = model.per_sample_grads(cache, dout)
-    return losses, grads
+    return losses, dout, cache
+
+
+def forward_backward(model: Model, X: np.ndarray, y: np.ndarray, base_loss: str):
+    """Per-sample losses l_i and the gradient of their sum, sum_i dl_i/dw.
+
+    MSE uses l = (yhat - y)^2 (so the linear single-sample gradient is
+    2*(yhat - y)*x); cross-entropy is softmax negative log-likelihood.
+    Returns (losses shaped (n,), gradient shaped (n_params,)).
+    """
+    losses, dout, cache = _losses_and_dout(model, X, y, base_loss)
+    return losses, model.backward(cache, dout)
 
 
 def train_epoch(model: Model, data, task: TaskSpec, state: EpochState):
     """One full-batch epoch; returns (model, the epoch's ModulatedLoss record).
 
-    data is the (X, y) pair from featurize.  Per-sample gradients are
-    scaled by each sample's confidence factor kappa and averaged in fixed
-    order; a mean raw loss above DIVERGENCE_LIMIT aborts before the update.
+    data is the (X, y) pair from featurize.  The step is one backward pass
+    with each sample's dl/dout row scaled by kappa_i / n, i.e. the mean of
+    the kappa-weighted per-sample gradients; a mean raw loss above
+    DIVERGENCE_LIMIT aborts before the update.
     """
     X, y = data
-    losses, grads = forward_backward(model, X, y, task.base_loss)
+    losses, dout, cache = _losses_and_dout(model, X, y, task.base_loss)
     mean_loss = float(np.mean(losses))
     if not math.isfinite(mean_loss) or mean_loss > DIVERGENCE_LIMIT:
         raise TrainingDiverged(
@@ -400,8 +413,8 @@ def train_epoch(model: Model, data, task: TaskSpec, state: EpochState):
             f"at epoch {state.epoch_index}"
         )
     mod = modulate_epoch(losses, state, task.wrapper)
-    step = np.mean(mod.kappa[:, None] * grads, axis=0)
-    model.params -= task.learning_rate * step
+    grad = model.backward(cache, dout * (mod.kappa / X.shape[0])[:, None])
+    model.params -= task.learning_rate * grad
     return model, mod
 
 

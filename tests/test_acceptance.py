@@ -173,8 +173,7 @@ def test_criterion_06_gradient_checks():
                 y = gen.standard_normal(4)
             else:
                 y = gen.integers(0, n_out, 4).astype(np.int64)
-            _, grads = forward_backward(model, X, y, base_loss)
-            total = np.sum(grads, axis=0)
+            _, total = forward_backward(model, X, y, base_loss)
             d = gen.standard_normal(model.n_params)
             d /= np.linalg.norm(d)
             saved = model.params.copy()

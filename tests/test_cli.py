@@ -151,6 +151,20 @@ class TestSimulate:
         assert run("simulate", "--output-dir", str(tmp_path), "--sigmas", "nan") == 2
         assert "config error: LossPopulation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rates", ["0", "-1"])
+    def test_non_positive_rate_is_a_config_error(self, tmp_path, capsys, rates):
+        assert run("simulate", "--output-dir", str(tmp_path), "--rates", rates) == 2
+        assert "config error: key rates" in capsys.readouterr().err
+
+    def test_far_tail_half_normal_runs(self, tmp_path, capsys):
+        code = run("simulate", "--output-dir", str(tmp_path), "--n", "4000",
+                   "--populations", "half_normal", "--sigmas", "20", "--rates", "2")
+        assert code == 0
+        payload = json.loads(
+            (tmp_path / "report_half_normal_s20_r2.json").read_text(encoding="utf-8"))
+        assert math.isfinite(payload["analytic"]["diamond"])
+        capsys.readouterr()
+
 
 class TestProperties:
     def test_subset_passes(self, tmp_path, capsys):
@@ -329,6 +343,11 @@ class TestTrain:
         assert run("train", "--output-dir", str(tmp_path), "--wrapper", "adp",
                    "--lam", "0") == 2
         capsys.readouterr()
+
+    def test_descending_cuts_are_a_config_error(self, tmp_path, capsys):
+        assert run("train", "--output-dir", str(tmp_path), "--task", "continuous",
+                   "--dataset", "drift", "--cuts", "64,32") == 2
+        assert "config error: make_prefixes" in capsys.readouterr().err
 
     def test_zero_epochs_is_a_config_error(self, tmp_path, capsys):
         assert run("train", "--output-dir", str(tmp_path), "--epochs", "0") == 2

@@ -171,6 +171,37 @@ class TestAnalytic:
             SelectionCondition(SelectionMode.EXPONENTIAL, rate=-1.0)
 
 
+class TestFarTail:
+    """rate*sigma past ~38, where erfc(rate*sigma/sqrt 2) underflows to 0."""
+
+    def test_half_normal_far_tail_is_finite(self):
+        sigma, rate = 20.0, 2.0
+        assert math.erfc(rate * sigma / math.sqrt(2.0)) == 0.0
+        pop = LossPopulation(PopulationKind.HALF_NORMAL, mu=0.0, sigma=sigma)
+        e_u, e_p, diamond = analytic_expected_errors(pop, rate)
+        assert all(math.isfinite(v) for v in (e_u, e_p, diamond))
+        # the diamond term is still the tilted mean shift
+        truth = tilted_moment(lambda x: half_pdf(x, 0.0, sigma), rate, 1, 0.0, 40.0)
+        assert -rate * sigma * sigma + diamond == pytest.approx(truth, rel=1e-9)
+        assert np.all(np.isfinite(pop.log_tilt_ratio(np.array([0.0, 0.5, 30.0]), rate)))
+        report = compare_conditions(pop, rate, 4000, SeededRng(8))
+        assert all(math.isfinite(v) for v in (report.mc_eu, report.mc_ep, report.diamond))
+
+    def test_erfcx_forms_match_the_erfc_forms(self):
+        for sigma in (0.1, 0.5, 1.0, 2.0, 5.0):
+            for rate in (0.5, 1.0, 2.0):
+                x = sigma * rate / math.sqrt(2.0)
+                pop = LossPopulation(PopulationKind.HALF_NORMAL, mu=0.2, sigma=sigma)
+                _, _, diamond = analytic_expected_errors(pop, rate)
+                direct = (math.sqrt(2.0) * sigma * math.exp(-x * x)
+                          / (math.sqrt(math.pi) * math.erfc(x)))
+                assert diamond == pytest.approx(direct, rel=1e-13)
+                l = np.array([0.2, 0.7, 3.0])
+                got = pop.log_tilt_ratio(l, rate)
+                want = -rate * (l - 0.2) - x * x - math.log(math.erfc(x))
+                assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(np.abs(want), 1.0))
+
+
 class TestMonteCarlo:
     def test_normal_hits_both_closed_forms(self):
         pop = LossPopulation(PopulationKind.NORMAL, mu=0.0, sigma=0.5)

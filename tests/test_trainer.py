@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from crucial.data import TimeSeriesSample, gen_drift_classification, gen_sine_regression, make_prefixes
-from crucial.loss import CrucialConfig, Variant
+from crucial.loss import CrucialConfig, EpochState, Variant
 from crucial.numerics import SeededRng
 from crucial.trainer import (
     TaskSpec,
@@ -21,6 +21,7 @@ from crucial.trainer import (
     fwt,
     make_model,
     run_continuous,
+    train_epoch,
     train_model,
     write_metrics_csv,
     write_transfer_json,
@@ -54,6 +55,18 @@ def directional_fd(model, X, y, base_loss, direction, h=1e-6):
     dn = float(np.sum(forward_backward(model, X, y, base_loss)[0]))
     model.params = saved
     return (up - dn) / (2.0 * h)
+
+
+def per_sample_rows(model, X, y, base_loss):
+    """Model.per_sample_grads on the batch's own dl/dout rows."""
+    out, cache = model.forward_with_cache(X)
+    if base_loss == "mse":
+        dout = 2.0 * (out - y[:, None])
+    else:
+        p = np.exp(out - out.max(axis=1, keepdims=True))
+        dout = p / p.sum(axis=1, keepdims=True)
+        dout[np.arange(y.size), y.astype(np.intp)] -= 1.0
+    return model.per_sample_grads(cache, dout)
 
 
 class TestFeaturize:
@@ -99,19 +112,19 @@ class TestGradients:
         model = make_model("linear", 3, 1, SeededRng(7))
         X = np.array([[1.0, -2.0, 0.5]])
         y = np.array([0.3])
-        losses, grads = forward_backward(model, X, y, "mse")
+        losses, grad = forward_backward(model, X, y, "mse")
         r = float(model.forward(X)[0, 0] - 0.3)
         assert losses[0] == pytest.approx(r * r, rel=1e-14)
         expect = np.concatenate([2.0 * r * X[0], [2.0 * r]])
-        assert np.allclose(grads[0], expect, rtol=1e-13)
+        assert np.allclose(grad, expect, rtol=1e-13)
 
     def test_zero_residual_gives_zero_gradient(self):
         model = make_model("linear", 3, 1, SeededRng(7))
         X = np.array([[0.4, 1.0, -0.2]])
         y = model.forward(X)[:, 0]
-        losses, grads = forward_backward(model, X, y, "mse")
+        losses, grad = forward_backward(model, X, y, "mse")
         assert losses[0] == 0.0
-        assert np.all(grads[0] == 0.0)
+        assert np.all(grad == 0.0)
 
     @pytest.mark.parametrize("kind,base_loss,n_out", [
         ("linear", "mse", 1),
@@ -130,14 +143,20 @@ class TestGradients:
             y = gen.standard_normal(6)
         else:
             y = gen.integers(0, n_out, 6).astype(np.int64)
-        _, grads = forward_backward(model, X, y, base_loss)
-        total_grad = np.sum(grads, axis=0)
+        _, total_grad = forward_backward(model, X, y, base_loss)
         for _ in range(25):
             d = gen.standard_normal(model.n_params)
             d /= np.linalg.norm(d)
             fd = directional_fd(model, X, y, base_loss, d)
             an = float(total_grad @ d)
             assert fd == pytest.approx(an, rel=1e-4, abs=1e-7)
+        # each one-hot row of the reference probes one sample's loss alone
+        rows = per_sample_rows(model, X, y, base_loss)
+        for i in range(X.shape[0]):
+            d = gen.standard_normal(model.n_params)
+            d /= np.linalg.norm(d)
+            fd = directional_fd(model, X[i:i + 1], y[i:i + 1], base_loss, d)
+            assert fd == pytest.approx(float(rows[i] @ d), rel=1e-4, abs=1e-7)
 
     def test_cross_entropy_accepts_float_coded_labels(self):
         model = make_model("linear", 4, 2, SeededRng(3))
@@ -153,6 +172,65 @@ class TestGradients:
             forward_backward(model, np.zeros((2, 4)), np.zeros(3), "mse")
         with pytest.raises(ValueError):
             forward_backward(model, np.zeros((2, 4)), np.zeros(2), "huber")
+
+
+MODEL_KINDS = ("linear", "mlp", "elman_rnn")
+
+
+def _small_model(kind, n_out, rng):
+    return make_model(kind, 5, n_out, rng, hidden=(4, 3) if kind == "mlp" else 4)
+
+
+class TestBackward:
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("n_out", [1, 3])
+    def test_backward_is_the_sum_of_per_sample_rows(self, kind, n_out):
+        rng = SeededRng(31)
+        model = _small_model(kind, n_out, rng)
+        gen = rng.derive("batch").generator
+        X = gen.standard_normal((7, 5))
+        dout = gen.standard_normal((7, n_out))
+        _, cache = model.forward_with_cache(X)
+        total = model.backward(cache, dout)
+        rows = model.per_sample_grads(cache, dout)
+        assert total.shape == (model.n_params,)
+        assert rows.shape == (7, model.n_params)
+        scale = max(1.0, float(np.max(np.abs(total))))
+        assert np.max(np.abs(total - rows.sum(axis=0))) <= 1e-12 * scale
+        # row i is sample i's gradient from a batch of one
+        for i in range(7):
+            _, alone = model.forward_with_cache(X[i:i + 1])
+            single = model.backward(alone, dout[i:i + 1])
+            assert np.max(np.abs(rows[i] - single)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("variant", [Variant.ADP, Variant.SIN])
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_wrapped_step_is_the_kappa_weighted_mean_of_rows(self, variant, kind):
+        rng = SeededRng(41)
+        model = _small_model(kind, 1, rng)
+        gen = rng.derive("batch").generator
+        X = gen.standard_normal((16, 5))
+        y = gen.standard_normal(16)
+        losses, _ = forward_backward(model, X, y, "mse")
+        if variant is Variant.ADP:
+            cfg = CrucialConfig(Variant.ADP, lam=0.05)
+            state = EpochState(epoch_index=3, threshold=float(np.median(losses)))
+        else:
+            cfg = CrucialConfig(Variant.SIN, lam=0.01, omega=0.37, phase=0.4)
+            state = EpochState(epoch_index=2, threshold=0.0)
+        rows = per_sample_rows(model, X, y, "mse")
+        before = model.params.copy()
+        task = TaskSpec("regression", "mse", 1, 0.1, wrapper=cfg)
+        _, mod = train_epoch(model, (X, y), task, state)
+        if variant is Variant.SIN:
+            gated = ~mod.selected
+            assert 0 < np.count_nonzero(gated) < 16
+            assert np.all(mod.kappa[gated] == 0.0)
+        else:
+            assert np.any(mod.kappa > 1.0) and np.any(mod.kappa < 1.0)
+        expect = 0.1 * np.mean(mod.kappa[:, None] * rows, axis=0)
+        step = before - model.params
+        assert np.max(np.abs(step - expect)) <= 1e-12 * max(1.0, float(np.max(np.abs(expect))))
 
 
 class TestTaskSpec:
