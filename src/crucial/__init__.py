@@ -2,8 +2,8 @@
 
 The package has four layers:
 
-* ``numerics``  -- array Lambert W plus its scalar reference, erfc, population
-  loss moments, and a platform-stable seeded random source.
+* ``numerics``  -- array Lambert W plus its scalar reference, population loss
+  moments, and a platform-stable seeded random source.
 * ``loss``     -- the confidence-weighted loss family: closed-form confidence
   weights and the skewness-adaptive and sinusoidally cycled variants, over a
   whole epoch's losses at once (``modulate_epoch``) or one sample at a time.
@@ -11,9 +11,9 @@ The package has four layers:
   exponentially tilted selection, analytic and Monte Carlo, plus a toy
   selection/decay population simulator.
 * ``data`` / ``trainer`` -- synthetic time-series generators, CSV interchange,
-  prefix datasets, small numpy models, the training loop that folds the
-  per-sample gradient factors into one backward pass, and backward/forward
-  transfer metrics.
+  prefix datasets, small numpy models on one flat parameter layout, the
+  training loop that folds the per-sample gradient factors into one backward
+  pass, and backward/forward transfer metrics.
 
 ``properties`` packages the executable invariant suites and ``cli`` exposes
 everything as subcommands.
@@ -23,7 +23,6 @@ from .numerics import (
     LossStats,
     SeededRng,
     derive_seed,
-    erfc,
     lambert_w0,
     lambert_w0_array,
     loss_stats,

@@ -1,10 +1,10 @@
 """Deterministic numeric kernels shared by every other module.
 
-Special functions (principal-branch Lambert W over arrays plus its scalar
-reference, complementary error function), population moments over loss sets,
-and a seeded random source with one fixed generator so that identical seeds
-give identical streams on every platform.  Nothing in here draws randomness
-implicitly; stochastic routines elsewhere always take a SeededRng argument.
+Principal-branch Lambert W over arrays plus its scalar reference, population
+moments over loss sets, and a seeded random source with one fixed generator
+so that identical seeds give identical streams on every platform.  Nothing
+in here draws randomness implicitly; stochastic routines elsewhere always
+take a SeededRng argument.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ __all__ = [
     "LossStats",
     "SeededRng",
     "derive_seed",
-    "erfc",
     "lambert_w0",
     "lambert_w0_array",
     "loss_stats",
@@ -106,11 +105,6 @@ def lambert_w0_array(x) -> np.ndarray:
         p = np.sqrt(np.maximum(0.0, 2.0 * (math.e * x[near] + 1.0)))
         w[near] = -1.0 + p * (1.0 - p * (1.0 / 3.0 - p * (11.0 / 72.0)))
     return w
-
-
-def erfc(x: float) -> float:
-    """Complementary error function, 1 - erf(x), at double precision."""
-    return math.erfc(x)
 
 
 @dataclass(frozen=True)

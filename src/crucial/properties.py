@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import erfcx
 
 from .data import gen_drift_classification, gen_sine_regression, load_csv, save_csv
 from .loss import (
@@ -22,7 +23,8 @@ from .loss import (
     kappa_star,
     modulated_value,
 )
-from .numerics import SeededRng, erfc, lambert_w0, loss_stats
+from .numerics import SeededRng, lambert_w0, loss_stats
+from .sampler import LossPopulation, PopulationKind
 from .trainer import forward_backward, make_model
 
 __all__ = [
@@ -80,10 +82,17 @@ def suite_lambert_w_monotonic(rng: SeededRng, formula: KappaFormula):
 
 
 def suite_erfc_reflection(rng: SeededRng, formula: KappaFormula):
-    """erfc(-x) + erfc(x) = 2 to 1e-10 on |x| <= 6."""
+    """The sampler's tail-safe erfc forms: erfc(x) = exp(-x^2) erfcx(x) meets
+    erfc(-x) + erfc(x) = 2 to 1e-10 on |x| <= 6, and the tilted half-normal's
+    inverse CDF starts at its cut mu for rate*sigma up to 60, well past where
+    erfc(rate*sigma/sqrt 2) underflows (about 38)."""
     xs = np.linspace(0.0, 6.0, 2_000)
-    worst = max(abs(erfc(float(-x)) + erfc(float(x)) - 2.0) for x in xs)
-    return worst <= 1e-10, f"max reflection defect {worst:.3e}"
+    worst = float(np.max(np.abs(np.exp(-xs * xs) * (erfcx(xs) + erfcx(-xs)) - 2.0)))
+    pop = LossPopulation(PopulationKind.HALF_NORMAL, mu=0.0, sigma=1.0)
+    cut = max(abs(float(pop.tilted_quantile(np.array([1e-300]), a)[0])) / a
+              for a in np.linspace(1.0, 60.0, 60))
+    return worst <= 1e-10 and cut <= 1e-12, (
+        f"max reflection defect {worst:.3e}; tilted cut offset {cut:.3e} up to rate*sigma 60")
 
 
 def suite_loss_stats_invariance(rng: SeededRng, formula: KappaFormula):
@@ -236,11 +245,11 @@ def suite_kappa_bounds(rng: SeededRng, formula: KappaFormula):
 
 
 def suite_gradient_finite_difference(rng: SeededRng, formula: KappaFormula):
-    """Analytic per-sample gradients match centered finite differences.
+    """The summed gradient of one backward pass matches centered finite differences.
 
     For each model kind, random parameters and a random direction: the
-    directional derivative of the mean base loss agrees with the centered
-    difference to 1e-4 relative, over 100 draws.
+    directional derivative of the mean base loss (the summed gradient over
+    n) agrees with the centered difference to 1e-4 relative, over 100 draws.
     """
     h = 1e-6
     for kind, base_loss, n_out in (("linear", "mse", 1),

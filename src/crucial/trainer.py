@@ -1,9 +1,9 @@
 """Desk-scale models and training loops for the three task shapes.
 
-Three small numpy models (linear, tanh MLP, Elman recurrent) expose a flat
-parameter vector and a summed backward pass: ``backward(cache, dout)`` is the
-gradient of sum_i dout_i . out_i.  The confidence factor kappa_i is a detached
-per-sample weight (envelope theorem), so the full-batch descent step
+Three small numpy models (tanh MLP, linear = the MLP with no hidden layer,
+Elman recurrent) share one flat parameter layout and a summed backward pass:
+``backward(cache, dout)`` is the gradient of sum_i dout_i . out_i.  kappa_i
+is a detached per-sample weight (envelope theorem), so the full-batch step
 
     w  <-  w - eta * mean_i( kappa_i * dl_i/dw )
 
@@ -74,9 +74,11 @@ class TrainingDiverged(RuntimeError):
 class Model:
     """Base for the desk-scale zoo: flat parameter vector, deterministic forward.
 
-    Subclasses implement forward_with_cache and backward; ``params`` is the
-    single flat float64 vector the trainer updates in place.  Training makes
-    one backward pass per epoch with the kappa-scaled ``dout``.
+    A subclass draws its parameter blocks once and passes them, in order, to
+    ``_set_blocks``, which lays them out as ``params``, the flat float64
+    vector the trainer updates in place.  ``_blocks`` views params as those
+    blocks; backward ``_flatten``s its gradient blocks in the same order.
+    Subclasses set ``hidden`` and implement forward_with_cache and backward.
     """
 
     kind: str = "base"
@@ -86,7 +88,20 @@ class Model:
             raise ValueError("Model: window and n_outputs must be positive")
         self.window = window
         self.n_outputs = n_outputs
-        self.params = np.zeros(0, dtype=np.float64)
+
+    @staticmethod
+    def _flatten(blocks: list[np.ndarray]) -> np.ndarray:
+        return np.concatenate([block.ravel() for block in blocks])
+
+    def _set_blocks(self, blocks: list[np.ndarray]) -> None:
+        """Record each block's (start, stop, shape) and lay the blocks out as params."""
+        stops = np.cumsum([block.size for block in blocks]).tolist()
+        self._layout = [(stop - b.size, stop, b.shape) for stop, b in zip(stops, blocks)]
+        self.params = self._flatten(blocks)
+
+    def _blocks(self) -> list[np.ndarray]:
+        """Views of params reshaped into the blocks, in order."""
+        return [self.params[start:stop].reshape(shape) for start, stop, shape in self._layout]
 
     @property
     def n_params(self) -> int:
@@ -111,38 +126,7 @@ class Model:
 
     def fresh(self, rng: SeededRng) -> "Model":
         """A new model of the same architecture with freshly drawn parameters."""
-        raise NotImplementedError
-
-
-class LinearModel(Model):
-    """Affine map from the last ``window`` values to the outputs."""
-
-    kind = "linear"
-
-    def __init__(self, window: int, n_outputs: int, rng: SeededRng):
-        super().__init__(window, n_outputs)
-        gen = rng.derive("init/linear").generator
-        scale = 1.0 / math.sqrt(window)
-        w = gen.uniform(-scale, scale, (window, n_outputs))
-        b = np.zeros(n_outputs)
-        self.params = np.concatenate([w.reshape(-1), b])
-
-    def _unpack(self):
-        f, c = self.window, self.n_outputs
-        w = self.params[: f * c].reshape(f, c)
-        b = self.params[f * c:]
-        return w, b
-
-    def forward_with_cache(self, X: np.ndarray):
-        w, b = self._unpack()
-        return X @ w + b, X
-
-    def backward(self, cache, dout: np.ndarray) -> np.ndarray:
-        X = cache
-        return np.concatenate([(X.T @ dout).reshape(-1), dout.sum(axis=0)])
-
-    def fresh(self, rng: SeededRng) -> "LinearModel":
-        return LinearModel(self.window, self.n_outputs, rng)
+        return type(self)(self.window, self.n_outputs, rng, self.hidden)
 
 
 class MLPModel(Model):
@@ -153,55 +137,49 @@ class MLPModel(Model):
     def __init__(self, window: int, n_outputs: int, rng: SeededRng,
                  hidden: tuple[int, ...] = (8,)):
         super().__init__(window, n_outputs)
-        if not hidden or any(h < 1 for h in hidden):
-            raise ValueError("MLPModel: hidden sizes must be positive")
-        self.hidden = tuple(int(h) for h in hidden)
-        gen = rng.derive("init/mlp").generator
+        self.hidden = self._hidden_layers(hidden)
+        gen = rng.derive(f"init/{self.kind}").generator
         dims = [window, *self.hidden, n_outputs]
-        chunks = []
-        self._shapes = []
+        blocks = []
         for fan_in, fan_out in zip(dims, dims[1:]):
             scale = 1.0 / math.sqrt(fan_in)
-            chunks.append(gen.uniform(-scale, scale, (fan_in, fan_out)).reshape(-1))
-            chunks.append(np.zeros(fan_out))
-            self._shapes.append((fan_in, fan_out))
-        self.params = np.concatenate(chunks)
+            blocks += [gen.uniform(-scale, scale, (fan_in, fan_out)), np.zeros(fan_out)]
+        self._set_blocks(blocks)
 
-    def _unpack(self):
-        mats = []
-        off = 0
-        for fan_in, fan_out in self._shapes:
-            w = self.params[off: off + fan_in * fan_out].reshape(fan_in, fan_out)
-            off += fan_in * fan_out
-            b = self.params[off: off + fan_out]
-            off += fan_out
-            mats.append((w, b))
-        return mats
+    @staticmethod
+    def _hidden_layers(hidden) -> tuple[int, ...]:
+        hidden = (hidden,) if isinstance(hidden, int) else tuple(int(h) for h in hidden)
+        if not hidden or any(h < 1 for h in hidden):
+            raise ValueError("MLPModel: hidden sizes must be positive")
+        return hidden
 
     def forward_with_cache(self, X: np.ndarray):
-        mats = self._unpack()
+        blocks = self._blocks()
         acts = [X]
-        h = X
-        for w, b in mats[:-1]:
-            h = np.tanh(h @ w + b)
-            acts.append(h)
-        w, b = mats[-1]
-        out = h @ w + b
-        return out, (mats, acts)
+        for w, b in zip(blocks[:-2:2], blocks[1:-2:2]):
+            acts.append(np.tanh(acts[-1] @ w + b))
+        return acts[-1] @ blocks[-2] + blocks[-1], (blocks, acts)
 
     def backward(self, cache, dout: np.ndarray) -> np.ndarray:
-        mats, acts = cache
+        blocks, acts = cache
         grads = []
         delta = dout
-        for layer in range(len(mats) - 1, -1, -1):
-            grads += [delta.sum(axis=0), (acts[layer].T @ delta).reshape(-1)]
+        for layer in range(len(acts) - 1, -1, -1):
+            grads += [delta.sum(axis=0), acts[layer].T @ delta]
             if layer > 0:
-                w, _ = mats[layer]
-                delta = (delta @ w.T) * (1.0 - acts[layer] ** 2)
-        return np.concatenate(grads[::-1])
+                delta = (delta @ blocks[2 * layer].T) * (1.0 - acts[layer] ** 2)
+        return self._flatten(grads[::-1])
 
-    def fresh(self, rng: SeededRng) -> "MLPModel":
-        return MLPModel(self.window, self.n_outputs, rng, self.hidden)
+
+class LinearModel(MLPModel):
+    """Affine map X @ w + b from the last ``window`` values: the MLP with no
+    hidden layer, drawn from its own "init/linear" substream."""
+
+    kind = "linear"
+
+    @staticmethod
+    def _hidden_layers(hidden) -> tuple[int, ...]:
+        return ()
 
 
 class ElmanRNN(Model):
@@ -215,38 +193,27 @@ class ElmanRNN(Model):
 
     kind = "elman_rnn"
 
-    def __init__(self, window: int, n_outputs: int, rng: SeededRng, hidden: int = 8):
+    def __init__(self, window: int, n_outputs: int, rng: SeededRng, hidden=8):
         super().__init__(window, n_outputs)
-        if hidden < 1:
+        self.hidden = int(hidden[0] if isinstance(hidden, (tuple, list)) else hidden)
+        if self.hidden < 1:
             raise ValueError("ElmanRNN: hidden size must be positive")
-        self.hidden_size = int(hidden)
-        gen = rng.derive("init/elman_rnn").generator
-        h = self.hidden_size
-        w_xh = gen.uniform(-1.0, 1.0, h)
-        w_hh = gen.uniform(-0.5, 0.5, (h, h)) / math.sqrt(h)
-        b_h = np.zeros(h)
-        w_ho = gen.uniform(-1.0, 1.0, (h, n_outputs)) / math.sqrt(h)
-        b_o = np.zeros(n_outputs)
-        self.params = np.concatenate(
-            [w_xh, w_hh.reshape(-1), b_h, w_ho.reshape(-1), b_o]
-        )
-
-    def _unpack(self):
-        h, c = self.hidden_size, self.n_outputs
-        off = 0
-        w_xh = self.params[off: off + h]; off += h
-        w_hh = self.params[off: off + h * h].reshape(h, h); off += h * h
-        b_h = self.params[off: off + h]; off += h
-        w_ho = self.params[off: off + h * c].reshape(h, c); off += h * c
-        b_o = self.params[off: off + c]
-        return w_xh, w_hh, b_h, w_ho, b_o
+        gen = rng.derive(f"init/{self.kind}").generator
+        h = self.hidden
+        self._set_blocks([
+            gen.uniform(-1.0, 1.0, h),                              # w_xh
+            gen.uniform(-0.5, 0.5, (h, h)) / math.sqrt(h),          # W_hh
+            np.zeros(h),                                            # b_h
+            gen.uniform(-1.0, 1.0, (h, n_outputs)) / math.sqrt(h),  # w_ho
+            np.zeros(n_outputs),                                    # b_o
+        ])
 
     def forward_with_cache(self, X: np.ndarray):
         if X.ndim != 2:
             raise ValueError("ElmanRNN: expects (n_samples, T) input")
-        w_xh, w_hh, b_h, w_ho, b_o = self._unpack()
+        w_xh, w_hh, b_h, w_ho, b_o = self._blocks()
         n, T = X.shape
-        hs = np.zeros((T + 1, n, self.hidden_size))
+        hs = np.zeros((T + 1, n, self.hidden))
         for t in range(T):
             hs[t + 1] = np.tanh(
                 X[:, t][:, None] * w_xh[None, :] + hs[t] @ w_hh + b_h
@@ -256,9 +223,9 @@ class ElmanRNN(Model):
 
     def backward(self, cache, dout: np.ndarray) -> np.ndarray:
         X, hs = cache
-        _, w_hh, _, w_ho, _ = self._unpack()
+        _, w_hh, _, w_ho, _ = self._blocks()
         T = X.shape[1]
-        h = self.hidden_size
+        h = self.hidden
         g_xh = np.zeros(h)
         g_hh = np.zeros((h, h))
         g_bh = np.zeros(h)
@@ -271,26 +238,19 @@ class ElmanRNN(Model):
             g_bh += dpre.sum(axis=0)
             g_hh += hs[t].T @ dpre
             dh = dpre @ w_hh.T
-        return np.concatenate(
-            [g_xh, g_hh.reshape(-1), g_bh, (hs[T].T @ dout).reshape(-1), dout.sum(axis=0)]
-        )
+        return self._flatten([g_xh, g_hh, g_bh, hs[T].T @ dout, dout.sum(axis=0)])
 
-    def fresh(self, rng: SeededRng) -> "ElmanRNN":
-        return ElmanRNN(self.window, self.n_outputs, rng, self.hidden_size)
+
+_MODELS = {cls.kind: cls for cls in (LinearModel, MLPModel, ElmanRNN)}
 
 
 def make_model(kind: str, window: int, n_outputs: int, rng: SeededRng,
                hidden=(8,)) -> Model:
-    """Factory over the model zoo; hidden applies to mlp (tuple) and rnn (int)."""
-    if kind == "linear":
-        return LinearModel(window, n_outputs, rng)
-    if kind == "mlp":
-        hid = tuple(hidden) if not isinstance(hidden, int) else (hidden,)
-        return MLPModel(window, n_outputs, rng, hid)
-    if kind == "elman_rnn":
-        hid = hidden[0] if isinstance(hidden, (tuple, list)) else int(hidden)
-        return ElmanRNN(window, n_outputs, rng, hid)
-    raise ValueError(f"make_model: unknown kind {kind!r}")
+    """Factory over the model zoo; hidden is the mlp's layer sizes and the
+    rnn's state size (each class reads it its own way) and linear ignores it."""
+    if kind not in _MODELS:
+        raise ValueError(f"make_model: unknown kind {kind!r}")
+    return _MODELS[kind](window, n_outputs, rng, hidden)
 
 
 @dataclass(frozen=True)

@@ -6,26 +6,60 @@ crash.  Installing and uninstalling the tracer here turns that into a test
 failure.
 """
 
+import contextlib
 import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from crucial import trainer
+from crucial.numerics import SeededRng
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+MODEL_CLASSES = (trainer.LinearModel, trainer.MLPModel, trainer.ElmanRNN)
 
 
-def test_tracer_installs_and_uninstalls_on_the_live_package():
+@contextlib.contextmanager
+def _installed():
+    """Install the tracer; on exit uninstall it and drop the inherited methods
+    that uninstall re-sets on each model class, so every class again
+    inherits what it did before."""
     sys.path.insert(0, str(BENCH))
     try:
         spans = importlib.import_module("spans")
     finally:
         sys.path.remove(str(BENCH))
-    original = trainer.forward_backward
+    own = {cls: set(vars(cls)) for cls in MODEL_CLASSES}
     tracer = spans.Tracer()
     try:
         spans.install(tracer)
-        assert trainer.forward_backward is not original
+        yield tracer
     finally:
         tracer.uninstall()
+        for cls in MODEL_CLASSES:
+            for attr in set(vars(cls)) - own[cls]:
+                delattr(cls, attr)
+
+
+def test_tracer_installs_and_uninstalls_on_the_live_package():
+    original = trainer.forward_backward
+    with _installed():
+        assert trainer.forward_backward is not original
     assert trainer.forward_backward is original
+
+
+def test_linear_forward_is_traced_under_its_own_kind():
+    # LinearModel inherits MLPModel.forward_with_cache; the tracer rebinds it
+    # on LinearModel itself, so linear time must not land in the mlp span.
+    model = trainer.make_model("linear", 4, 1, SeededRng(0))
+    X = np.arange(8.0).reshape(2, 4)
+    before = model.forward_with_cache(X)[0]
+    with _installed() as tracer:
+        traced = model.forward_with_cache(X)[0]
+    names = [span[1] for span in tracer.spans]
+    assert names.count("trainer.forward_with_cache.linear") == 1
+    assert "trainer.forward_with_cache.mlp" not in names
+    assert "forward_with_cache" not in vars(trainer.LinearModel)
+    after = model.forward_with_cache(X)[0]
+    assert before.tobytes() == traced.tobytes() == after.tobytes()

@@ -1,4 +1,4 @@
-"""Lambert W, erfc, loss statistics, and seeded RNG plumbing."""
+"""Lambert W, loss statistics, and seeded RNG plumbing."""
 
 import math
 import time
@@ -11,7 +11,6 @@ from crucial.numerics import (
     SeededRng,
     W_DOMAIN_MIN,
     derive_seed,
-    erfc,
     lambert_w0,
     lambert_w0_array,
     loss_stats,
@@ -90,18 +89,6 @@ class TestLambertWArray:
         for bad in ([W_DOMAIN_MIN - 1e-9], [0.5, math.nan]):
             with pytest.raises(ValueError):
                 lambert_w0_array(bad)
-
-
-class TestErfc:
-    def test_matches_scipy(self):
-        for x in np.linspace(-5.0, 5.0, 101):
-            assert erfc(float(x)) == pytest.approx(
-                float(scipy.special.erfc(float(x))), rel=1e-14, abs=1e-300
-            )
-
-    def test_reflection_identity(self):
-        for x in np.linspace(-4.0, 4.0, 81):
-            assert erfc(float(x)) + erfc(-float(x)) == pytest.approx(2.0, abs=1e-10)
 
 
 class TestLossStats:

@@ -169,6 +169,8 @@ class TestAnalytic:
             analytic_expected_errors(pop, 0.0)
         with pytest.raises(ValueError):
             SelectionCondition(SelectionMode.EXPONENTIAL, rate=-1.0)
+        with pytest.raises(ValueError):
+            SelectionCondition(SelectionMode.UNIFORM, rate=0.0)
 
 
 class TestFarTail:
@@ -186,6 +188,22 @@ class TestFarTail:
         assert np.all(np.isfinite(pop.log_tilt_ratio(np.array([0.0, 0.5, 30.0]), rate)))
         report = compare_conditions(pop, rate, 4000, SeededRng(8))
         assert all(math.isfinite(v) for v in (report.mc_eu, report.mc_ep, report.diamond))
+
+    def test_tilted_draws_resolve_the_far_tail(self):
+        # ndtr(-rate*sigma) underflows to 0 here, so draws inverted in linear
+        # space would all clip to one quantile (e_p ~ 4003 against ~239)
+        sigma, rate = 20.0, 2.0
+        pop = LossPopulation(PopulationKind.HALF_NORMAL, mu=0.0, sigma=sigma)
+        c = pop.population_mean()
+        moments = [tilted_moment(lambda x: half_pdf(x, 0.0, sigma), rate, k, 0.0, 40.0)
+                   for k in (1, 2)]
+        truth = moments[1] - 2.0 * c * moments[0] + c * c
+        assert truth == pytest.approx(239.2085, abs=1e-4)
+        rep = mc_expected_errors(pop, SelectionCondition(SelectionMode.EXPONENTIAL, rate),
+                                 20_000, SeededRng(5))
+        assert abs(rep.mc_ep - truth) <= 4.0 * rep.mc_ep_stderr
+        draws = pop.tilted_quantile(np.array([1e-300, 0.5, 1.0 - 2.0 ** -53]), rate)
+        assert draws[0] == pytest.approx(0.0, abs=1e-12) and np.all(np.diff(draws) > 0.0)
 
     def test_erfcx_forms_match_the_erfc_forms(self):
         for sigma in (0.1, 0.5, 1.0, 2.0, 5.0):
@@ -265,6 +283,18 @@ class TestMonteCarlo:
         assert isinstance(rep, ErrorReport)
         assert rep.mc_eu is not None and rep.mc_ep is None
         assert rep.n_samples == 10_000 and rep.seed == 2
+
+    def test_uniform_report_carries_its_own_rate_closed_forms(self):
+        pop = LossPopulation(PopulationKind.HALF_NORMAL, mu=0.0, sigma=1.0)
+        u = mc_expected_errors(pop, SelectionCondition(SelectionMode.UNIFORM, 2.0),
+                               1_000, SeededRng(2))
+        e_u, e_p, diamond = analytic_expected_errors(pop, 2.0)
+        assert (u.analytic_eu, u.analytic_ep, u.diamond) == (e_u, e_p, diamond)
+        assert u.analytic_ep == pytest.approx(0.4150, abs=1e-4)
+        assert u.diamond == pytest.approx(2.3732, abs=1e-4)
+        both = compare_conditions(pop, 2.0, 1_000, SeededRng(2))
+        assert (both.analytic_eu, both.analytic_ep, both.diamond) == (e_u, e_p, diamond)
+        assert (both.rate, both.n_samples, both.seed) == (2.0, 1_000, 2)
 
     def test_n_validation(self):
         pop = LossPopulation(PopulationKind.NORMAL, mu=0.0, sigma=1.0)

@@ -233,6 +233,39 @@ class TestBackward:
         assert np.max(np.abs(step - expect)) <= 1e-12 * max(1.0, float(np.max(np.abs(expect))))
 
 
+class TestLayout:
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_fresh_keeps_class_kind_hidden_and_size(self, kind):
+        model = _small_model(kind, 2, SeededRng(51))
+        other = model.fresh(SeededRng(52))
+        assert type(other) is type(model)
+        assert (other.kind, other.hidden, other.n_params) == (model.kind, model.hidden, model.n_params)
+
+    def test_linear_is_drawn_from_its_own_stream(self):
+        rng = SeededRng(53)
+        model = make_model("linear", 5, 2, rng, hidden=(4, 3))
+        assert model.hidden == ()
+        # fresh on make_model's seed gives the same bits; a plain MLPModel
+        # (the "init/mlp" stream) would not
+        assert model.fresh(rng).params.tobytes() == model.params.tobytes()
+        w = rng.derive("init/linear").generator.uniform(-1 / math.sqrt(5), 1 / math.sqrt(5), (5, 2))
+        assert model.params.tobytes() == np.concatenate([w.reshape(-1), np.zeros(2)]).tobytes()
+        X = rng.derive("x").generator.standard_normal((4, 5))
+        dout = rng.derive("dout").generator.standard_normal((4, 2))
+        out, cache = model.forward_with_cache(X)
+        assert out.tobytes() == (X @ w + 0.0).tobytes()
+        expect = np.concatenate([(X.T @ dout).reshape(-1), dout.sum(axis=0)])
+        assert model.backward(cache, dout).tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_blocks_are_views_of_params(self, kind):
+        model = _small_model(kind, 2, SeededRng(54))
+        blocks = model._blocks()
+        assert np.concatenate([b.reshape(-1) for b in blocks]).tobytes() == model.params.tobytes()
+        model.params *= -2.0
+        assert np.concatenate([b.reshape(-1) for b in blocks]).tobytes() == model.params.tobytes()
+
+
 class TestTaskSpec:
     def test_pairing_rules(self):
         TaskSpec("regression", "mse", 1, 0.1)
