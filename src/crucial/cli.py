@@ -547,6 +547,9 @@ def cmd_trace_loss(cfg: dict) -> int:
     epochs = int(cfg["epochs"])
     if epochs < 1:
         raise ConfigError("epochs must be >= 1")
+    for key in ("threshold", "easy_start", "hard_start", "decay"):
+        if not math.isfinite(float(cfg[key])):
+            raise ConfigError(f"key {key}: must be finite, got {cfg[key]}")
     try:
         wrapper = CrucialConfig(Variant.BASELINE, lam=float(cfg["lam"]),
                                 threshold=float(cfg["threshold"]),

@@ -294,7 +294,11 @@ def _format_label(label) -> str:
 
 
 def save_csv(path, dataset: Dataset) -> None:
-    """Write a dataset under the CSV contract (repr floats, round-trip exact)."""
+    """Write a dataset under the CSV contract (repr floats, round-trip exact).
+
+    Each row is formatted as one string.  Lines end in \\r\\n, the line
+    ending of the csv module's excel dialect that load_csv reads.
+    """
     if not dataset.samples:
         raise ValueError("save_csv: empty dataset")
     first = dataset.samples[0]
@@ -307,11 +311,10 @@ def save_csv(path, dataset: Dataset) -> None:
     else:
         value_cols = [f"v{t}_d{j}" for t in range(1, T + 1) for j in range(1, d + 1)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "label"] + value_cols)
+        fh.write(",".join(["id", "label"] + value_cols) + "\r\n")
         for s in dataset.samples:
-            flat = s.values.reshape(-1)
-            writer.writerow([s.id, _format_label(s.label)] + [repr(float(v)) for v in flat])
+            flat = s.values.astype(np.float64, copy=False).reshape(-1)
+            fh.write(f"{s.id},{_format_label(s.label)},{','.join(map(repr, flat.tolist()))}\r\n")
 
 
 def make_prefixes(dataset: Dataset, cuts) -> list[PrefixDataset]:

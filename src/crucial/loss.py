@@ -24,7 +24,6 @@ Logs are natural throughout.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -60,7 +59,9 @@ CAP_BETA = -2.0 * math.exp(-1.0)
 # sin^2 factors closer than this to 0 or 1 take the exact limit branches.
 _F_EPS = 1e-12
 
-_TRACE_CHUNK_ROWS = 4096
+# The loss-trace writer formats this many rows at a time; one chunk's text
+# is the writer's working memory.
+_TRACE_CHUNK_ROWS = 1024
 
 
 class Variant(str, Enum):
@@ -347,7 +348,9 @@ def write_loss_trace(path, epochs, sample_ids, modulated: ModulatedLoss) -> None
     epochs, sample_ids and every field of modulated hold one entry per row.
     Columns are (epoch, sample_id, input_loss, kappa, threshold, value,
     selected); floats are written with repr so a reload round-trips
-    bit-exactly.
+    bit-exactly, and every line ends in \\r\\n.  Rows are formatted and
+    written one chunk at a time, so the writer's memory is bounded by the
+    chunk, however long the trace is.
     """
     m = modulated
     cols = [np.asarray(c) for c in (epochs, sample_ids, m.input_loss, m.kappa,
@@ -355,16 +358,20 @@ def write_loss_trace(path, epochs, sample_ids, modulated: ModulatedLoss) -> None
     if len({c.shape for c in cols}) != 1 or cols[0].ndim != 1:
         raise ValueError("write_loss_trace: columns disagree on the number of rows")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["epoch", "sample_id", "input_loss", "kappa", "threshold", "value", "selected"]
-        )
-        # Rows become Python objects one chunk at a time, which bounds the
-        # writer's memory however long the trace is.
+        fh.write("epoch,sample_id,input_loss,kappa,threshold,value,selected\r\n")
         for start in range(0, cols[0].size, _TRACE_CHUNK_ROWS):
-            epoch, sample_id, *floats, selected = (c[start:start + _TRACE_CHUNK_ROWS] for c in cols)
-            writer.writerows(zip(
-                epoch.tolist(), sample_id.tolist(),
-                *(map(repr, c.astype(np.float64).tolist()) for c in floats),
-                np.where(selected, "true", "false").tolist(),
-            ))
+            epoch, sample_id, loss, kappa, threshold, value, selected = (
+                c[start:start + _TRACE_CHUNK_ROWS] for c in cols)
+            # The threshold holds at most two values per epoch: repr each
+            # distinct bit pattern once (bits, not values, keep -0.0 apart
+            # from 0.0).
+            bits, index = np.unique(threshold.astype(np.float64).view(np.uint64),
+                                    return_inverse=True)
+            threshold_text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+            loss, kappa, value = (list(map(repr, c.astype(np.float64).tolist()))
+                                  for c in (loss, kappa, value))
+            fh.writelines(map(",".join, zip(
+                list(map(str, epoch.tolist())), list(map(str, sample_id.tolist())),
+                loss, kappa, threshold_text[index].tolist(), value,
+                np.where(selected, "true\r\n", "false\r\n").tolist(),
+            )))

@@ -78,12 +78,6 @@ class LossPopulation:
             return self.sigma * self.sigma
         return self.sigma * self.sigma * (1.0 - 2.0 / math.pi)
 
-    def draw(self, n: int, generator: np.random.Generator) -> np.ndarray:
-        z = generator.standard_normal(n)
-        if self.kind is PopulationKind.NORMAL:
-            return self.mu + self.sigma * z
-        return self.mu + self.sigma * np.abs(z)
-
     def quantile(self, u: np.ndarray) -> np.ndarray:
         """Inverse CDF at probabilities u in (0, 1)."""
         if self.kind is PopulationKind.NORMAL:

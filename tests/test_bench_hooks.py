@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from crucial import trainer
+from crucial import loss, trainer
 from crucial.numerics import SeededRng
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -63,3 +63,19 @@ def test_linear_forward_is_traced_under_its_own_kind():
     assert "forward_with_cache" not in vars(trainer.LinearModel)
     after = model.forward_with_cache(X)[0]
     assert before.tobytes() == traced.tobytes() == after.tobytes()
+
+
+def test_trace_writer_span_counts_the_rows_it_writes(tmp_path):
+    # The tracer counts rows from the writer's second positional argument
+    # and bytes from its first; a signature drift breaks these counters.
+    n = 1500
+    record = loss.modulate_epoch(np.linspace(0.1, 2.0, n), loss.initial_epoch_state(),
+                                 loss.CrucialConfig(loss.Variant.ADP))
+    path = tmp_path / "trace.csv"
+    with _installed() as tracer:
+        loss.write_loss_trace(path, np.zeros(n, dtype=int), np.arange(n), record)
+    names = [span[1] for span in tracer.spans]
+    assert names.count("loss.write_loss_trace") == 1
+    rows = path.read_text(encoding="utf-8").count("\n") - 1
+    assert tracer.counters["write_loss_trace.rows"] == rows == n
+    assert tracer.counters["write_loss_trace.bytes"] == path.stat().st_size

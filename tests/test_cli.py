@@ -231,6 +231,13 @@ class TestTraceLoss:
         assert run("trace-loss", "--output-dir", str(tmp_path), "--epochs", "0") == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag", ["--threshold", "--easy-start", "--hard-start", "--decay"])
+    def test_nan_input_is_a_config_error(self, tmp_path, capsys, flag):
+        assert run("trace-loss", "--output-dir", str(tmp_path), flag, "nan") == 2
+        key = flag[2:].replace("-", "_")
+        assert f"config error: key {key}: must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+
 
 class TestGenData:
     def test_sine_dataset_round_trips(self, tmp_path, capsys):

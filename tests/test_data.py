@@ -1,5 +1,6 @@
 """Synthetic generators, CSV interchange contract, prefix datasets."""
 
+import csv
 import math
 
 import numpy as np
@@ -15,6 +16,30 @@ from crucial.data import (
     save_csv,
 )
 from crucial.numerics import SeededRng
+
+
+def csv_save(path, dataset):
+    """The byte reference for save_csv: the same rows through csv.writer."""
+    first = dataset.samples[0]
+    T, d = first.length, first.n_dims
+    if d == 1:
+        value_cols = [f"v{t}" for t in range(1, T + 1)]
+    else:
+        value_cols = [f"v{t}_d{j}" for t in range(1, T + 1) for j in range(1, d + 1)]
+
+    def label_cell(label):
+        if label is None:
+            return ""
+        if isinstance(label, (int, np.integer)) and not isinstance(label, bool):
+            return str(int(label))
+        return repr(float(label))
+
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "label"] + value_cols)
+        for s in dataset.samples:
+            writer.writerow([s.id, label_cell(s.label)]
+                            + [repr(float(v)) for v in s.values.reshape(-1)])
 
 
 class TestSineRegression:
@@ -217,6 +242,28 @@ class TestCsvContract:
         assert len(res.dataset) + len(res.rejected) == 7
         for issue in res.rejected:
             assert f"row {issue.line}" in issue.message
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_drift_classification(12, 40, 1.0, 0.2, SeededRng(5)),
+        lambda: gen_sine_regression(12, 40, 0.3, SeededRng(6)),
+        lambda: Dataset(samples=[  # (T, d) values, float labels
+            TimeSeriesSample(id=i, values=SeededRng(i).generator.standard_normal((6, 3)),
+                             label=0.5 * i - 1.0)
+            for i in range(5)]),
+        lambda: Dataset(samples=[  # (T, d) values, no labels
+            TimeSeriesSample(id=i, values=SeededRng(i).generator.standard_normal((6, 2)))
+            for i in range(5)]),
+        lambda: Dataset(samples=[  # float32, integer and extreme values
+            TimeSeriesSample(id=0, values=np.array([0.1, 1e16, 1e-5], dtype=np.float32), label=1),
+            TimeSeriesSample(id=1, values=np.array([5e-324, -0.0, 1e-5])),
+            TimeSeriesSample(id=2, values=np.array([3, -4, 0]), label=np.int64(0)),
+        ]),
+    ], ids=["drift", "sine", "multivariate", "unlabeled", "dtypes"])
+    def test_bytes_match_the_csv_writer_reference(self, tmp_path, make):
+        ds = make()
+        save_csv(tmp_path / "new.csv", ds)
+        csv_save(tmp_path / "ref.csv", ds)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_save_validation(self, tmp_path):
         with pytest.raises(ValueError):

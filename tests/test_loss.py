@@ -1,5 +1,6 @@
 """Confidence-weighted loss family: closed form, ADP and SIN variants."""
 
+import csv
 import math
 from dataclasses import astuple
 
@@ -382,3 +383,77 @@ class TestTraceExport:
             assert lines[i] == ",".join(["3", str(i), repr(m.input_loss), repr(m.kappa),
                                          repr(m.threshold), repr(m.value),
                                          str(m.selected).lower()])
+
+
+def csv_loss_trace(path, epochs, sample_ids, modulated):
+    """The byte reference for write_loss_trace: the same rows through csv.writer."""
+    m = modulated
+    cols = [np.asarray(c) for c in (epochs, sample_ids, m.input_loss, m.kappa,
+                                    m.threshold, m.value, m.selected)]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["epoch", "sample_id", "input_loss", "kappa", "threshold", "value", "selected"]
+        )
+        epoch, sample_id, *floats, selected = cols
+        writer.writerows(zip(
+            epoch.tolist(), sample_id.tolist(),
+            *(map(repr, c.astype(np.float64).tolist()) for c in floats),
+            np.where(selected, "true", "false").tolist(),
+        ))
+
+
+def random_record(n, seed, thresholds=(0.25, -1.5)):
+    """A record of n rows: random floats, a threshold drawn from thresholds."""
+    gen = SeededRng(seed).generator
+    return ModulatedLoss(
+        input_loss=gen.gamma(2.0, 0.5, n),
+        kappa=gen.uniform(0.0, KAPPA_CAP, n),
+        threshold=np.asarray(thresholds, dtype=np.float64)[gen.integers(0, len(thresholds), n)],
+        gate=np.full(n, -math.inf),
+        value=gen.standard_normal(n),
+        selected=gen.random(n) < 0.8,
+    )
+
+
+class TestTraceMatchesCsvReference:
+    def assert_same_bytes(self, tmp_path, epochs, sample_ids, modulated):
+        write_loss_trace(tmp_path / "new.csv", epochs, sample_ids, modulated)
+        csv_loss_trace(tmp_path / "ref.csv", epochs, sample_ids, modulated)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 4095, 4096, 4097, 8193])
+    def test_row_counts_around_chunk_edges(self, tmp_path, n):
+        self.assert_same_bytes(tmp_path, np.arange(n) // 512, np.arange(n) % 512,
+                               random_record(n, n))
+
+    def test_signed_zero_thresholds_in_one_chunk(self, tmp_path):
+        m = random_record(300, 1, thresholds=(-0.0, 0.0))
+        assert np.signbit(m.threshold).any() and not np.signbit(m.threshold).all()
+        self.assert_same_bytes(tmp_path, np.zeros(300, dtype=int), np.arange(300), m)
+        text = (tmp_path / "new.csv").read_text(encoding="utf-8")
+        assert ",-0.0," in text and ",0.0," in text
+
+    def test_special_floats_in_every_float_column(self, tmp_path):
+        special = np.array([math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5, -0.0, 0.1])
+        m = ModulatedLoss(special, special[::-1].copy(), special, np.full(8, -math.inf),
+                          np.roll(special, 3), np.arange(8) % 3 == 0)
+        self.assert_same_bytes(tmp_path, np.zeros(8, dtype=int), np.arange(8), m)
+
+    def test_float32_columns(self, tmp_path):
+        m = random_record(2000, 2)
+        m32 = ModulatedLoss(*(c.astype(np.float32) if c.dtype == np.float64 else c
+                              for c in astuple(m)))
+        self.assert_same_bytes(tmp_path, np.arange(2000) // 100, np.arange(2000) % 100, m32)
+
+    def test_epochs_and_ids_as_lists(self, tmp_path):
+        m = random_record(1500, 3)
+        self.assert_same_bytes(tmp_path, [i // 500 for i in range(1500)],
+                               [i % 500 for i in range(1500)], m)
+
+    def test_sin_epoch_with_gated_rows(self, tmp_path):
+        cfg = CrucialConfig(Variant.SIN, lam=0.01, omega=math.pi / 4.0, mu_fixed=1.0)
+        losses = SeededRng(4).generator.uniform(0.0, 2.0, 3000)
+        m = modulate_epoch(losses, EpochState(epoch_index=1, threshold=0.0), cfg)
+        assert 0 < int(m.selected.sum()) < losses.size
+        self.assert_same_bytes(tmp_path, np.full(losses.size, 1), np.arange(losses.size), m)

@@ -60,12 +60,6 @@ class TestLossPopulation:
         with pytest.raises(ValueError):
             LossPopulation(PopulationKind.NORMAL, mu=math.nan, sigma=1.0)
 
-    def test_half_normal_draws_respect_floor(self):
-        pop = LossPopulation(PopulationKind.HALF_NORMAL, mu=0.7, sigma=0.3)
-        x = pop.draw(5000, SeededRng(4).generator)
-        assert x.shape == (5000,)
-        assert np.all(x >= 0.7)
-
     def test_quantile_round_trip(self):
         pop = LossPopulation(PopulationKind.NORMAL, mu=0.5, sigma=2.0)
         assert pop.quantile(np.array([0.5]))[0] == pytest.approx(0.5, abs=1e-12)
