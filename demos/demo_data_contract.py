@@ -23,7 +23,7 @@ from crucial.numerics import SeededRng
 #    next value of the same process one step past the window.
 ds = gen_sine_regression(6, 12, 0.05, SeededRng(0))
 print("sine regression samples (T=12, label = value at t=12):")
-for s in ds.samples[:3]:
+for s in ds.samples[:3]:  # row views of the (n, T) values block
     head = " ".join(f"{v:+.2f}" for v in s.values[:6])
     print(f"  id {s.id}: [{head} ...]  label {s.label:+.3f}")
 print()
@@ -31,7 +31,7 @@ print()
 # 2. Drifting classification: two AR(1) classes around levels that drift
 #    upward together, with optional label flips recorded by id.
 drift = gen_drift_classification(100, 24, 1.0, 0.1, SeededRng(3))
-labels = [s.label for s in drift.samples]
+labels = drift.labels.tolist()
 print(f"drift classification: {labels.count(0)} class-0, {labels.count(1)} class-1, "
       f"{len(drift.flipped_ids)} labels flipped: ids {drift.flipped_ids[:6]}...")
 print()
@@ -46,10 +46,7 @@ with tempfile.TemporaryDirectory() as tmp:
     save_csv(p2, loaded.dataset)
     print("csv header:", p1.read_text(encoding="utf-8").split("\n")[0])
     same_bytes = p1.read_bytes() == p2.read_bytes()
-    same_values = all(
-        np.array_equal(a.values, b.values)
-        for a, b in zip(ds.samples, loaded.dataset.samples)
-    )
+    same_values = ds.values.tobytes() == loaded.dataset.values.tobytes()
     print(f"write -> load -> write byte-identical: {same_bytes}; "
           f"values bit-exact: {same_values}")
 
@@ -63,9 +60,9 @@ with tempfile.TemporaryDirectory() as tmp:
           f"{[(r.line, r.message) for r in res.rejected]}")
 print()
 
-# 4. Prefix datasets are views, not copies: the first t values of every
-#    sample, nested across ascending cuts.
+# 4. Prefix datasets are views, not copies: values[:, :t] of the source,
+#    nested across ascending cuts.
 prefixes = make_prefixes(ds, [4, 8, 12])
-shares = np.shares_memory(prefixes[0].samples[0].values, ds.samples[0].values)
+shares = np.shares_memory(prefixes[0].values, ds.values)
 print(f"prefixes at cuts 4/8/12: lengths "
-      f"{[p.samples[0].length for p in prefixes]}, views share memory: {shares}")
+      f"{[p.values.shape[1] for p in prefixes]}, views share memory: {shares}")

@@ -39,8 +39,8 @@ for i in range(3):
     ):
         model = make_model("linear", 16, 1, rng.derive("model"))
         task = TaskSpec("regression", "mse", 400, 0.1, wrapper=wrapper)
-        res = train_model(model, train.samples, task)
-        mses[name] = evaluate(res.model, test.samples, task)["mse"]
+        res = train_model(model, train, task)
+        mses[name] = evaluate(res.model, test, task)["mse"]
     print(f"  seed {i}: plain {mses['plain']:.5f}  adaptive {mses['adaptive']:.5f}  "
           f"cycled {mses['cycled']:.5f}")
     ratios["adaptive"].append(mses["adaptive"] / mses["plain"])
@@ -56,7 +56,7 @@ train = gen_sine_regression(512, 64, 0.2, rng.derive("data/train"))
 model = make_model("linear", 16, 1, rng.derive("model"))
 task = TaskSpec("regression", "mse", 40, 0.15,
                 wrapper=CrucialConfig(Variant.ADP, lam=0.001))
-res = train_model(model, train.samples, task)
+res = train_model(model, train, task)
 print("confident-set size per epoch (of 512 samples):")
 counts = res.kappa_ge1_counts
 for row in range(0, 40, 10):

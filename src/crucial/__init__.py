@@ -10,10 +10,10 @@ The package has four layers:
 * ``sampler``  -- expected squared sampling error under uniform versus
   exponentially tilted selection, analytic and Monte Carlo, plus a toy
   selection/decay population simulator.
-* ``data`` / ``trainer`` -- synthetic time-series generators, CSV interchange,
-  prefix datasets, small numpy models on one flat parameter layout, the
-  training loop that folds the per-sample gradient factors into one backward
-  pass, and backward/forward transfer metrics.
+* ``data`` / ``trainer`` -- datasets held as arrays, synthetic time-series
+  generators, CSV interchange, prefix views, small numpy models on one flat
+  parameter layout, the training loop that folds the per-sample gradient
+  factors into one backward pass, and backward/forward transfer metrics.
 
 ``properties`` packages the executable invariant suites and ``cli`` exposes
 everything as subcommands.
@@ -59,7 +59,6 @@ from .sampler import (
 from .data import (
     CsvLoadResult,
     Dataset,
-    PrefixDataset,
     TimeSeriesSample,
     gen_drift_classification,
     gen_sine_regression,

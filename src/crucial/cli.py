@@ -468,8 +468,8 @@ def _train_one(cfg: dict, run_seed: int, run_id: str, out_dir: str) -> dict:
         metrics_rows.append((run_id, run_seed, tm.R.shape[0] - 1, "final", "fwt", fwt(tm)))
         final_metrics = {"bwt": bwt(tm), "fwt": fwt(tm)}
     else:
-        result = train_model(model, train_ds.samples, task, keep_traces=True)
-        ids = np.array([sample.id for sample in train_ds.samples])
+        result = train_model(model, train_ds, task, keep_traces=True)
+        ids = train_ds.ids
         write_loss_trace(os.path.join(out_dir, f"loss_trace_{run_id}.csv"),
                          np.repeat(np.arange(task.epochs), ids.size), np.tile(ids, task.epochs),
                          ModulatedLoss.concat(result.traces))
@@ -478,7 +478,7 @@ def _train_one(cfg: dict, run_seed: int, run_id: str, out_dir: str) -> dict:
         ):
             metrics_rows.append((run_id, run_seed, epoch, "train", "mean_raw_loss", mean_loss))
             metrics_rows.append((run_id, run_seed, epoch, "train", "kappa_ge1_count", k_count))
-        final_metrics = evaluate(result.model, test_ds.samples, task)
+        final_metrics = evaluate(result.model, test_ds, task)
         last_epoch = task.epochs - 1
         for name, value in final_metrics.items():
             metrics_rows.append((run_id, run_seed, last_epoch, "test", name, value))
@@ -585,7 +585,7 @@ def cmd_gen_data(cfg: dict) -> int:
     with open(os.path.join(out_dir, "meta.json"), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"gen-data: wrote {len(ds.samples)} samples to {path}")
+    print(f"gen-data: wrote {len(ds)} samples to {path}")
     return 0
 
 

@@ -1,10 +1,12 @@
-"""Seeded synthetic time-series generators, CSV interchange, prefix datasets.
+"""Datasets as arrays, seeded synthetic generators, CSV interchange, prefixes.
 
-Generators are deterministic given a SeededRng and platform-stable.  The CSV
-contract is bit-exact: header ``id,label,v1,...,vT`` (multivariate series use
-column-grouped ``v{t}_d{j}`` headers), UTF-8, ``.`` decimal, label column
-empty for unlabeled rows.  Floats are written with repr so a write-then-load
-round-trip reproduces every bit.
+A Dataset holds ids (n,), values (n, T) or (n, T, d) and labels (n,); a
+prefix is the view ``values[:, :t]``.  Generators are deterministic given a
+SeededRng and platform-stable.  The CSV contract is bit-exact: header
+``id,label,v1,...,vT`` (multivariate series use column-grouped ``v{t}_d{j}``
+headers), UTF-8, ``.`` decimal, label column empty for unlabeled rows.
+Floats are written with repr so a write-then-load round-trip reproduces
+every bit.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .numerics import SeededRng
 __all__ = [
     "CsvLoadResult",
     "Dataset",
-    "PrefixDataset",
     "RowIssue",
     "TimeSeriesSample",
     "gen_drift_classification",
@@ -34,63 +35,70 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class TimeSeriesSample:
-    """One series: values shaped (T,) or (T, d), with an optional label.
+    """One row of a Dataset: values shaped (T,) or (T, d), and its label.
 
     The label is a class integer for classification sets, a real target for
-    regression sets, None when unlabeled.  Values are treated as read-only
-    once constructed; prefix datasets hand out views into them.
+    regression sets, None when unlabeled.  values is a view into the
+    dataset's block.
     """
 
     id: int
     values: np.ndarray
     label: int | float | None = None
 
-    @property
-    def length(self) -> int:
-        return int(self.values.shape[0])
-
-    @property
-    def n_dims(self) -> int:
-        return 1 if self.values.ndim == 1 else int(self.values.shape[1])
-
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """A list of samples plus generator bookkeeping.
+    """n series of one shape as arrays, plus generator bookkeeping.
 
+    ids is (n,) int64.  values is (n, T) for univariate or (n, T, d) for
+    multivariate series, float64, with T >= 2.  labels is (n,): int64 when
+    every label is an integer, else float64 with NaN marking an unlabeled
+    row.  Construction converts to these dtypes, copying only arrays that
+    lack them; treat the arrays as read-only, since prefixes share them.
     flipped_ids records which sample ids had their label flipped by the
     label-noise step of the drift generator (empty otherwise).
     """
 
-    samples: list[TimeSeriesSample]
+    ids: np.ndarray
+    values: np.ndarray
+    labels: np.ndarray
     flipped_ids: tuple[int, ...] = ()
 
+    def __post_init__(self) -> None:
+        ids = np.asarray(self.ids, dtype=np.int64)
+        values = np.asarray(self.values, dtype=np.float64)
+        labels = np.asarray(self.labels)
+        labels = labels.astype(np.int64 if labels.dtype.kind in "iu" else np.float64, copy=False)
+        if values.ndim not in (2, 3):
+            raise ValueError("Dataset: values must be shaped (n, T) or (n, T, d)")
+        if values.shape[1] < 2:
+            raise ValueError("Dataset: series length must be >= 2")
+        if ids.shape != values.shape[:1] or labels.shape != ids.shape:
+            raise ValueError("Dataset: ids, values and labels must have one row per sample")
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "labels", labels)
+
     def __len__(self) -> int:
-        return len(self.samples)
+        return int(self.ids.shape[0])
 
-    def min_length(self) -> int:
-        return min(s.length for s in self.samples)
-
-
-@dataclass(frozen=True, eq=False)
-class PrefixDataset:
-    """The first t observations of every sample of a source dataset."""
-
-    source: Dataset
-    t: int
-    samples: list[TimeSeriesSample]
-
-    def __len__(self) -> int:
-        return len(self.samples)
+    @property
+    def samples(self) -> list[TimeSeriesSample]:
+        """The rows as TimeSeriesSample views, built on each read."""
+        labels = [None if math.isnan(label) else label for label in self.labels.tolist()]
+        return [TimeSeriesSample(id=i, values=v, label=label)
+                for i, v, label in zip(self.ids.tolist(), self.values, labels)]
 
 
-def _validate_new_sample(sample: TimeSeriesSample) -> None:
-    if sample.values.ndim not in (1, 2):
-        raise ValueError(f"sample {sample.id}: values must be 1-d or 2-d")
-    if sample.length < 2:
-        raise ValueError(f"sample {sample.id}: series length must be >= 2")
-    if not np.all(np.isfinite(sample.values)):
-        raise ValueError(f"sample {sample.id}: non-finite values")
+def _check_finite(dataset: Dataset, where: str) -> Dataset:
+    """Return dataset, or raise ValueError naming the first sample with a
+    non-finite value or an infinite label (NaN means unlabeled: allowed)."""
+    bad_values = ~np.isfinite(dataset.values.reshape(len(dataset), -1)).all(axis=1)
+    for bad, what in ((bad_values, "values"), (np.isinf(dataset.labels), "label")):
+        if bad.any():
+            raise ValueError(f"{where}: sample {dataset.ids[np.argmax(bad)]}: non-finite {what}")
+    return dataset
 
 
 def gen_sine_regression(n: int, T: int, noise_sd: float, rng: SeededRng, *,
@@ -115,12 +123,8 @@ def gen_sine_regression(n: int, T: int, noise_sd: float, rng: SeededRng, *,
     t = np.arange(T + 1, dtype=np.float64)
     clean = amps[:, None] * np.sin(2.0 * math.pi * freqs[:, None] * t[None, :] + phases[:, None])
     noisy = clean + noise_sd * gen.standard_normal((n, T + 1))
-    samples = []
-    for i in range(n):
-        s = TimeSeriesSample(id=i, values=noisy[i, :T].copy(), label=float(noisy[i, T]))
-        _validate_new_sample(s)
-        samples.append(s)
-    return Dataset(samples=samples)
+    return _check_finite(Dataset(ids=np.arange(n), values=np.ascontiguousarray(noisy[:, :T]),
+                                 labels=noisy[:, T].copy()), "gen_sine_regression")
 
 
 def gen_drift_classification(n: int, T: int, drift_rate: float, label_noise: float,
@@ -166,12 +170,9 @@ def gen_drift_classification(n: int, T: int, drift_rate: float, label_noise: flo
     labels = true_labels.copy()
     labels[flip_idx] ^= 1
 
-    samples = []
-    for i in range(n):
-        s = TimeSeriesSample(id=i, values=values[i].copy(), label=int(labels[i]))
-        _validate_new_sample(s)
-        samples.append(s)
-    return Dataset(samples=samples, flipped_ids=tuple(int(i) for i in flip_idx))
+    return _check_finite(Dataset(ids=np.arange(n), values=values, labels=labels,
+                                 flipped_ids=tuple(int(i) for i in flip_idx)),
+                         "gen_drift_classification")
 
 
 _UNIVARIATE_COL = re.compile(r"^v(\d+)$")
@@ -222,11 +223,19 @@ def _parse_header(header: list[str]):
     return T, d
 
 
+def _parse_int64(text: str) -> int:
+    v = int(text)  # raises ValueError upward on junk
+    if not -2**63 <= v < 2**63:
+        raise ValueError("integer outside int64")
+    return v
+
+
 def _parse_label(text: str):
+    """An int64 class label, a finite real target, or NaN for an empty cell."""
     if text == "":
-        return None
+        return math.nan
     try:
-        return int(text)
+        return _parse_int64(text)
     except ValueError:
         pass
     v = float(text)  # raises ValueError upward on junk
@@ -244,7 +253,9 @@ def load_csv(path, schema: tuple[int, int] | None = None) -> CsvLoadResult:
     non-numeric or non-finite cells) are rejected one by one and reported
     in ``rejected`` with their 1-based file line numbers; every other row
     loads, so len(result.dataset) + len(result.rejected) equals the data
-    row count.
+    row count.  The label column loads as int64 when every loaded label is
+    an integer and as float64 (NaN for empty cells) otherwise.  Rows are
+    parsed as they stream in; the file is never held as strings.
     """
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -256,14 +267,16 @@ def load_csv(path, schema: tuple[int, int] | None = None) -> CsvLoadResult:
         if schema is not None and (T, d) != tuple(schema):
             raise ValueError(f"csv header mismatch: file has (T={T}, d={d}), expected {schema}")
         n_cols = 2 + T * d
-        samples: list[TimeSeriesSample] = []
+        ids: list[int] = []
+        labels: list[int | float] = []
+        rows: list[np.ndarray] = []
         rejected: list[RowIssue] = []
         for line_no, row in enumerate(reader, start=2):
             if len(row) != n_cols:
                 rejected.append(RowIssue(line_no, f"row {line_no}: expected {n_cols} cells, got {len(row)}"))
                 continue
             try:
-                sample_id = int(row[0])
+                sample_id = _parse_int64(row[0])
             except ValueError:
                 rejected.append(RowIssue(line_no, f"row {line_no}: bad id {row[0]!r}"))
                 continue
@@ -273,71 +286,68 @@ def load_csv(path, schema: tuple[int, int] | None = None) -> CsvLoadResult:
                 rejected.append(RowIssue(line_no, f"row {line_no}: bad label {row[1]!r}"))
                 continue
             try:
-                vals = np.array([float(c) for c in row[2:]], dtype=np.float64)
+                vals = np.fromiter(map(float, row[2:]), np.float64, n_cols - 2)
             except ValueError:
                 rejected.append(RowIssue(line_no, f"row {line_no}: non-numeric value cell"))
                 continue
-            if not np.all(np.isfinite(vals)):
+            if not np.isfinite(vals).all():
                 rejected.append(RowIssue(line_no, f"row {line_no}: non-finite value cell"))
                 continue
-            values = vals if d == 1 else vals.reshape(T, d)
-            samples.append(TimeSeriesSample(id=sample_id, values=values, label=label))
-    return CsvLoadResult(dataset=Dataset(samples=samples), rejected=rejected)
-
-
-def _format_label(label) -> str:
-    if label is None:
-        return ""
-    if isinstance(label, (int, np.integer)) and not isinstance(label, bool):
-        return str(int(label))
-    return repr(float(label))
+            ids.append(sample_id)
+            labels.append(label)
+            rows.append(vals)
+    integer_labels = all(type(label) is int for label in labels)
+    dataset = Dataset(
+        ids=np.array(ids, dtype=np.int64),
+        values=np.array(rows, dtype=np.float64).reshape((len(rows), T) if d == 1 else (len(rows), T, d)),
+        labels=np.array(labels, dtype=np.int64 if integer_labels else np.float64),
+    )
+    return CsvLoadResult(dataset=dataset, rejected=rejected)
 
 
 def save_csv(path, dataset: Dataset) -> None:
     """Write a dataset under the CSV contract (repr floats, round-trip exact).
 
-    Each row is formatted as one string.  Lines end in \\r\\n, the line
-    ending of the csv module's excel dialect that load_csv reads.
+    Refuses (ValueError naming the sample id) non-finite values and
+    infinite labels, which load_csv would reject; a NaN label is written as
+    the empty cell of an unlabeled row.  Each row is formatted as one
+    string.  Lines end in \\r\\n, the line ending of the csv module's excel
+    dialect that load_csv reads.
     """
-    if not dataset.samples:
+    n = len(dataset)
+    if n == 0:
         raise ValueError("save_csv: empty dataset")
-    first = dataset.samples[0]
-    T, d = first.length, first.n_dims
-    for s in dataset.samples:
-        if s.length != T or s.n_dims != d:
-            raise ValueError("save_csv: all samples must share (T, d)")
-    if d == 1:
+    _check_finite(dataset, "save_csv")
+    T = dataset.values.shape[1]
+    if dataset.values.ndim == 2:
         value_cols = [f"v{t}" for t in range(1, T + 1)]
     else:
+        d = dataset.values.shape[2]
         value_cols = [f"v{t}_d{j}" for t in range(1, T + 1) for j in range(1, d + 1)]
+    label_cells = ("" if math.isnan(label) else repr(label) for label in dataset.labels.tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(["id", "label"] + value_cols) + "\r\n")
-        for s in dataset.samples:
-            flat = s.values.astype(np.float64, copy=False).reshape(-1)
-            fh.write(f"{s.id},{_format_label(s.label)},{','.join(map(repr, flat.tolist()))}\r\n")
+        for sample_id, label, row in zip(dataset.ids.tolist(), label_cells,
+                                         dataset.values.reshape(n, -1)):
+            fh.write(f"{sample_id},{label},{','.join(map(repr, row.tolist()))}\r\n")
 
 
-def make_prefixes(dataset: Dataset, cuts) -> list[PrefixDataset]:
-    """Nested prefix views of a dataset at strictly ascending cut points.
+def make_prefixes(dataset: Dataset, cuts) -> list[Dataset]:
+    """Nested prefix datasets at strictly ascending cut points.
 
-    Each PrefixDataset holds views (not copies) of the first t values of
-    every sample, so prefixes are cheap and nesting is structural.
+    Prefix t has the view values[:, :t] (not a copy) and shares ids,
+    labels and flipped_ids with the source, so prefixes are cheap and
+    nesting is structural.
     """
     cuts = list(cuts)
     if not cuts:
         raise ValueError("make_prefixes: need at least one cut")
     if any(c2 <= c1 for c1, c2 in zip(cuts, cuts[1:])):
         raise ValueError("make_prefixes: cuts must be strictly ascending")
-    if cuts[0] < 1:
-        raise ValueError("make_prefixes: cuts must be >= 1")
-    min_len = dataset.min_length()
-    if cuts[-1] > min_len:
-        raise ValueError(f"make_prefixes: cut {cuts[-1]} beyond shortest series ({min_len})")
-    out = []
-    for t in cuts:
-        views = [
-            TimeSeriesSample(id=s.id, values=s.values[:t], label=s.label)
-            for s in dataset.samples
-        ]
-        out.append(PrefixDataset(source=dataset, t=t, samples=views))
-    return out
+    if cuts[0] < 2:
+        raise ValueError("make_prefixes: cuts must be >= 2")
+    T = dataset.values.shape[1]
+    if cuts[-1] > T:
+        raise ValueError(f"make_prefixes: cut {cuts[-1]} beyond series length ({T})")
+    return [Dataset(ids=dataset.ids, values=dataset.values[:, :t], labels=dataset.labels,
+                    flipped_ids=dataset.flipped_ids) for t in cuts]

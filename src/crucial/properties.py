@@ -285,30 +285,29 @@ def suite_gradient_finite_difference(rng: SeededRng, formula: KappaFormula):
 
 
 def suite_csv_round_trip(rng: SeededRng, formula: KappaFormula):
-    """save_csv -> load_csv reproduces ids, labels, and values bit-exactly."""
+    """save_csv -> load_csv reproduces ids, values bit for bit, and labels
+    (dtype included, NaN equal to NaN) as whole arrays."""
     import tempfile
     from pathlib import Path
 
+    datasets = {
+        "regression": gen_sine_regression(16, 12, 0.05, rng.derive("csv-sine")),
+        "classification": gen_drift_classification(16, 12, 0.5, 0.25, rng.derive("csv-drift")),
+    }
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "round.csv"
-        ds = gen_sine_regression(16, 12, 0.05, rng.derive("csv-sine"))
-        save_csv(path, ds)
-        back = load_csv(path)
-        if back.rejected:
-            return False, f"round trip rejected rows: {back.rejected}"
-        for a, b in zip(ds.samples, back.dataset.samples):
-            if a.id != b.id or a.label != b.label or not np.array_equal(a.values, b.values):
-                return False, f"sample {a.id} not identical after round trip"
-        ds2 = gen_drift_classification(16, 12, 0.5, 0.25, rng.derive("csv-drift"))
-        path2 = Path(tmp) / "round2.csv"
-        save_csv(path2, ds2)
-        back2 = load_csv(path2)
-        same = all(
-            a.id == b.id and a.label == b.label and np.array_equal(a.values, b.values)
-            for a, b in zip(ds2.samples, back2.dataset.samples)
-        )
-        if not same or back2.rejected:
-            return False, "classification dataset not identical after round trip"
+        for name, ds in datasets.items():
+            save_csv(path, ds)
+            back = load_csv(path)
+            if back.rejected:
+                return False, f"{name} round trip rejected rows: {back.rejected}"
+            got = back.dataset
+            if not (np.array_equal(ds.ids, got.ids)
+                    and ds.values.shape == got.values.shape
+                    and ds.values.tobytes() == got.values.tobytes()
+                    and ds.labels.dtype == got.labels.dtype
+                    and np.array_equal(ds.labels, got.labels, equal_nan=True)):
+                return False, f"{name} dataset not identical after round trip"
     return True, "two generated datasets round-tripped bit-exactly"
 
 

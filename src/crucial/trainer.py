@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, PrefixDataset, TimeSeriesSample
+from .data import Dataset
 from .loss import (
     CrucialConfig,
     EpochState,
@@ -283,38 +283,27 @@ class TaskSpec:
             raise ValueError("TaskSpec: learning_rate must be finite and > 0")
 
 
-def featurize(samples: list[TimeSeriesSample], model: Model):
-    """Build the model's input matrix X and target vector y.
+def featurize(dataset: Dataset, model: Model):
+    """Build the model's input matrix X and target vector y from a dataset.
 
-    Window models read the last ``window`` values (zero-padded on the left
-    when the series is shorter); the recurrent model reads whole series and
-    requires a uniform length.  Multivariate input is out of the zoo's
-    scope; use dimension 1.
+    Window models read the last ``window`` values of every series, which
+    is a slice of dataset.values, zero-padded on the left only when the
+    window is longer than the series; the recurrent model reads whole
+    series.  Multivariate input is out of the zoo's scope; use dimension 1.
     """
-    if not samples:
-        raise ValueError("featurize: empty sample list")
-    if any(s.values.ndim != 1 for s in samples):
+    values = dataset.values
+    if len(dataset) == 0:
+        raise ValueError("featurize: empty dataset")
+    if values.ndim != 2:
         raise ValueError("featurize: model zoo expects univariate series")
-    if isinstance(model, ElmanRNN):
-        T = samples[0].length
-        if any(s.length != T for s in samples):
-            raise ValueError("featurize: recurrent model needs uniform lengths")
-        X = np.stack([s.values for s in samples]).astype(np.float64)
-    else:
-        w = model.window
-        X = np.zeros((len(samples), w), dtype=np.float64)
-        for i, s in enumerate(samples):
-            k = min(w, s.length)
-            X[i, w - k:] = s.values[s.length - k:]
-    labels = [s.label for s in samples]
-    if any(l is None for l in labels):
+    T = values.shape[1]
+    w = T if isinstance(model, ElmanRNN) else model.window
+    X = values[:, T - w:] if w <= T else np.pad(values, ((0, 0), (w - T, 0)))
+    if np.isnan(dataset.labels).any():
         raise ValueError("featurize: all samples must be labeled for training")
-    if model.n_outputs == 1:
-        y = np.array([float(l) for l in labels], dtype=np.float64)
-    else:
-        y = np.array([int(l) for l in labels], dtype=np.int64)
-        if y.min() < 0 or y.max() >= model.n_outputs:
-            raise ValueError("featurize: class label out of range")
+    y = dataset.labels.astype(np.float64 if model.n_outputs == 1 else np.int64)
+    if model.n_outputs > 1 and (y.min() < 0 or y.max() >= model.n_outputs):
+        raise ValueError("featurize: class label out of range")
     return X, y
 
 
@@ -401,11 +390,11 @@ class TrainResult:
     final_state: EpochState | None = None
 
 
-def train_model(model: Model, samples: list[TimeSeriesSample], task: TaskSpec,
+def train_model(model: Model, dataset: Dataset, task: TaskSpec,
                 *, keep_traces: bool = False,
                 initial_state: EpochState | None = None) -> TrainResult:
-    """Train for task.epochs full-batch epochs on one sample list."""
-    data = featurize(samples, model)
+    """Train for task.epochs full-batch epochs on one dataset (featurized once)."""
+    data = featurize(dataset, model)
     state = initial_state if initial_state is not None else initial_epoch_state()
     mean_losses: list[float] = []
     counts: list[int] = []
@@ -442,10 +431,10 @@ def auc_roc(scores: np.ndarray, labels: np.ndarray) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def evaluate(model: Model, samples: list[TimeSeriesSample], task: TaskSpec) -> dict:
-    """Fixed evaluation metrics: mse for regression; accuracy (+ auc when
-    binary) for classification."""
-    X, y = featurize(samples, model)
+def evaluate(model: Model, dataset: Dataset, task: TaskSpec) -> dict:
+    """Fixed evaluation metrics on a dataset: mse for regression; accuracy
+    (+ auc when binary) for classification."""
+    X, y = featurize(dataset, model)
     out = model.forward(X)
     if task.base_loss == "mse":
         r = out[:, 0] - y
@@ -458,9 +447,9 @@ def evaluate(model: Model, samples: list[TimeSeriesSample], task: TaskSpec) -> d
     return metrics
 
 
-def _continuous_score(model: Model, samples, task: TaskSpec) -> float:
+def _continuous_score(model: Model, dataset: Dataset, task: TaskSpec) -> float:
     """Transfer-matrix entry: AUC for binary labels, accuracy otherwise."""
-    m = evaluate(model, samples, task)
+    m = evaluate(model, dataset, task)
     return m["auc"] if "auc" in m else m["accuracy"]
 
 
@@ -510,26 +499,26 @@ def fwt(tm: TransferMatrix) -> float:
     )
 
 
-def run_continuous(model: Model, prefixes: list[PrefixDataset], task: TaskSpec,
+def run_continuous(model: Model, prefixes: list[Dataset], task: TaskSpec,
                    rng: SeededRng) -> TransferMatrix:
     """Train sequentially over nested prefixes and fill the transfer matrix.
 
-    After each stage the model is scored on every prefix (row i of R).  The
-    untrained baseline row comes from a fresh model drawn with one extra
-    derived seed, recorded on the result.  Adaptive wrapper statistics
-    reset at each stage unless the wrapper sets accumulate_stats.
+    prefixes are datasets of strictly increasing series length, as
+    make_prefixes returns them.  After each stage the model is scored on
+    every prefix (row i of R).  The untrained baseline row comes from a
+    fresh model drawn with one extra derived seed, recorded on the result.
+    Adaptive wrapper statistics reset at each stage unless the wrapper sets
+    accumulate_stats.
     """
     if not prefixes:
         raise ValueError("run_continuous: no prefixes")
-    ts = [p.t for p in prefixes]
+    ts = [p.values.shape[1] for p in prefixes]
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("run_continuous: prefixes must be strictly nested in time")
     k = len(prefixes)
     baseline_rng = rng.derive("baseline-model")
     fresh = model.fresh(baseline_rng)
-    baseline = np.array(
-        [_continuous_score(fresh, p.samples, task) for p in prefixes]
-    )
+    baseline = np.array([_continuous_score(fresh, p, task) for p in prefixes])
     R = np.zeros((k, k))
     state: EpochState | None = None
     for i, prefix in enumerate(prefixes):
@@ -538,11 +527,11 @@ def run_continuous(model: Model, prefixes: list[PrefixDataset], task: TaskSpec,
             if (task.wrapper is not None and task.wrapper.accumulate_stats)
             else None
         )
-        result = train_model(model, prefix.samples, task, initial_state=carry)
+        result = train_model(model, prefix, task, initial_state=carry)
         model = result.model
         state = result.final_state
         for j, other in enumerate(prefixes):
-            R[i, j] = _continuous_score(model, other.samples, task)
+            R[i, j] = _continuous_score(model, other, task)
     return TransferMatrix(R=R, baseline=baseline, baseline_seed=baseline_rng.seed)
 
 

@@ -193,8 +193,8 @@ def test_criterion_06_gradient_checks():
 def _train_mse(train, test, wrapper, rng):
     model = make_model("linear", 16, 1, rng.derive("model"))
     task = TaskSpec("regression", "mse", 400, 0.1, wrapper=wrapper)
-    res = train_model(model, train.samples, task)
-    return evaluate(res.model, test.samples, task)["mse"]
+    res = train_model(model, train, task)
+    return evaluate(res.model, test, task)["mse"]
 
 
 def test_criterion_07_non_inferiority_regression():
@@ -255,7 +255,7 @@ def test_criterion_09_cyclicality():
     model = make_model("linear", 16, 1, rng.derive("model"))
     task = TaskSpec("regression", "mse", 40, 0.15,
                     wrapper=CrucialConfig(Variant.ADP, lam=0.001))
-    res = train_model(model, train.samples, task)
+    res = train_model(model, train, task)
     peaks = local_maxima(res.kappa_ge1_counts)
 
     stats = distribution_cycle_sim(4000, 100, SeededRng(0), schedule="alternating")

@@ -8,7 +8,6 @@ import pytest
 
 from crucial.data import (
     Dataset,
-    TimeSeriesSample,
     gen_drift_classification,
     gen_sine_regression,
     load_csv,
@@ -20,34 +19,70 @@ from crucial.numerics import SeededRng
 
 def csv_save(path, dataset):
     """The byte reference for save_csv: the same rows through csv.writer."""
-    first = dataset.samples[0]
-    T, d = first.length, first.n_dims
-    if d == 1:
+    T = dataset.values.shape[1]
+    if dataset.values.ndim == 2:
         value_cols = [f"v{t}" for t in range(1, T + 1)]
     else:
+        d = dataset.values.shape[2]
         value_cols = [f"v{t}_d{j}" for t in range(1, T + 1) for j in range(1, d + 1)]
 
     def label_cell(label):
-        if label is None:
-            return ""
-        if isinstance(label, (int, np.integer)) and not isinstance(label, bool):
+        if dataset.labels.dtype.kind == "i":
             return str(int(label))
-        return repr(float(label))
+        return "" if math.isnan(label) else repr(float(label))
 
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "label"] + value_cols)
-        for s in dataset.samples:
-            writer.writerow([s.id, label_cell(s.label)]
-                            + [repr(float(v)) for v in s.values.reshape(-1)])
+        for sample_id, label, values in zip(dataset.ids, dataset.labels, dataset.values):
+            writer.writerow([int(sample_id), label_cell(label)]
+                            + [repr(float(v)) for v in values.reshape(-1)])
+
+
+class TestDataset:
+    def test_arrays_take_their_dtypes(self):
+        ds = Dataset(ids=[3, 4], values=np.zeros((2, 5), dtype=np.float32), labels=[1, 0])
+        assert ds.ids.dtype == np.int64 and ds.values.dtype == np.float64
+        assert ds.labels.dtype == np.int64 and len(ds) == 2
+        real = Dataset(ids=[0, 1], values=np.zeros((2, 3, 2)), labels=[0.5, np.nan])
+        assert real.labels.dtype == np.float64
+
+    def test_arrays_with_the_dtypes_are_not_copied(self):
+        values = np.arange(12.0).reshape(3, 4)
+        labels = np.array([0.5, 1.5, 2.5])
+        ds = Dataset(ids=np.arange(3), values=values, labels=labels)
+        assert ds.values is values and ds.labels is labels
+
+    def test_construction_rejects_bad_shapes(self):
+        with pytest.raises(ValueError):  # ragged rows
+            Dataset(ids=[0, 1], values=[np.zeros(3), np.zeros(4)], labels=[0, 1])
+        with pytest.raises(ValueError):  # ids and values disagree
+            Dataset(ids=[0, 1, 2], values=np.zeros((2, 3)), labels=[0, 1])
+        with pytest.raises(ValueError):  # labels and ids disagree
+            Dataset(ids=[0, 1], values=np.zeros((2, 3)), labels=[0, 1, 1])
+        with pytest.raises(ValueError):  # T < 2
+            Dataset(ids=[0, 1], values=np.zeros((2, 1)), labels=[0, 1])
+        for values in (np.zeros(4), np.zeros((1, 4, 2, 2))):  # ndim outside {2, 3}
+            with pytest.raises(ValueError):
+                Dataset(ids=[0], values=values, labels=[0])
+
+    def test_samples_are_row_views(self):
+        ds = Dataset(ids=[7, 8], values=np.arange(6.0).reshape(2, 3), labels=[np.nan, 0.25])
+        rows = ds.samples
+        assert [s.id for s in rows] == [7, 8]
+        assert [s.label for s in rows] == [None, 0.25]
+        assert np.shares_memory(rows[1].values, ds.values)
+        assert np.array_equal(rows[1].values, [3.0, 4.0, 5.0])
+        classes = gen_drift_classification(4, 8, 0.0, 0.0, SeededRng(0)).samples
+        assert all(type(s.label) is int for s in classes)
 
 
 class TestSineRegression:
     def test_spectral_peak_matches_requested_frequency(self):
         f = 0.05
         ds = gen_sine_regression(40, 256, 0.0, SeededRng(0), freq_range=(f, f))
-        for s in ds.samples:
-            spec = np.abs(np.fft.rfft(s.values))
+        for values in ds.values:
+            spec = np.abs(np.fft.rfft(values))
             spec[0] = 0.0
             peak = np.argmax(spec) / 256.0
             assert abs(peak - f) < 1.0 / 256.0
@@ -60,9 +95,9 @@ class TestSineRegression:
         t = np.arange(64, dtype=np.float64)
         design = np.column_stack([np.sin(2 * math.pi * f * t), np.cos(2 * math.pi * f * t)])
         row_next = np.array([math.sin(2 * math.pi * f * 64), math.cos(2 * math.pi * f * 64)])
-        for s in ds.samples:
-            coef, *_ = np.linalg.lstsq(design, s.values, rcond=None)
-            assert float(row_next @ coef) == pytest.approx(s.label, abs=1e-9)
+        for values, label in zip(ds.values, ds.labels):
+            coef, *_ = np.linalg.lstsq(design, values, rcond=None)
+            assert float(row_next @ coef) == pytest.approx(label, abs=1e-9)
 
     def test_noise_level_scales_residual(self):
         f = 0.05
@@ -73,9 +108,9 @@ class TestSineRegression:
 
         def resid(ds):
             r = 0.0
-            for s in ds.samples:
-                coef, *_ = np.linalg.lstsq(design, s.values, rcond=None)
-                r += float(np.mean((s.values - design @ coef) ** 2))
+            for values in ds.values:
+                coef, *_ = np.linalg.lstsq(design, values, rcond=None)
+                r += float(np.mean((values - design @ coef) ** 2))
             return r / len(ds)
 
         assert resid(loud) > 100.0 * resid(quiet)
@@ -84,9 +119,8 @@ class TestSineRegression:
         a = gen_sine_regression(10, 32, 0.1, SeededRng(5))
         b = gen_sine_regression(10, 32, 0.1, SeededRng(5))
         c = gen_sine_regression(10, 32, 0.1, SeededRng(6))
-        for x, y in zip(a.samples, b.samples):
-            assert np.array_equal(x.values, y.values) and x.label == y.label
-        assert not np.array_equal(a.samples[0].values, c.samples[0].values)
+        assert np.array_equal(a.values, b.values) and np.array_equal(a.labels, b.labels)
+        assert not np.array_equal(a.values[0], c.values[0])
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -100,8 +134,8 @@ class TestSineRegression:
 class TestDriftClassification:
     def test_window_threshold_separates_classes(self):
         ds = gen_drift_classification(2000, 64, 1.0, 0.0, SeededRng(0))
-        stat = np.array([float(np.mean(s.values[-16:])) for s in ds.samples])
-        y = np.array([s.label for s in ds.samples])
+        stat = ds.values[:, -16:].mean(axis=1)
+        y = ds.labels
         best = 0.0
         for thr in np.quantile(stat, np.linspace(0.05, 0.95, 181)):
             best = max(best, float(np.mean((stat > thr) == y)),
@@ -111,8 +145,8 @@ class TestDriftClassification:
     def test_drift_moves_both_classes_together(self):
         def level_rise(rate):
             ds = gen_drift_classification(2000, 64, rate, 0.0, SeededRng(3))
-            vals = np.stack([s.values for s in ds.samples])
-            y = np.array([s.label for s in ds.samples])
+            vals = ds.values
+            y = ds.labels
             rises = []
             for c in (0, 1):
                 per_t = vals[y == c].mean(axis=0)
@@ -130,12 +164,13 @@ class TestDriftClassification:
         assert len(noisy.flipped_ids) == 50
         assert clean.flipped_ids == ()
         flipped = set(noisy.flipped_ids)
-        for a, b in zip(noisy.samples, clean.samples):
-            assert np.array_equal(a.values, b.values)
-            if a.id in flipped:
-                assert a.label == 1 - b.label
+        assert np.array_equal(noisy.values, clean.values)
+        assert np.array_equal(noisy.ids, clean.ids)
+        for sample_id, a, b in zip(noisy.ids, noisy.labels, clean.labels):
+            if sample_id in flipped:
+                assert a == 1 - b
             else:
-                assert a.label == b.label
+                assert a == b
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -156,11 +191,11 @@ class TestCsvContract:
         save_csv(p1, ds)
         loaded = load_csv(p1)
         assert loaded.rejected == []
-        assert len(loaded.dataset) == 20
-        for orig, back in zip(ds.samples, loaded.dataset.samples):
-            assert orig.id == back.id
-            assert np.array_equal(orig.values, back.values)  # every bit
-            assert orig.label == back.label
+        back = loaded.dataset
+        assert len(back) == 20
+        assert np.array_equal(ds.ids, back.ids)
+        assert ds.values.tobytes() == back.values.tobytes()  # every bit
+        assert np.array_equal(ds.labels, back.labels)
         save_csv(p2, loaded.dataset)
         assert p1.read_bytes() == p2.read_bytes()
 
@@ -173,33 +208,64 @@ class TestCsvContract:
         assert lines[1].split(",")[1] in ("0", "1")  # class labels stay integers
 
     def test_unlabeled_rows_use_empty_string(self, tmp_path):
-        ds = Dataset(samples=[
-            TimeSeriesSample(id=0, values=np.array([1.0, 2.0]), label=None),
-            TimeSeriesSample(id=1, values=np.array([3.0, 4.0]), label=0.25),
-        ])
+        ds = Dataset(ids=[0, 1], values=[[1.0, 2.0], [3.0, 4.0]], labels=[np.nan, 0.25])
         p = tmp_path / "u.csv"
         save_csv(p, ds)
         lines = p.read_text(encoding="utf-8").strip().split("\n")
         assert lines[1].startswith("0,,")
         back = load_csv(p)
+        assert np.isnan(back.dataset.labels[0])
         assert back.dataset.samples[0].label is None
-        assert back.dataset.samples[1].label == 0.25
+        assert back.dataset.labels[1] == 0.25
+
+    def test_label_column_dtype_follows_its_cells(self, tmp_path):
+        # all-integer cells load as int64; one real or empty cell makes the
+        # column float64, so mixed integer labels re-save as reals
+        p = tmp_path / "l.csv"
+        p.write_text("id,label,v1,v2\r\n0,1,0.5,0.6\r\n1,0,0.5,0.6\r\n", encoding="utf-8")
+        assert load_csv(p).dataset.labels.dtype == np.int64
+        p.write_text("id,label,v1,v2\r\n0,1,0.5,0.6\r\n1,,0.5,0.6\r\n", encoding="utf-8")
+        labels = load_csv(p).dataset.labels
+        assert labels.dtype == np.float64
+        assert labels[0] == 1.0 and np.isnan(labels[1])
+        save_csv(tmp_path / "again.csv", load_csv(p).dataset)
+        assert (tmp_path / "again.csv").read_bytes().split(b"\r\n")[1] == b"0,1.0,0.5,0.6"
+
+    def test_save_refuses_non_finite_values_and_infinite_labels(self, tmp_path):
+        values = np.array([[0.5, 0.6], [0.7, 0.8]])
+        for bad in (np.nan, np.inf, -np.inf):
+            broken = values.copy()
+            broken[1, 0] = bad
+            p = tmp_path / "v.csv"
+            with pytest.raises(ValueError, match="sample 9"):
+                save_csv(p, Dataset(ids=[4, 9], values=broken, labels=[0.5, 0.5]))
+            assert not p.exists()
+        for bad in (np.inf, -np.inf):
+            with pytest.raises(ValueError, match="sample 4"):
+                save_csv(tmp_path / "l.csv", Dataset(ids=[4, 9], values=values, labels=[bad, 0.5]))
+        save_csv(tmp_path / "ok.csv", Dataset(ids=[4, 9], values=values, labels=[np.nan, 0.5]))
+        assert len(load_csv(tmp_path / "ok.csv").dataset) == 2
+
+    def test_out_of_range_integers_are_not_int64_labels_or_ids(self, tmp_path):
+        p = tmp_path / "big.csv"
+        p.write_text("id,label,v1,v2\n0,99999999999999999999,0.5,0.6\n"
+                     "99999999999999999999,0,0.5,0.6\n", encoding="utf-8")
+        res = load_csv(p)
+        assert res.dataset.labels.dtype == np.float64 and res.dataset.labels[0] == 1e20
+        assert [r.line for r in res.rejected] == [3]
 
     def test_multivariate_headers_and_round_trip(self, tmp_path):
         gen = SeededRng(8).generator
-        ds = Dataset(samples=[
-            TimeSeriesSample(id=i, values=gen.standard_normal((5, 3)), label=i % 2)
-            for i in range(4)
-        ])
+        ds = Dataset(ids=np.arange(4), values=gen.standard_normal((4, 5, 3)),
+                     labels=np.arange(4) % 2)
         p = tmp_path / "m.csv"
         save_csv(p, ds)
         header = p.read_text(encoding="utf-8").split("\n")[0]
         assert header.startswith("id,label,v1_d1,v1_d2,v1_d3,v2_d1")
         back = load_csv(p, schema=(5, 3))
         assert back.rejected == []
-        for orig, got in zip(ds.samples, back.dataset.samples):
-            assert got.values.shape == (5, 3)
-            assert np.array_equal(orig.values, got.values)
+        assert back.dataset.values.shape == (4, 5, 3)
+        assert np.array_equal(ds.values, back.dataset.values)
 
     def test_malformed_header_hard_fails(self, tmp_path):
         cases = [
@@ -242,57 +308,65 @@ class TestCsvContract:
         assert len(res.dataset) + len(res.rejected) == 7
         for issue in res.rejected:
             assert f"row {issue.line}" in issue.message
+        assert [r.message for r in res.rejected] == [
+            "row 3: expected 4 cells, got 3",
+            "row 4: bad id 'x'",
+            "row 5: bad label 'maybe'",
+            "row 6: non-numeric value cell",
+            "row 7: non-finite value cell",
+        ]
+        assert res.dataset.ids.tolist() == [0, 6]
+        assert res.dataset.samples[1].label is None
 
     @pytest.mark.parametrize("make", [
         lambda: gen_drift_classification(12, 40, 1.0, 0.2, SeededRng(5)),
         lambda: gen_sine_regression(12, 40, 0.3, SeededRng(6)),
-        lambda: Dataset(samples=[  # (T, d) values, float labels
-            TimeSeriesSample(id=i, values=SeededRng(i).generator.standard_normal((6, 3)),
-                             label=0.5 * i - 1.0)
-            for i in range(5)]),
-        lambda: Dataset(samples=[  # (T, d) values, no labels
-            TimeSeriesSample(id=i, values=SeededRng(i).generator.standard_normal((6, 2)))
-            for i in range(5)]),
-        lambda: Dataset(samples=[  # float32, integer and extreme values
-            TimeSeriesSample(id=0, values=np.array([0.1, 1e16, 1e-5], dtype=np.float32), label=1),
-            TimeSeriesSample(id=1, values=np.array([5e-324, -0.0, 1e-5])),
-            TimeSeriesSample(id=2, values=np.array([3, -4, 0]), label=np.int64(0)),
-        ]),
-    ], ids=["drift", "sine", "multivariate", "unlabeled", "dtypes"])
+        lambda: Dataset(  # (T, d) values, float labels
+            ids=np.arange(5),
+            values=np.stack([SeededRng(i).generator.standard_normal((6, 3)) for i in range(5)]),
+            labels=0.5 * np.arange(5) - 1.0),
+        lambda: Dataset(  # (T, d) values, no labels
+            ids=np.arange(5),
+            values=np.stack([SeededRng(i).generator.standard_normal((6, 2)) for i in range(5)]),
+            labels=np.full(5, np.nan)),
+        lambda: Dataset(  # float32 and integer values, integer labels
+            ids=[0, 2],
+            values=np.stack([np.array([0.1, 1e16, 1e-5], dtype=np.float32), np.array([3, -4, 0])]),
+            labels=[1, np.int64(0)]),
+        lambda: Dataset(  # extreme values, no label
+            ids=[1], values=[[5e-324, -0.0, 1e-5]], labels=[np.nan]),
+    ], ids=["drift", "sine", "multivariate", "unlabeled", "dtypes", "dtypes-unlabeled"])
     def test_bytes_match_the_csv_writer_reference(self, tmp_path, make):
         ds = make()
         save_csv(tmp_path / "new.csv", ds)
         csv_save(tmp_path / "ref.csv", ds)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        save_csv(tmp_path / "again.csv", load_csv(tmp_path / "new.csv").dataset)
+        assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "new.csv").read_bytes()
 
     def test_save_validation(self, tmp_path):
         with pytest.raises(ValueError):
-            save_csv(tmp_path / "e.csv", Dataset(samples=[]))
-        ragged = Dataset(samples=[
-            TimeSeriesSample(id=0, values=np.zeros(3)),
-            TimeSeriesSample(id=1, values=np.zeros(4)),
-        ])
-        with pytest.raises(ValueError):
-            save_csv(tmp_path / "g.csv", ragged)
+            save_csv(tmp_path / "e.csv", Dataset(ids=[], values=np.empty((0, 3)), labels=[]))
+        with pytest.raises(ValueError):  # a ragged dataset cannot be built, so never saved
+            Dataset(ids=[0, 1], values=[np.zeros(3), np.zeros(4)], labels=[np.nan, np.nan])
 
 
 class TestPrefixes:
     def test_views_match_slices_and_share_memory(self):
         ds = gen_sine_regression(8, 32, 0.1, SeededRng(4))
         prefixes = make_prefixes(ds, [4, 16, 32])
-        assert [p.t for p in prefixes] == [4, 16, 32]
+        assert [p.values.shape[1] for p in prefixes] == [4, 16, 32]
         for p in prefixes:
-            assert p.source is ds
-            for view, orig in zip(p.samples, ds.samples):
-                assert np.array_equal(view.values, orig.values[:p.t])
-                assert np.shares_memory(view.values, orig.values)
-                assert view.label == orig.label
+            t = p.values.shape[1]
+            assert np.shares_memory(p.values, ds.values)
+            assert np.array_equal(p.ids, ds.ids)
+            assert np.array_equal(p.values, ds.values[:, :t])
+            assert np.array_equal(p.labels, ds.labels)
 
     def test_prefixes_nest(self):
         ds = gen_sine_regression(5, 20, 0.0, SeededRng(4))
         small, large = make_prefixes(ds, [5, 15])
-        for a, b in zip(small.samples, large.samples):
-            assert np.array_equal(a.values, b.values[:5])
+        assert np.array_equal(small.values, large.values[:, :5])
 
     def test_cut_validation(self):
         ds = gen_sine_regression(5, 20, 0.0, SeededRng(4))
@@ -302,5 +376,7 @@ class TestPrefixes:
             make_prefixes(ds, [5, 5])
         with pytest.raises(ValueError):
             make_prefixes(ds, [0, 5])
+        with pytest.raises(ValueError):  # a prefix is a dataset, so T >= 2
+            make_prefixes(ds, [1, 5])
         with pytest.raises(ValueError):
             make_prefixes(ds, [5, 21])

@@ -2,6 +2,8 @@
 
 import pytest
 
+from crucial import properties
+from crucial.data import CsvLoadResult, Dataset
 from crucial.loss import KappaFormula
 from crucial.properties import SUITES, golden_section_min, run_suites
 
@@ -57,3 +59,18 @@ class TestRunSuites:
         a = run_suites(7, names=["kappa_argmin_oracle", "property4_differentiated_scaling"])
         b = run_suites(7, names=["kappa_argmin_oracle", "property4_differentiated_scaling"])
         assert a == b
+
+
+class TestCsvRoundTripSuite:
+    def test_a_load_that_drops_the_last_row_fails(self, monkeypatch):
+        real_load = properties.load_csv
+
+        def drop_last_row(path, schema=None):
+            res = real_load(path, schema)
+            ds = res.dataset
+            return CsvLoadResult(Dataset(ids=ds.ids[:-1], values=ds.values[:-1],
+                                         labels=ds.labels[:-1]), res.rejected)
+
+        monkeypatch.setattr(properties, "load_csv", drop_last_row)
+        report = run_suites(0, names=["csv_round_trip"])
+        assert report["csv_round_trip"]["passed"] is False

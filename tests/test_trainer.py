@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from crucial.data import TimeSeriesSample, gen_drift_classification, gen_sine_regression, make_prefixes
+from crucial.data import Dataset, gen_drift_classification, gen_sine_regression, make_prefixes
 from crucial.loss import CrucialConfig, EpochState, Variant
 from crucial.numerics import SeededRng
 from crucial.trainer import (
@@ -72,39 +72,54 @@ def per_sample_rows(model, X, y, base_loss):
 class TestFeaturize:
     def test_window_takes_suffix_and_pads_short_series(self):
         model = make_model("linear", 4, 1, SeededRng(0))
-        long = TimeSeriesSample(id=0, values=np.arange(10.0), label=1.0)
-        short = TimeSeriesSample(id=1, values=np.array([5.0, 7.0]), label=2.0)
-        X, y = featurize([long, short], model)
+        long = Dataset(ids=[0], values=[np.arange(10.0)], labels=[1.0])
+        short = Dataset(ids=[1], values=[[5.0, 7.0]], labels=[2.0])
+        X, y = featurize(long, model)
         assert np.array_equal(X[0], [6.0, 7.0, 8.0, 9.0])
-        assert np.array_equal(X[1], [0.0, 0.0, 5.0, 7.0])
-        assert np.array_equal(y, [1.0, 2.0])
+        assert np.array_equal(y, [1.0])
+        X, y = featurize(short, model)
+        assert np.array_equal(X[0], [0.0, 0.0, 5.0, 7.0])
+        assert np.array_equal(y, [2.0])
+
+    def test_matches_the_per_row_copy(self):
+        # reference: a per-row copy of the last `window` values, left-padded with zeros
+        ds = gen_sine_regression(9, 16, 0.1, SeededRng(3))
+        for window in (1, 7, 16, 20):
+            X, y = featurize(ds, make_model("mlp", window, 1, SeededRng(0)))
+            ref = np.zeros((9, window))
+            for i, row in enumerate(ds.values):
+                k = min(window, row.shape[0])
+                ref[i, window - k:] = row[row.shape[0] - k:]
+            assert np.array_equal(X, ref)
+            assert np.array_equal(y, ds.labels)
 
     def test_recurrent_model_needs_uniform_lengths(self):
+        # a Dataset cannot hold ragged series, so the recurrent model always
+        # reads one (n, T) block
         model = make_model("elman_rnn", 4, 1, SeededRng(0), hidden=3)
-        a = TimeSeriesSample(id=0, values=np.arange(6.0), label=0.0)
-        b = TimeSeriesSample(id=1, values=np.arange(5.0), label=0.0)
-        X, _ = featurize([a, a], model)
+        a = Dataset(ids=[0, 1], values=[np.arange(6.0), np.arange(6.0)], labels=[0.0, 0.0])
+        X, _ = featurize(a, model)
         assert X.shape == (2, 6)
         with pytest.raises(ValueError):
-            featurize([a, b], model)
+            Dataset(ids=[0, 1], values=[np.arange(6.0), np.arange(5.0)], labels=[0.0, 0.0])
 
     def test_classification_labels_cast_and_range_checked(self):
         model = make_model("linear", 4, 2, SeededRng(0))
-        good = TimeSeriesSample(id=0, values=np.arange(4.0), label=1)
-        bad = TimeSeriesSample(id=1, values=np.arange(4.0), label=2)
-        _, y = featurize([good], model)
+        good = Dataset(ids=[0], values=[np.arange(4.0)], labels=[1])
+        bad = Dataset(ids=[0, 1], values=[np.arange(4.0), np.arange(4.0)], labels=[1, 2])
+        _, y = featurize(good, model)
         assert y.dtype == np.int64
         with pytest.raises(ValueError):
-            featurize([good, bad], model)
+            featurize(bad, model)
 
     def test_rejects_empty_unlabeled_multivariate(self):
         model = make_model("linear", 4, 1, SeededRng(0))
         with pytest.raises(ValueError):
-            featurize([], model)
+            featurize(Dataset(ids=[], values=np.empty((0, 4)), labels=[]), model)
         with pytest.raises(ValueError):
-            featurize([TimeSeriesSample(id=0, values=np.arange(4.0), label=None)], model)
+            featurize(Dataset(ids=[0], values=[np.arange(4.0)], labels=[np.nan]), model)
         with pytest.raises(ValueError):
-            featurize([TimeSeriesSample(id=0, values=np.zeros((4, 2)), label=0.0)], model)
+            featurize(Dataset(ids=[0], values=np.zeros((1, 4, 2)), labels=[0.0]), model)
 
 
 class TestGradients:
@@ -292,7 +307,7 @@ class TestTrainLoop:
     def test_loss_decreases_on_regression(self):
         ds, model = self._sine_setup()
         task = TaskSpec("regression", "mse", 60, 0.1)
-        res = train_model(model, ds.samples, task)
+        res = train_model(model, ds, task)
         assert res.epoch_mean_losses[-1] < 0.5 * res.epoch_mean_losses[0]
         assert len(res.epoch_mean_losses) == 60
         assert len(res.kappa_ge1_counts) == 60
@@ -306,29 +321,29 @@ class TestTrainLoop:
         plain = TaskSpec("regression", "mse", 40, 0.1)
         inert = TaskSpec("regression", "mse", 40, 0.1,
                          wrapper=CrucialConfig(Variant.BASELINE, lam=1e300, threshold=0.0))
-        res_a = train_model(model_a, ds.samples, plain)
-        res_b = train_model(model_b, ds.samples, inert)
+        res_a = train_model(model_a, ds, plain)
+        res_b = train_model(model_b, ds, inert)
         assert np.array_equal(res_a.model.params, res_b.model.params)
         assert res_a.epoch_mean_losses == res_b.epoch_mean_losses
 
     def test_unwrapped_counts_report_whole_batch(self):
         ds, model = self._sine_setup()
-        res = train_model(model, ds.samples, TaskSpec("regression", "mse", 3, 0.05))
+        res = train_model(model, ds, TaskSpec("regression", "mse", 3, 0.05))
         assert res.kappa_ge1_counts == [64, 64, 64]
 
     def test_divergence_guard_trips(self):
         ds, model = self._sine_setup()
         task = TaskSpec("regression", "mse", 200, 50.0)
         with pytest.raises(TrainingDiverged):
-            train_model(model, ds.samples, task)
+            train_model(model, ds, task)
 
     def test_training_is_deterministic(self):
         ds, model_a = self._sine_setup(3)
         _, model_b = self._sine_setup(3)
         task = TaskSpec("regression", "mse", 20, 0.1,
                         wrapper=CrucialConfig(Variant.ADP, lam=0.01))
-        res_a = train_model(model_a, ds.samples, task)
-        res_b = train_model(model_b, ds.samples, task)
+        res_a = train_model(model_a, ds, task)
+        res_b = train_model(model_b, ds, task)
         assert res_a.epoch_mean_losses == res_b.epoch_mean_losses
         assert np.array_equal(res_a.model.params, res_b.model.params)
 
@@ -341,7 +356,7 @@ class TestTrainLoop:
         model = make_model("mlp", 16, 2, rng.derive("model"), hidden=(8,))
         task = TaskSpec("single_shot", "cross_entropy", 40, 1.0,
                         wrapper=CrucialConfig(Variant.ADP, lam=0.001))
-        res = train_model(model, ds.samples, task)
+        res = train_model(model, ds, task)
         counts = res.kappa_ge1_counts
         assert len(set(counts)) > 1
         assert local_maxima(counts) >= 3
@@ -400,15 +415,15 @@ class TestEvaluate:
     def test_regression_reports_mse(self):
         ds = gen_sine_regression(32, 16, 0.1, SeededRng(2))
         model = make_model("linear", 8, 1, SeededRng(2))
-        m = evaluate(model, ds.samples, TaskSpec("regression", "mse", 1, 0.1))
-        X, y = featurize(ds.samples, model)
+        m = evaluate(model, ds, TaskSpec("regression", "mse", 1, 0.1))
+        X, y = featurize(ds, model)
         manual = float(np.mean((model.forward(X)[:, 0] - y) ** 2))
         assert m == {"mse": pytest.approx(manual, rel=1e-14)}
 
     def test_binary_classification_reports_accuracy_and_auc(self):
         ds = gen_drift_classification(64, 16, 0.0, 0.0, SeededRng(2))
         model = make_model("linear", 8, 2, SeededRng(2))
-        m = evaluate(model, ds.samples, TaskSpec("single_shot", "cross_entropy", 1, 0.1))
+        m = evaluate(model, ds, TaskSpec("single_shot", "cross_entropy", 1, 0.1))
         assert set(m) == {"accuracy", "auc"}
         assert 0.0 <= m["accuracy"] <= 1.0 and 0.0 <= m["auc"] <= 1.0
 
