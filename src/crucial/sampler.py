@@ -16,6 +16,14 @@ inverse-CDF draws, with a tilted defensive component under condition P so
 the estimator stays sharp at large rate * sigma), an ordering check, and a
 toy population simulator showing the skewness cycle that alternating U/P
 selection induces.
+
+Monte Carlo draws are cut into fixed chunks with derived substreams and
+reduced in chunk order, so estimates do not depend on the worker count.
+Each worker thread (a lane) computes its chunks in place in one workspace of
+chunk-sized buffers per condition, not in a new array per operation.  Under
+condition P the log-weights are lowered by one common constant where they
+could overflow the sums of squared weights, which leaves the estimate and
+its standard error unchanged.
 """
 
 from __future__ import annotations
@@ -78,13 +86,25 @@ class LossPopulation:
             return self.sigma * self.sigma
         return self.sigma * self.sigma * (1.0 - 2.0 / math.pi)
 
-    def quantile(self, u: np.ndarray) -> np.ndarray:
+    # The three array methods below take an array and, like a numpy ufunc,
+    # write into out (which may be the input itself) when it is given and
+    # into a new array otherwise; the input is read, never written, unless
+    # it is out.
+
+    def quantile(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Inverse CDF at probabilities u in (0, 1)."""
         if self.kind is PopulationKind.NORMAL:
-            return self.mu + self.sigma * ndtri(u)
-        return self.mu + self.sigma * ndtri(0.5 * (1.0 + u))
+            x = ndtri(u, out=out)
+        else:
+            x = np.add(u, 1.0, out=out)
+            x *= 0.5
+            ndtri(x, out=x)
+        x *= self.sigma
+        x += self.mu
+        return x
 
-    def tilted_quantile(self, u: np.ndarray, rate: float) -> np.ndarray:
+    def tilted_quantile(self, u: np.ndarray, rate: float,
+                        out: np.ndarray | None = None) -> np.ndarray:
         """Inverse CDF of the exp(-rate*l)-tilted population.
 
         Tilting a normal shifts its mean to mu - rate*sigma^2; tilting the
@@ -94,16 +114,34 @@ class LossPopulation:
         """
         shift = self.mu - rate * self.sigma * self.sigma
         if self.kind is PopulationKind.NORMAL:
-            return shift + self.sigma * ndtri(u)
-        return shift - self.sigma * ndtri_exp(np.log1p(-u) + log_ndtr(-rate * self.sigma))
+            x = ndtri(u, out=out)
+            x *= self.sigma
+        else:
+            x = np.negative(u, out=out)
+            np.log1p(x, out=x)
+            x += log_ndtr(-rate * self.sigma)
+            ndtri_exp(x, out=x)
+            x *= self.sigma
+            return np.subtract(shift, x, out=x)
+        x += shift
+        return x
 
-    def log_tilt_ratio(self, l: np.ndarray, rate: float) -> np.ndarray:
-        """log of tilted density over population density at l."""
+    def _log_tilt_norm(self, rate: float) -> float:
+        """log of the tilt's normalizer relative to the population: the
+        constant in log_tilt_ratio(l) = -rate * (l - mu) - _log_tilt_norm(rate)."""
         if self.kind is PopulationKind.HALF_NORMAL:
             # The normal's -x^2 (x = rate*sigma/sqrt 2) cancels against
             # log erfc(x) = log erfcx(x) - x^2; erfc underflows past x ~ 27.
-            return -rate * (l - self.mu) - math.log(erfcx(rate * self.sigma / math.sqrt(2.0)))
-        return -rate * (l - self.mu) - 0.5 * (rate * self.sigma) ** 2
+            return math.log(erfcx(rate * self.sigma / math.sqrt(2.0)))
+        return 0.5 * (rate * self.sigma) ** 2
+
+    def log_tilt_ratio(self, l: np.ndarray, rate: float,
+                       out: np.ndarray | None = None) -> np.ndarray:
+        """log of tilted density over population density at l."""
+        x = np.subtract(l, self.mu, out=out)
+        x *= -rate
+        x -= self._log_tilt_norm(rate)
+        return x
 
 
 class SelectionMode(str, Enum):
@@ -218,29 +256,54 @@ _MC_CHUNKS = 16
 _U_MAX = float(np.nextafter(1.0, 0.0))
 _U_MIN = 2.2250738585072014e-308
 
+# Ceiling on condition P's log-weights.  Their bound grows as (rate*sigma)^2/2
+# for a normal population, and past this ceiling every weight is divided by
+# a common factor so that w^2 y^2 summed over the draws stays finite; the
+# self-normalized estimate and its standard error do not depend on it.
+_LOG_W_MAX = 300.0
+
 
 def _chunk_sizes(n: int, n_chunks: int) -> list[int]:
     base, rem = divmod(n, n_chunks)
     return [base + (1 if i < rem else 0) for i in range(n_chunks)]
 
 
-def _stratified_uniforms(start: int, size: int, n_total: int,
-                         generator: np.random.Generator) -> np.ndarray:
-    """One jittered point per probability stratum [k/n, (k+1)/n)."""
-    u = (start + np.arange(size) + generator.random(size)) / n_total
-    return np.clip(u, _U_MIN, _U_MAX)
+def _workspace(size: int) -> np.ndarray:
+    """Scratch rows for chunks of up to size draws.
+
+    Row 0 holds the draws, row 1 their squared errors, row 2 is scratch and
+    row 3 holds the stratum offsets 0, 1, ..., size - 1.
+    """
+    work = np.empty((4, size))
+    work[3] = np.arange(size)
+    return work
+
+
+def _stratified_uniforms(start: int, n_total: int, generator: np.random.Generator,
+                         out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Fill out with one jittered point per probability stratum [k/n, (k+1)/n),
+    k = start, start + 1, ...; overwrites work's scratch row."""
+    size = out.size
+    generator.random(out=out)
+    out += np.add(work[3, :size], start, out=work[2, :size])
+    out /= n_total
+    return np.clip(out, _U_MIN, _U_MAX, out=out)
 
 
 def _uniform_chunk(pop: LossPopulation, center: float, start: int, size: int,
-                   n_total: int, rng: SeededRng):
-    u = _stratified_uniforms(start, size, n_total, rng.generator)
-    y = (pop.quantile(u) - center) ** 2
-    return float(np.sum(y)), float(np.sum(y * y))
+                   n_total: int, rng: SeededRng, work: np.ndarray | None = None):
+    if work is None:
+        work = _workspace(size)
+    y = work[0, :size]
+    pop.quantile(_stratified_uniforms(start, n_total, rng.generator, y, work), out=y)
+    y -= center
+    np.square(y, out=y)
+    return float(np.sum(y)), float(np.sum(np.multiply(y, y, out=work[1, :size])))
 
 
 def _tilted_chunk(pop: LossPopulation, center: float, rate: float,
                   pop_block: tuple[int, int, int], til_block: tuple[int, int, int],
-                  rng: SeededRng):
+                  rng: SeededRng, work: np.ndarray | None = None):
     """Self-normalized sums for condition P over a defensive draw design.
 
     Half the draws come from the population, half from its exponentially
@@ -253,43 +316,65 @@ def _tilted_chunk(pop: LossPopulation, center: float, rate: float,
     gen = rng.generator
     p_start, p_size, n_pop = pop_block
     t_start, t_size, n_til = til_block
-    parts = []
+    size = p_size + t_size
+    if work is None:
+        work = _workspace(size)
+    l, y, tmp = work[0, :size], work[1, :size], work[2, :size]
     if p_size:
-        parts.append(pop.quantile(_stratified_uniforms(p_start, p_size, n_pop, gen)))
+        head = l[:p_size]
+        pop.quantile(_stratified_uniforms(p_start, n_pop, gen, head, work), out=head)
     if t_size:
-        parts.append(pop.tilted_quantile(
-            _stratified_uniforms(t_start, t_size, n_til, gen), rate))
-    l = np.concatenate(parts)
-    y = (l - center) ** 2
+        tail = l[p_size:]
+        pop.tilted_quantile(_stratified_uniforms(t_start, n_til, gen, tail, work), rate, out=tail)
+    n_all = n_pop + n_til
+    if n_til:
+        correction = pop.log_tilt_ratio(l, rate, out=tmp)
     # Weight centering at the population mean keeps exp() in range; the
     # self-normalized ratio is invariant to the shift and to the overall
     # scale of the design correction.
-    log_w = -rate * (l - center)
-    n_all = n_pop + n_til
-    if n_pop and n_til:
-        log_w = log_w - np.logaddexp(
-            math.log(n_pop / n_all),
-            math.log(n_til / n_all) + pop.log_tilt_ratio(l, rate),
-        )
-    elif n_til:
-        log_w = log_w - pop.log_tilt_ratio(l, rate)
-    w = np.exp(log_w)
-    wy = w * y
+    l -= center
+    np.square(l, out=y)
+    log_w = np.multiply(l, -rate, out=l)
+    if n_til:
+        if n_pop:
+            correction += math.log(n_til / n_all)
+            np.logaddexp(math.log(n_pop / n_all), correction, out=correction)
+        log_w -= correction
+        # The correction is at least log(n_til/n_all) + log_tilt_ratio(l), so
+        # every log-weight is at most this, whatever l is.
+        bound = rate * (center - pop.mu) + pop._log_tilt_norm(rate) + math.log(n_all / n_til)
+        if bound > _LOG_W_MAX:
+            log_w -= bound - _LOG_W_MAX
+    w = np.exp(log_w, out=log_w)
+    wy = np.multiply(w, y, out=y)
     return (
         float(np.sum(w)),
         float(np.sum(wy)),
-        float(np.sum(w * w)),
-        float(np.sum(w * wy)),
-        float(np.sum(wy * wy)),
+        float(np.sum(np.multiply(w, w, out=tmp))),
+        float(np.sum(np.multiply(w, wy, out=tmp))),
+        float(np.sum(np.multiply(wy, wy, out=tmp))),
     )
 
 
-def _run_chunks(tasks, workers: int):
-    if workers <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [f.result() for f in futures]
+def _run_chunks(tasks, workers: int, size: int):
+    """Call every task with a workspace for size draws; results in task order.
+
+    The tasks are dealt to min(workers, len(tasks)) lanes: lane k runs tasks
+    k, k + lanes, ... one after another in one workspace, allocated once.
+    """
+    lanes = max(1, min(workers, len(tasks)))
+
+    def lane(k: int) -> list:
+        work = _workspace(size)
+        return [task(work) for task in tasks[k::lanes]]
+
+    if lanes == 1:
+        return lane(0)
+    results = [None] * len(tasks)
+    with ThreadPoolExecutor(max_workers=lanes) as pool:
+        for k, part in enumerate(pool.map(lane, range(lanes))):
+            results[k::lanes] = part
+    return results
 
 
 def mc_expected_errors(pop: LossPopulation, cond: SelectionCondition, n: int,
@@ -304,16 +389,23 @@ def mc_expected_errors(pop: LossPopulation, cond: SelectionCondition, n: int,
     draws are split evenly between pop and its exponentially tilted form
     (balance-heuristic corrections fold into the weights), because
     population-only draws leave the tilted mass unresolved once
-    rate * sigma is large.
+    rate * sigma is large.  The log-weights are bounded above by a constant
+    of the design; when that bound passes _LOG_W_MAX (a normal population
+    with rate * sigma above about 24.5) every log-weight is lowered by the
+    excess, which leaves the ratio and its standard error unchanged and
+    keeps their sums of squares finite.
 
     The standard error of the U estimate is the usual sample one; for P it
     comes from the delta method for ratio estimators,
     sum(w_i^2 (y_i - est)^2) / (sum w_i)^2.  Both formulas ignore the
     stratification, so the reported errors are conservative (upper bounds).
+    A sum that is not a number gives a standard error that is not a number.
 
     Draws are partitioned into fixed chunks with substreams derived from
     rng, and reduced in chunk order, so the result depends only on the seed,
-    never on the worker count.
+    never on the worker count.  The chunks are dealt to at most ``workers``
+    threads (never more than there are chunks), and each thread computes
+    its chunks in place in one workspace of chunk-sized buffers.
     """
     if n < 1:
         raise ValueError("mc_expected_errors: n must be positive")
@@ -335,19 +427,21 @@ def mc_expected_errors(pop: LossPopulation, cond: SelectionCondition, n: int,
         seed=rng.seed,
     )
 
+    # Rounding can leave a variance sum just below zero; only that is
+    # clamped, since max(0.0, nan) would turn a broken sum into 0.0.
     if cond.mode is SelectionMode.UNIFORM:
         tasks = [
-            (lambda i=i, st=st, sz=sz: _uniform_chunk(
-                pop, center, st, sz, n, rng.derive(f"u/chunk{i}")))
+            (lambda work, i=i, st=st, sz=sz: _uniform_chunk(
+                pop, center, st, sz, n, rng.derive(f"u/chunk{i}"), work))
             for i, (st, sz) in enumerate(zip(starts, sizes)) if sz > 0
         ]
-        parts = _run_chunks(tasks, workers)
+        parts = _run_chunks(tasks, workers, sizes[0])
         s1 = sum(p[0] for p in parts)
         s2 = sum(p[1] for p in parts)
         est = s1 / n
-        var = max(0.0, (s2 - n * est * est) / max(1, n - 1))
+        var = (s2 - n * est * est) / max(1, n - 1)
         report.mc_eu = est
-        report.mc_eu_stderr = math.sqrt(var / n)
+        report.mc_eu_stderr = math.sqrt((0.0 if var < 0.0 else var) / n)
         return report
 
     rate = cond.rate
@@ -358,23 +452,23 @@ def mc_expected_errors(pop: LossPopulation, cond: SelectionCondition, n: int,
     p_starts = [sum(p_sizes[:i]) for i in range(len(p_sizes))]
     t_starts = [sum(t_sizes[:i]) for i in range(len(t_sizes))]
     tasks = [
-        (lambda i=i: _tilted_chunk(
+        (lambda work, i=i: _tilted_chunk(
             pop, center, rate,
             (p_starts[i], p_sizes[i], n_pop),
             (t_starts[i], t_sizes[i], n_til),
-            rng.derive(f"p/chunk{i}")))
+            rng.derive(f"p/chunk{i}"), work))
         for i in range(_MC_CHUNKS) if p_sizes[i] + t_sizes[i] > 0
     ]
-    parts = _run_chunks(tasks, workers)
+    parts = _run_chunks(tasks, workers, p_sizes[0] + t_sizes[0])
     sw = sum(p[0] for p in parts)
     swy = sum(p[1] for p in parts)
     sw2 = sum(p[2] for p in parts)
     sw2y = sum(p[3] for p in parts)
     sw2y2 = sum(p[4] for p in parts)
     est = swy / sw
-    num = max(0.0, sw2y2 - 2.0 * est * sw2y + est * est * sw2)
+    num = sw2y2 - 2.0 * est * sw2y + est * est * sw2
     report.mc_ep = est
-    report.mc_ep_stderr = math.sqrt(num) / sw
+    report.mc_ep_stderr = math.sqrt(0.0 if num < 0.0 else num) / sw
     return report
 
 

@@ -1,11 +1,17 @@
 """Selection-condition error estimators and the distribution cycle loop."""
 
+import json
 import math
+import threading
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import erfcx, log_ndtr, ndtri, ndtri_exp
 
+from crucial import sampler
+from crucial.cli import main
 from crucial.numerics import SeededRng
 from crucial.sampler import (
     ErrorReport,
@@ -38,6 +44,79 @@ def tilted_moment(pdf, rate, power, lo, hi):
     z = quad(lambda x: math.exp(-rate * x) * pdf(x), lo, hi, limit=200)[0]
     m = quad(lambda x: (x ** power) * math.exp(-rate * x) * pdf(x), lo, hi, limit=200)[0]
     return m / z
+
+
+# Reference kernels: the allocating bodies the in-place sampler kernels
+# replaced, one new array per operation.  The in-place kernels must
+# reproduce their sums bit for bit.
+
+def ref_quantile(pop, u):
+    if pop.kind is PopulationKind.NORMAL:
+        return pop.mu + pop.sigma * ndtri(u)
+    return pop.mu + pop.sigma * ndtri(0.5 * (1.0 + u))
+
+
+def ref_tilted_quantile(pop, u, rate):
+    shift = pop.mu - rate * pop.sigma * pop.sigma
+    if pop.kind is PopulationKind.NORMAL:
+        return shift + pop.sigma * ndtri(u)
+    return shift - pop.sigma * ndtri_exp(np.log1p(-u) + log_ndtr(-rate * pop.sigma))
+
+
+def ref_log_tilt_ratio(pop, l, rate):
+    if pop.kind is PopulationKind.HALF_NORMAL:
+        return -rate * (l - pop.mu) - math.log(erfcx(rate * pop.sigma / math.sqrt(2.0)))
+    return -rate * (l - pop.mu) - 0.5 * (rate * pop.sigma) ** 2
+
+
+def ref_stratified_uniforms(start, size, n_total, generator):
+    u = (start + np.arange(size) + generator.random(size)) / n_total
+    return np.clip(u, sampler._U_MIN, sampler._U_MAX)
+
+
+def ref_uniform_chunk(pop, center, start, size, n_total, rng):
+    u = ref_stratified_uniforms(start, size, n_total, rng.generator)
+    y = (ref_quantile(pop, u) - center) ** 2
+    return float(np.sum(y)), float(np.sum(y * y))
+
+
+def ref_tilted_chunk(pop, center, rate, pop_block, til_block, rng):
+    gen = rng.generator
+    p_start, p_size, n_pop = pop_block
+    t_start, t_size, n_til = til_block
+    parts = []
+    if p_size:
+        parts.append(ref_quantile(pop, ref_stratified_uniforms(p_start, p_size, n_pop, gen)))
+    if t_size:
+        parts.append(ref_tilted_quantile(
+            pop, ref_stratified_uniforms(t_start, t_size, n_til, gen), rate))
+    l = np.concatenate(parts)
+    y = (l - center) ** 2
+    log_w = -rate * (l - center)
+    n_all = n_pop + n_til
+    if n_pop and n_til:
+        log_w = log_w - np.logaddexp(
+            math.log(n_pop / n_all),
+            math.log(n_til / n_all) + ref_log_tilt_ratio(pop, l, rate),
+        )
+    elif n_til:
+        log_w = log_w - ref_log_tilt_ratio(pop, l, rate)
+    w = np.exp(log_w)
+    wy = w * y
+    return (
+        float(np.sum(w)),
+        float(np.sum(wy)),
+        float(np.sum(w * w)),
+        float(np.sum(w * wy)),
+        float(np.sum(wy * wy)),
+    )
+
+
+def chunk_blocks(n):
+    """(start, size) of every chunk of n draws, as mc_expected_errors cuts them."""
+    sizes = sampler._chunk_sizes(n, sampler._MC_CHUNKS)
+    starts = [sum(sizes[:i]) for i in range(len(sizes))]
+    return [(st, sz) for st, sz in zip(starts, sizes)]
 
 
 class TestLossPopulation:
@@ -214,6 +293,99 @@ class TestFarTail:
                 assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(np.abs(want), 1.0))
 
 
+    @pytest.mark.parametrize("sigma", [13.0, 20.0])
+    def test_normal_heavy_tilt_weights_stay_finite(self, sigma, tmp_path):
+        # rate*sigma = 26 and 40: the P log-weights reach (rate*sigma)^2/2 + ln 2,
+        # so w^2 (at 26) or w itself (at 40) overflows unless they are shifted
+        pop = LossPopulation(PopulationKind.NORMAL, mu=0.0, sigma=sigma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = compare_conditions(pop, 2.0, 100_000, SeededRng(3))
+        assert math.isfinite(rep.mc_ep_stderr) and rep.mc_ep_stderr > 0.0
+        assert abs(rep.mc_ep - rep.analytic_ep) <= 3.0 * rep.mc_ep_stderr
+
+        def refuse(token):
+            raise ValueError(f"report holds {token}, which is not JSON")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["simulate", "--output-dir", str(tmp_path), "--n", "100000",
+                         "--populations", "normal", "--sigmas", f"{sigma:g}", "--rates", "2"])
+        report = json.loads((tmp_path / f"report_normal_s{sigma:g}_r2.json").read_text(),
+                            parse_constant=refuse)
+        assert code == 0 and report["checks"]["passed"] is True
+        assert report["ordering"]["mc"] == "u_beats_p"
+
+
+# (kind, sigma, rate) points for the kernel references.  The normal at
+# rate*sigma = 40 is left out: the reference overflows there, and the kernel
+# shifts its log-weights (TestFarTail covers that point).
+KERNEL_POINTS = [
+    (kind, sigma, rate)
+    for kind in PopulationKind for sigma in (0.1, 2.0, 20.0) for rate in (0.5, 2.0)
+    if not (kind is PopulationKind.NORMAL and sigma * rate > 24.0)
+]
+
+
+class TestInPlaceKernels:
+    """The workspace kernels against the allocating reference bodies."""
+
+    @pytest.mark.parametrize("kind,sigma,rate", KERNEL_POINTS)
+    def test_chunk_sums_are_bitwise_equal(self, kind, sigma, rate):
+        pop = LossPopulation(kind, mu=0.2, sigma=sigma)
+        center = pop.population_mean()
+        # One workspace for every call, so values left by an earlier chunk
+        # would show; each kernel also runs on its own fresh workspace.
+        work = sampler._workspace(600)
+
+        def check_uniform(start, size, n, name):
+            want = ref_uniform_chunk(pop, center, start, size, n, SeededRng(5).derive(name))
+            for w in (work, None):
+                got = sampler._uniform_chunk(pop, center, start, size, n,
+                                             SeededRng(5).derive(name), w)
+                assert got == want
+
+        def check_tilted(pop_block, til_block, name):
+            want = ref_tilted_chunk(pop, center, rate, pop_block, til_block,
+                                    SeededRng(5).derive(name))
+            for w in (work, None):
+                got = sampler._tilted_chunk(pop, center, rate, pop_block, til_block,
+                                            SeededRng(5).derive(name), w)
+                assert got == want
+
+        for n in (1, 2, 1001, 9000):    # n = 1 has no tilted draws
+            for i, (start, size) in enumerate(chunk_blocks(n)):
+                if size:
+                    check_uniform(start, size, n, f"u/{n}/{i}")
+            n_pop, n_til = (n + 1) // 2, n // 2
+            for i, ((ps, pz), (ts, tz)) in enumerate(zip(chunk_blocks(n_pop), chunk_blocks(n_til))):
+                if pz + tz:
+                    check_tilted((ps, pz, n_pop), (ts, tz, n_til), f"p/{n}/{i}")
+        # chunks with no population draws; n_pop = 0 takes the tilted-only branch
+        check_tilted((0, 0, 7), (3, 5, 8), "p/empty")
+        check_tilted((0, 0, 0), (3, 5, 8), "p/tilted-only")
+
+    @pytest.mark.parametrize("kind", list(PopulationKind))
+    def test_out_argument_matches_the_allocating_call(self, kind):
+        pop = LossPopulation(kind, mu=0.3, sigma=1.7)
+        u = np.random.default_rng(0).random(257)
+        calls = [
+            (lambda x, **kw: pop.quantile(x, **kw), ref_quantile(pop, u)),
+            (lambda x, **kw: pop.tilted_quantile(x, 1.3, **kw), ref_tilted_quantile(pop, u, 1.3)),
+            (lambda x, **kw: pop.log_tilt_ratio(x, 1.3, **kw), ref_log_tilt_ratio(pop, u, 1.3)),
+        ]
+        for call, want in calls:
+            before = u.tobytes()
+            fresh = call(u)
+            assert u.tobytes() == before
+            assert fresh.tobytes() == want.tobytes()
+            out = np.full_like(u, np.nan)
+            assert call(u, out=out) is out
+            assert out.tobytes() == want.tobytes()
+            alias = u.copy()
+            assert call(alias, out=alias) is alias
+            assert alias.tobytes() == want.tobytes()
+
+
 class TestMonteCarlo:
     def test_normal_hits_both_closed_forms(self):
         pop = LossPopulation(PopulationKind.NORMAL, mu=0.0, sigma=0.5)
@@ -245,12 +417,43 @@ class TestMonteCarlo:
         assert rep.analytic_eu < rep.analytic_ep
         assert rep.mc_ep + 3.0 * rep.mc_ep_stderr < rep.mc_eu - 3.0 * rep.mc_eu_stderr
 
-    def test_worker_count_is_invisible(self):
+    def test_worker_count_is_invisible(self, monkeypatch):
+        # distinct threads that ran chunks, per mc_expected_errors call
+        threads, per_call = set(), []
+        for name in ("_uniform_chunk", "_tilted_chunk"):
+            kernel = getattr(sampler, name)
+
+            def counted(*args, _kernel=kernel):
+                threads.add(threading.get_ident())
+                return _kernel(*args)
+            monkeypatch.setattr(sampler, name, counted)
+        one_condition = sampler.mc_expected_errors
+
+        def counted_condition(*args, **kwargs):
+            threads.clear()
+            report = one_condition(*args, **kwargs)
+            per_call.append(len(threads))
+            return report
+        monkeypatch.setattr(sampler, "mc_expected_errors", counted_condition)
         pop = LossPopulation(PopulationKind.HALF_NORMAL, mu=0.1, sigma=0.7)
-        a = compare_conditions(pop, 1.5, 50_000, SeededRng(7), workers=1)
-        b = compare_conditions(pop, 1.5, 50_000, SeededRng(7), workers=4)
-        assert (a.mc_eu, a.mc_eu_stderr, a.mc_ep, a.mc_ep_stderr) == (
-            b.mc_eu, b.mc_eu_stderr, b.mc_ep, b.mc_ep_stderr)
+        results = {}
+        for workers in (1, 2, 4, 32):
+            r = compare_conditions(pop, 1.5, 50_000, SeededRng(7), workers=workers)
+            results[workers] = (r.mc_eu, r.mc_eu_stderr, r.mc_ep, r.mc_ep_stderr)
+        assert len(set(results.values())) == 1
+        # a lane per requested worker would start 32 threads for 16 chunks
+        assert len(per_call) == 8 and per_call[:2] == [1, 1]
+        assert max(per_call) <= sampler._MC_CHUNKS
+
+    def test_a_nan_sum_gives_a_nan_stderr(self, monkeypatch):
+        # max(0.0, nan) is 0.0; a broken sum must not read as a zero error
+        pop = LossPopulation(PopulationKind.NORMAL, mu=0.0, sigma=1.0)
+        monkeypatch.setattr(sampler, "_uniform_chunk", lambda *a: (1.0, math.nan))
+        monkeypatch.setattr(sampler, "_tilted_chunk", lambda *a: (1.0, 1.0, 1.0, math.nan, 1.0))
+        for mode in SelectionMode:
+            rep = mc_expected_errors(pop, SelectionCondition(mode), 1_000, SeededRng(0))
+            se = rep.mc_eu_stderr if mode is SelectionMode.UNIFORM else rep.mc_ep_stderr
+            assert math.isnan(se)
 
     def test_same_seed_reproduces_and_seeds_differ(self):
         pop = LossPopulation(PopulationKind.NORMAL, mu=0.0, sigma=1.0)
