@@ -42,6 +42,7 @@ from .trainer import (
     TrainingDiverged,
     bwt,
     evaluate,
+    featurize,
     fwt,
     make_model,
     run_continuous,
@@ -284,8 +285,10 @@ def cmd_simulate(cfg: dict) -> int:
     n = int(cfg["n"])
     workers = int(cfg["workers"])
     tol = float(cfg["tolerance_se"])
-    if n < 1 or workers < 1:
-        raise ConfigError("n and workers must be positive")
+    if n < 2 or workers < 1:
+        raise ConfigError("n must be >= 2 (a standard error needs two draws) and workers >= 1")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ConfigError(f"key tolerance_se: must be finite and > 0, got {cfg['tolerance_se']}")
     master = SeededRng(int(cfg["seed"]))
 
     rows = []
@@ -421,7 +424,10 @@ def _make_datasets(cfg: dict, rng: SeededRng):
         path = str(cfg["csv_path"])
         if not path:
             raise ConfigError("dataset=csv requires csv_path")
-        result = load_csv(path)
+        try:
+            result = load_csv(path)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot load csv {path}: {exc}") from None
         if result.rejected:
             msgs = "; ".join(issue.message for issue in result.rejected[:5])
             raise ConfigError(f"csv rejected {len(result.rejected)} rows: {msgs}")
@@ -449,6 +455,8 @@ def _train_one(cfg: dict, run_seed: int, run_id: str, out_dir: str) -> dict:
         )
         model = make_model(str(cfg["model"]), int(cfg["window"]), n_outputs,
                            rng.derive("model"), hidden=tuple(hidden))
+        for ds in (train_ds, test_ds):  # bad data fails here, before any training
+            featurize(ds, model)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

@@ -45,9 +45,11 @@ __all__ = [
     "crucial_adp",
     "crucial_sin",
     "initial_epoch_state",
+    "kappa_and_value",
     "kappa_star",
     "modulate_epoch",
     "modulated_value",
+    "shell_value",
     "write_loss_trace",
 ]
 
@@ -207,12 +209,18 @@ def advance_epoch_adp(prev_losses, cfg: CrucialConfig, next_epoch_index: int = 1
     )
 
 
-def _kappa_and_value(losses: np.ndarray, threshold: float, lam: float,
-                     formula: KappaFormula):
-    """kappa_star and the shell value of every loss against one threshold.
+def shell_value(gap, lam, kappa):
+    """The shared shell kappa*gap + lam*(ln kappa)^2 over arrays, gap = l - eps."""
+    log_k = np.log(kappa)
+    return kappa * gap + lam * log_k * log_k
 
-    W is never evaluated on capped entries: they sit at or beyond the
-    branch point, where it is undefined or slow.
+
+def kappa_and_value(losses, threshold, lam, formula: KappaFormula):
+    """kappa_star and the shell value of every loss, as arrays.
+
+    This is the kernel every wrapper runs; losses, threshold and lam
+    broadcast against each other.  W is never evaluated on capped entries:
+    they sit at or beyond the branch point, where it is undefined or slow.
     """
     gap = losses - threshold
     beta = gap / lam
@@ -222,8 +230,7 @@ def _kappa_and_value(losses: np.ndarray, threshold: float, lam: float,
         kappa = np.where(capped, KAPPA_CAP, np.exp(-w))
     else:
         kappa = np.exp(-0.5 * lambert_w0_array(np.maximum(beta, W_DOMAIN_MIN)))
-    log_k = np.log(kappa)
-    return kappa, kappa * gap + lam * log_k * log_k
+    return kappa, shell_value(gap, lam, kappa)
 
 
 def _sin_cycle_factor(epoch: int, omega: float, phase: float) -> float:
@@ -258,7 +265,7 @@ def _sin_losses(losses: np.ndarray, epoch: int, mu_l: float, cfg: CrucialConfig)
         # lam_t -> 0 limit: survivors contribute nothing this epoch.
         kappa, threshold, value = np.zeros(n), 0.0, np.zeros(n)
     else:
-        kappa, value = _kappa_and_value(losses, thr, -math.log(f), cfg.kappa_formula)
+        kappa, value = kappa_and_value(losses, thr, -math.log(f), cfg.kappa_formula)
         threshold = thr
     return ModulatedLoss(
         input_loss=losses,
@@ -289,7 +296,7 @@ def modulate_epoch(losses, state: EpochState, cfg: CrucialConfig | None) -> Modu
         return _sin_losses(losses, state.epoch_index, mu, cfg)
     else:
         threshold = state.threshold if cfg.variant is Variant.ADP else cfg.threshold
-        kappa, value = _kappa_and_value(losses, threshold, cfg.lam, cfg.kappa_formula)
+        kappa, value = kappa_and_value(losses, threshold, cfg.lam, cfg.kappa_formula)
     return ModulatedLoss(losses, kappa, np.full(n, threshold), np.full(n, -math.inf),
                          value, np.ones(n, dtype=bool))
 

@@ -2,36 +2,30 @@
 
 Each suite returns (passed, detail) and is deterministic given a seed, so
 the CLI can emit a machine-readable pass/fail report and the test suite can
-assert the same facts.  The confidence-weight suites check the closed form
-against an independent golden-section minimizer of the raw objective
-kappa*(l - eps) + lam*(ln kappa)^2, never against the closed form itself.
+assert the same facts.  The Lambert W and confidence-weight suites run, over
+whole arrays of draws, the kernels that training runs: lambert_w0_array,
+loss.kappa_and_value and loss.shell_value, and modulate_epoch for the cycled
+variant.  The confidence weights are checked against an independent
+golden-section minimizer of the raw objective kappa*(l - eps) +
+lam*(ln kappa)^2, never against the closed form itself.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 from scipy.special import erfcx
 
 from .data import gen_drift_classification, gen_sine_regression, load_csv, save_csv
-from .loss import (
-    CrucialConfig,
-    KappaFormula,
-    Variant,
-    crucial_sin,
-    kappa_star,
-    modulated_value,
-)
-from .numerics import SeededRng, lambert_w0, loss_stats
+from .loss import (CrucialConfig, EpochState, KappaFormula, ModulatedLoss, Variant,
+                   kappa_and_value, modulate_epoch, shell_value)
+from .numerics import SeededRng, lambert_w0_array, loss_stats
 from .sampler import LossPopulation, PopulationKind
 from .trainer import forward_backward, make_model
 
-__all__ = [
-    "SUITES",
-    "golden_section_min",
-    "run_suites",
-]
+__all__ = ["SUITES", "golden_section_min", "run_suites"]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -63,21 +57,23 @@ def _shell(loss, threshold, lam):
     return lambda k: k * (loss - threshold) + lam * math.log(k) ** 2
 
 
+def _draws(rng: SeededRng, name: str, lows, highs, n: int = 1000):
+    """n draws of each uniform on [lows[j], highs[j]), one array per j."""
+    return rng.derive(name).generator.uniform(lows, highs, (n, len(lows))).T
+
+
 def suite_lambert_w_residual(rng: SeededRng, formula: KappaFormula):
     """Max |w*exp(w) - x| over 10^4 grid points in [-1/e, 10] is <= 1e-12."""
     xs = np.linspace(-math.exp(-1.0), 10.0, 10_000)
-    worst = 0.0
-    for x in xs:
-        w = lambert_w0(float(x))
-        worst = max(worst, abs(w * math.exp(w) - float(x)))
+    w = lambert_w0_array(xs)
+    worst = float(np.max(np.abs(w * np.exp(w) - xs)))
     return worst <= 1e-12, f"max residual {worst:.3e} over 10^4 grid points"
 
 
 def suite_lambert_w_monotonic(rng: SeededRng, formula: KappaFormula):
     """W is strictly increasing on its domain (checked on a dense grid)."""
-    xs = np.linspace(-math.exp(-1.0), 10.0, 4_000)
-    ws = [lambert_w0(float(x)) for x in xs]
-    bad = sum(1 for a, b in zip(ws, ws[1:]) if not b > a)
+    ws = lambert_w0_array(np.linspace(-math.exp(-1.0), 10.0, 4_000))
+    bad = int(np.count_nonzero(~(ws[1:] > ws[:-1])))
     return bad == 0, f"{bad} non-increasing steps on 4000-point grid"
 
 
@@ -119,21 +115,17 @@ def suite_kappa_argmin_oracle(rng: SeededRng, formula: KappaFormula):
     1000 random (l, eps, lam in [1e-3, 1]) triples must agree to 1e-6 in
     kappa; kappa(l = eps) must be exactly 1; the capped region at
     beta <= -2/e must return exactly e (the boundary is the constrained
-    minimizer there, which the bounded oracle confirms).
+    minimizer there, which the bounded oracle confirms).  The oracle stays
+    scalar on purpose: it shares no code with the kernel.
     """
-    gen = rng.derive("kappa-argmin").generator
-    worst = 0.0
-    for _ in range(1000):
-        l = float(gen.uniform(0.0, 2.0))
-        eps = float(gen.uniform(0.0, 2.0))
-        lam = float(gen.uniform(1e-3, 1.0))
-        k = kappa_star(l, eps, lam, formula)
-        k_oracle = golden_section_min(_shell(l, eps, lam), 1e-8, math.e)
-        worst = max(worst, abs(k - k_oracle))
-    exact_one = kappa_star(1.25, 1.25, 0.01, formula) == 1.0
-    capped = kappa_star(0.0, 2.0 * 0.01 / math.e + 1e-9, 0.01, formula) == math.e
-    ok = worst <= 1e-6 and exact_one and capped
-    return ok, (
+    l, eps, lam = _draws(rng, "kappa-argmin", [0.0, 0.0, 1e-3], [2.0, 2.0, 1.0])
+    oracle = [golden_section_min(_shell(*t), 1e-8, math.e)
+              for t in np.column_stack((l, eps, lam)).tolist()]
+    worst = float(np.max(np.abs(kappa_and_value(l, eps, lam, formula)[0] - oracle)))
+    edge = kappa_and_value(np.array([1.25, 0.0]), np.array([1.25, 2.0 * 0.01 / math.e + 1e-9]),
+                           0.01, formula)[0]
+    exact_one, capped = bool(edge[0] == 1.0), bool(edge[1] == math.e)
+    return worst <= 1e-6 and exact_one and capped, (
         f"max |closed form - golden section| {worst:.3e}; "
         f"exact 1 at l=eps: {exact_one}; cap==e below -2/e: {capped}"
     )
@@ -141,48 +133,29 @@ def suite_kappa_argmin_oracle(rng: SeededRng, formula: KappaFormula):
 
 def suite_property1_translation(rng: SeededRng, formula: KappaFormula):
     """Adding C to both loss and threshold changes nothing (to 1e-12)."""
-    gen = rng.derive("p1").generator
-    worst = 0.0
-    for _ in range(1000):
-        l = float(gen.uniform(0.0, 2.0))
-        eps = float(gen.uniform(0.0, 2.0))
-        lam = float(gen.uniform(1e-3, 1.0))
-        c = float(gen.uniform(-5.0, 5.0))
-        k0 = kappa_star(l, eps, lam, formula)
-        k1 = kappa_star(l + c, eps + c, lam, formula)
-        v0 = modulated_value(l, eps, lam, k0)
-        v1 = modulated_value(l + c, eps + c, lam, k1)
-        worst = max(worst, abs(k1 - k0), abs(v1 - v0))
+    l, eps, lam, c = _draws(rng, "p1", [0.0, 0.0, 1e-3, -5.0], [2.0, 2.0, 1.0, 5.0])
+    drift = np.subtract(kappa_and_value(l + c, eps + c, lam, formula),
+                        kappa_and_value(l, eps, lam, formula))
+    worst = float(np.max(np.abs(drift)))
     return worst <= 1e-12, f"max translation drift {worst:.3e} over 1000 draws"
 
 
 def suite_property2_homogeneity(rng: SeededRng, formula: KappaFormula):
     """(C*l, C*eps, C*lam) scales the value by exactly C (1e-10 relative)."""
-    gen = rng.derive("p2").generator
-    worst = 0.0
-    for _ in range(1000):
-        l = float(gen.uniform(0.0, 2.0))
-        eps = float(gen.uniform(0.0, 2.0))
-        lam = float(gen.uniform(1e-3, 1.0))
-        c = float(gen.uniform(0.1, 10.0))
-        k0 = kappa_star(l, eps, lam, formula)
-        v0 = modulated_value(l, eps, lam, k0)
-        k1 = kappa_star(c * l, c * eps, c * lam, formula)
-        v1 = modulated_value(c * l, c * eps, c * lam, k1)
-        denom = max(abs(c * v0), 1e-30)
-        worst = max(worst, abs(v1 - c * v0) / denom)
+    l, eps, lam, c = _draws(rng, "p2", [0.0, 0.0, 1e-3, 0.1], [2.0, 2.0, 1.0, 10.0])
+    cv0 = c * kappa_and_value(l, eps, lam, formula)[1]
+    v1 = kappa_and_value(c * l, c * eps, c * lam, formula)[1]
+    worst = float(np.max(np.abs(v1 - cv0) / np.maximum(np.abs(cv0), 1e-30)))
     return worst <= 1e-10, f"max relative homogeneity defect {worst:.3e}"
 
 
 def suite_property3_unit_confidence(rng: SeededRng, formula: KappaFormula):
-    """Forcing kappa = 1 reduces the shell to l - eps exactly."""
-    gen = rng.derive("p3").generator
-    for _ in range(1000):
-        l = float(gen.uniform(-2.0, 2.0))
-        eps = float(gen.uniform(-2.0, 2.0))
-        lam = float(gen.uniform(1e-3, 1.0))
-        if modulated_value(l, eps, lam, 1.0) != l - eps:
-            return False, f"value != l - eps at l={l}, eps={eps}, lam={lam}"
+    """Forcing kappa = 1 reduces the kernel's shell to l - eps exactly."""
+    l, eps, lam = _draws(rng, "p3", [-2.0, -2.0, 1e-3], [2.0, 2.0, 1.0])
+    ok = shell_value(l - eps, lam, 1.0) == l - eps
+    if not ok.all():
+        i = np.argmin(ok)
+        return False, f"value != l - eps at l={l[i]}, eps={eps[i]}, lam={lam[i]}"
     return True, "value == l - eps exactly on 1000 draws"
 
 
@@ -193,54 +166,57 @@ def suite_property4_differentiated_scaling(rng: SeededRng, formula: KappaFormula
     so neither side degenerates to the l = eps fixed point):
     L_i/(l_i - eps) > L_j/(l_j - eps) and kappa_i > 1 > kappa_j.
     """
-    gen = rng.derive("p4").generator
-    lam = 0.01
-    for _ in range(1000):
-        eps = float(gen.uniform(0.5, 1.5))
-        l_easy = eps - float(gen.uniform(0.01, eps * 0.98))
-        l_hard = eps + float(gen.uniform(0.01, 2.0))
-        k_e = kappa_star(l_easy, eps, lam, formula)
-        k_h = kappa_star(l_hard, eps, lam, formula)
-        r_e = modulated_value(l_easy, eps, lam, k_e) / (l_easy - eps)
-        r_h = modulated_value(l_hard, eps, lam, k_h) / (l_hard - eps)
-        if not (r_e > r_h and k_e > 1.0 > k_h):
-            return False, (
-                f"violated at eps={eps:.4f}, l_i={l_easy:.4f}, l_j={l_hard:.4f}: "
-                f"ratios {r_e:.6f} vs {r_h:.6f}, kappas {k_e:.6f} vs {k_h:.6f}"
-            )
+    # uniform(low, high) = low + (high - low) * u: eps on [0.5, 1.5), the
+    # easy gap on [0.01, 0.98 eps), the hard gap on [0.01, 2).
+    u = rng.derive("p4").generator.random((1000, 3))
+    eps = 0.5 + (1.5 - 0.5) * u[:, 0]
+    l = np.stack([eps - (0.01 + (eps * 0.98 - 0.01) * u[:, 1]),
+                  eps + (0.01 + (2.0 - 0.01) * u[:, 2])])
+    (k_e, k_h), value = kappa_and_value(l, eps, 0.01, formula)
+    r_e, r_h = value / (l - eps)
+    ok = (r_e > r_h) & (k_e > 1.0) & (1.0 > k_h)
+    if not ok.all():
+        i = np.argmin(ok)
+        return False, (
+            f"violated at eps={eps[i]:.4f}, l_i={l[0, i]:.4f}, l_j={l[1, i]:.4f}: "
+            f"ratios {r_e[i]:.6f} vs {r_h[i]:.6f}, kappas {k_e[i]:.6f} vs {k_h[i]:.6f}"
+        )
     return True, "ratio ordering and kappa bracketing held on 1000 pairs"
 
 
 def suite_sin_period_identity(rng: SeededRng, formula: KappaFormula):
-    """omega = pi/4 outputs at epochs t and t+4 are bit-identical."""
+    """omega = pi/4 outputs at epochs t and t+4 are bit-identical, for 25
+    epochs t in [0, 64), each with its own fixed mu and 10 losses."""
     gen = rng.derive("sin-period").generator
     cfg = CrucialConfig(variant=Variant.SIN, omega=math.pi / 4.0, phase=0.0,
                         kappa_formula=formula)
-    for _ in range(250):
-        loss = float(gen.uniform(0.0, 3.0))
-        mu = float(gen.uniform(0.2, 2.0))
-        t = int(gen.integers(0, 64))
-        a = crucial_sin(loss, t, mu, cfg)
-        b = crucial_sin(loss, t + 4, mu, cfg)
-        if a != b:
-            return False, f"epoch {t} vs {t + 4} differ for loss={loss}, mu={mu}"
+    losses, mus = gen.uniform(0.0, 3.0, (25, 10)), gen.uniform(0.2, 2.0, 25).tolist()
+    for loss, mu, t in zip(losses, mus, gen.integers(0, 64, 25).tolist()):
+        at = replace(cfg, mu_fixed=mu)
+        a, b = (modulate_epoch(loss, EpochState(e, 0.0), at) for e in (t, t + 4))
+        differ = np.logical_or.reduce([getattr(a, f.name) != getattr(b, f.name)
+                                       for f in fields(ModulatedLoss)])
+        if differ.any():
+            i = np.argmax(differ)
+            return False, f"epoch {t} vs {t + 4} differ for loss={loss[i]}, mu={mu}"
     return True, "250 random (loss, mu, epoch) draws bit-identical at t and t+4"
 
 
 def suite_kappa_bounds(rng: SeededRng, formula: KappaFormula):
-    """0 < kappa <= e for every finite input, across all variants."""
-    gen = rng.derive("kappa-bounds").generator
+    """0 < kappa <= e for every finite input, across all variants; the
+    cycled variant weighs |l| at each epoch of [0, 16), mu the epoch mean."""
+    l, eps, lam = _draws(rng, "kappa-bounds", [-10.0, -10.0, 1e-4], [10.0, 10.0, 10.0])
+    k = kappa_and_value(l, eps, lam, formula)[0]
+    ok = (0.0 < k) & (k <= math.e)
+    if not ok.all():
+        i = np.argmin(ok)
+        return False, f"kappa_star out of (0, e]: {k[i]} at l={l[i]}, eps={eps[i]}, lam={lam[i]}"
     cfg = CrucialConfig(variant=Variant.SIN, kappa_formula=formula)
-    for _ in range(1000):
-        l = float(gen.uniform(-10.0, 10.0))
-        eps = float(gen.uniform(-10.0, 10.0))
-        lam = float(gen.uniform(1e-4, 10.0))
-        k = kappa_star(l, eps, lam, formula)
-        if not (0.0 < k <= math.e):
-            return False, f"kappa_star out of (0, e]: {k} at l={l}, eps={eps}, lam={lam}"
-        m = crucial_sin(abs(l), int(gen.integers(0, 16)), abs(eps) + 0.1, cfg)
-        if not (0.0 <= m.kappa <= math.e):
-            return False, f"cycled kappa out of [0, e]: {m.kappa}"
+    cycled = np.concatenate([modulate_epoch(np.abs(l), EpochState(t, 0.0), cfg).kappa
+                             for t in range(16)])
+    out = cycled[~((0.0 <= cycled) & (cycled <= math.e))]
+    if out.size:
+        return False, f"cycled kappa out of [0, e]: {out[0]}"
     return True, "all weights inside (0, e] (0 only as the explicit flag)"
 
 

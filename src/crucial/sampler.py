@@ -400,6 +400,7 @@ def mc_expected_errors(pop: LossPopulation, cond: SelectionCondition, n: int,
     sum(w_i^2 (y_i - est)^2) / (sum w_i)^2.  Both formulas ignore the
     stratification, so the reported errors are conservative (upper bounds).
     A sum that is not a number gives a standard error that is not a number.
+    n must be at least 2: one draw has no sample standard error.
 
     Draws are partitioned into fixed chunks with substreams derived from
     rng, and reduced in chunk order, so the result depends only on the seed,
@@ -407,8 +408,8 @@ def mc_expected_errors(pop: LossPopulation, cond: SelectionCondition, n: int,
     threads (never more than there are chunks), and each thread computes
     its chunks in place in one workspace of chunk-sized buffers.
     """
-    if n < 1:
-        raise ValueError("mc_expected_errors: n must be positive")
+    if n < 2:
+        raise ValueError("mc_expected_errors: n must be >= 2 for a standard error")
     center = pop.population_mean()
     sizes = _chunk_sizes(n, _MC_CHUNKS)
     starts = [sum(sizes[:i]) for i in range(len(sizes))]

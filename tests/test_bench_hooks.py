@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from crucial import loss, trainer
+from crucial import loss, properties, trainer
 from crucial.numerics import SeededRng
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -79,3 +79,15 @@ def test_trace_writer_span_counts_the_rows_it_writes(tmp_path):
     rows = path.read_text(encoding="utf-8").count("\n") - 1
     assert tracer.counters["write_loss_trace.rows"] == rows == n
     assert tracer.counters["write_loss_trace.bytes"] == path.stat().st_size
+
+
+def test_traced_suites_report_what_untraced_ones_do():
+    # The tracer rebinds every SUITES entry and counts kappa_star hits with a
+    # scalar comparison; a traced run must still complete and agree.
+    untraced = properties.run_suites(0)
+    with _installed() as tracer:
+        traced = properties.run_suites(0)
+    names = [span[1] for span in tracer.spans]
+    assert names.count("properties.run_suites") == 1
+    assert all(names.count(f"properties.suite.{name}") == 1 for name in properties.SUITES)
+    assert traced == untraced

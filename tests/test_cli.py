@@ -371,3 +371,39 @@ class TestTrain:
                    "--omega", str(math.pi / 4.0), *self.FAST)
         assert code == 0
         capsys.readouterr()
+
+
+_HEADER = "id,label,v1,v2,v3\r\n"
+_CSV = ("train", "--dataset", "csv")
+_SINGLE = ("--task", "single_shot")
+# case -> (argv, text of the file that a csv dataset reads; None: no file)
+_BAD_INPUTS = {
+    "csv_missing": (_CSV, None),
+    "csv_bad_header": (_CSV, "id,lab,v1,v2\r\n0,1,0.1,0.2\r\n"),
+    "csv_multivariate": (_CSV + _SINGLE,
+                         "id,label,v1_d1,v1_d2,v2_d1,v2_d2\r\n0,1,0.1,0.2,0.3,0.4\r\n"),
+    "csv_empty_label": (_CSV + _SINGLE, _HEADER + "0,1,0.1,0.2,0.3\r\n1,,0.1,0.2,0.3\r\n"),
+    "csv_header_only": (_CSV, _HEADER),
+    "csv_label_out_of_range": (_CSV + _SINGLE,
+                               _HEADER + "0,1,0.1,0.2,0.3\r\n1,2,0.1,0.2,0.3\r\n"),
+    "sine_single_shot": (("train", "--dataset", "sine") + _SINGLE, None),
+    "simulate_one_draw_far_tail": (("simulate", "--n", "1", "--sigmas", "300", "--rates", "2",
+                                    "--seed", "3"), None),
+    "simulate_one_draw": (("simulate", "--n", "1"), None),
+    "simulate_nan_tolerance": (("simulate", "--tolerance-se", "nan"), None),
+    "simulate_negative_tolerance": (("simulate", "--tolerance-se", "-1"), None),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_INPUTS))
+def test_bad_input_exits_two_without_a_traceback(tmp_path, capsys, case):
+    argv, text = _BAD_INPUTS[case]
+    csv_path = tmp_path / "data.csv"
+    if text is not None:
+        csv_path.write_bytes(text.encode("utf-8"))
+    if argv[:3] == _CSV:
+        argv += ("--csv-path", str(csv_path))
+    assert run(*argv, "--output-dir", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err

@@ -20,9 +20,11 @@ from crucial.loss import (
     crucial_adp,
     crucial_sin,
     initial_epoch_state,
+    kappa_and_value,
     kappa_star,
     modulate_epoch,
     modulated_value,
+    shell_value,
     write_loss_trace,
 )
 from crucial.numerics import W_DOMAIN_MIN, SeededRng
@@ -282,6 +284,18 @@ class TestModulateEpoch:
                 assert m.kappa[-1] == KAPPA_CAP
             values = [modulated_value(float(l), thr, lam, float(k)) for l, k in zip(losses, m.kappa)]
             assert np.max(np.abs(m.value - values)) <= 1e-12
+
+    @pytest.mark.parametrize("formula", list(KappaFormula))
+    def test_kernel_broadcasts_threshold_and_lam_per_entry(self, formula):
+        gen = SeededRng(4).generator
+        thr = gen.uniform(0.0, 2.0, self.LOSSES.size)
+        lam = gen.uniform(1e-3, 1.0, self.LOSSES.size)
+        kappa, value = kappa_and_value(self.LOSSES, thr, lam, formula)
+        for i, l in enumerate(self.LOSSES.tolist()):
+            one = modulate_epoch([l], initial_epoch_state(), CrucialConfig(
+                Variant.BASELINE, lam=float(lam[i]), threshold=float(thr[i]), kappa_formula=formula))
+            assert (kappa[i], value[i]) == (one.kappa[0], one.value[0])
+        assert value.tobytes() == shell_value(self.LOSSES - thr, lam, kappa).tobytes()
 
     def test_adp_and_baseline_match_the_per_sample_wrappers(self):
         cfg = CrucialConfig(Variant.ADP, lam=0.01)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from crucial import properties
+from crucial import loss, properties
 from crucial.data import CsvLoadResult, Dataset
 from crucial.loss import KappaFormula
 from crucial.properties import SUITES, golden_section_min, run_suites
@@ -59,6 +59,22 @@ class TestRunSuites:
         a = run_suites(7, names=["kappa_argmin_oracle", "property4_differentiated_scaling"])
         b = run_suites(7, names=["kappa_argmin_oracle", "property4_differentiated_scaling"])
         assert a == b
+
+
+class TestSuitesRunTheTrainingKernel:
+    def test_a_kernel_off_by_1e_5_fails_the_oracle(self, monkeypatch):
+        # The suites must check the array kernel that modulate_epoch runs,
+        # not a scalar twin: scaling its kappa has to show.
+        real = loss.kappa_and_value
+
+        def off(losses, threshold, lam, formula):
+            kappa, value = real(losses, threshold, lam, formula)
+            return kappa * (1.0 - 1e-5), value
+
+        for module in (loss, properties):
+            monkeypatch.setattr(module, "kappa_and_value", off)
+        report = run_suites(0)
+        assert report["kappa_argmin_oracle"]["passed"] is False
 
 
 class TestCsvRoundTripSuite:

@@ -494,9 +494,11 @@ class TestMonteCarlo:
         assert (both.rate, both.n_samples, both.seed) == (2.0, 1_000, 2)
 
     def test_n_validation(self):
+        # One draw has no sample standard error, under either condition.
         pop = LossPopulation(PopulationKind.NORMAL, mu=0.0, sigma=1.0)
-        with pytest.raises(ValueError):
-            mc_expected_errors(pop, SelectionCondition(SelectionMode.UNIFORM), 0, SeededRng(0))
+        for n, mode in [(0, SelectionMode.UNIFORM)] + [(1, m) for m in SelectionMode]:
+            with pytest.raises(ValueError, match="n must be >= 2"):
+                mc_expected_errors(pop, SelectionCondition(mode), n, SeededRng(0))
 
 
 class TestCycleSim:
