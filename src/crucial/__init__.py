@@ -6,7 +6,9 @@ The package has four layers:
   moments, and a platform-stable seeded random source.
 * ``loss``     -- the confidence-weighted loss family: closed-form confidence
   weights and the skewness-adaptive and sinusoidally cycled variants, over a
-  whole epoch's losses at once (``modulate_epoch``) or one sample at a time.
+  whole epoch's losses at once (``modulate_epoch``) or one sample at a time,
+  and the loss-trace writer, whose chunk formatter ``tracetext`` also runs
+  in bare helper interpreters, one per further usable CPU.
 * ``sampler``  -- expected squared sampling error under uniform versus
   exponentially tilted selection, analytic and Monte Carlo, plus a toy
   selection/decay population simulator.

@@ -463,6 +463,9 @@ def _train_one(cfg: dict, run_seed: int, run_id: str, out_dir: str) -> dict:
     metrics_rows = []
     if task_name == "continuous":
         cuts = _int_list(str(cfg["cuts"]), "cuts")
+        if len(cuts) < 2:  # a transfer matrix needs at least two stages
+            raise ConfigError(f"key cuts: the continuous task needs at least 2 cuts, "
+                              f"got {len(cuts)}")
         try:
             prefixes = make_prefixes(train_ds, cuts)
         except ValueError as exc:

@@ -20,16 +20,28 @@ Two schedules move the threshold:
   plain centered loss when F returns to 0.
 
 Logs are natural throughout.
+
+write_loss_trace records every sample's weight, threshold and value in every
+epoch as CSV.  Long traces are formatted on every CPU the process may use:
+the rows are split into contiguous ranges, the first formatted here and each
+other one by a bare helper interpreter running crucial.tracetext, and the
+file is byte-identical to a one-process write.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import shutil
+import subprocess
+import sys
 from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 
+from . import tracetext
 from .numerics import W_DOMAIN_MIN, lambert_w0, lambert_w0_array, loss_stats
 
 __all__ = [
@@ -61,9 +73,14 @@ CAP_BETA = -2.0 * math.exp(-1.0)
 # sin^2 factors closer than this to 0 or 1 take the exact limit branches.
 _F_EPS = 1e-12
 
-# The loss-trace writer formats this many rows at a time; one chunk's text
-# is the writer's working memory.
-_TRACE_CHUNK_ROWS = 1024
+# The loss-trace writer gives each lane at least this many rows: a helper
+# interpreter takes about 15 ms to start and a row about 5 us to format
+# (2-core VM, Python 3.11), so a smaller range is done sooner in-process.
+_TRACE_MIN_LANE_ROWS = 8192
+# A helper keeps its range's input and text until it is done, about 150
+# bytes a row, so a lane takes at most this many rows (about 40 MB) at a time.
+_TRACE_MAX_LANE_ROWS = 1 << 18
+_TRACE_HELPER = (sys.executable, "-I", "-S", tracetext.__file__)
 
 
 class Variant(str, Enum):
@@ -349,36 +366,85 @@ def baseline_confidence_loss(loss: float, threshold: float, lam: float,
     return _single(modulate_epoch([loss], initial_epoch_state(), cfg))
 
 
-def write_loss_trace(path, epochs, sample_ids, modulated: ModulatedLoss) -> None:
-    """Write one CSV row per sample-epoch.
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
-    epochs, sample_ids and every field of modulated hold one entry per row.
-    Columns are (epoch, sample_id, input_loss, kappa, threshold, value,
-    selected); floats are written with repr so a reload round-trips
-    bit-exactly, and every line ends in \\r\\n.  Rows are formatted and
-    written one chunk at a time, so the writer's memory is bounded by the
-    chunk, however long the trace is.
+
+def _write_trace_rows(fh, cols, start: int, stop: int) -> None:
+    """Write the text of rows [start, stop) to fh, one contiguous range per lane.
+
+    This process formats the first range; each other range goes to a helper
+    interpreter that is sent its rows as raw column buffers straight from
+    the arrays.  The helpers' text is then copied into fh in row order.
+    """
+    n = stop - start
+    lanes = max(1, min(_usable_cpus(), n // _TRACE_MIN_LANE_ROWS))
+    bounds = [start + n * i // lanes for i in range(lanes + 1)]
+    helpers = []
+    try:
+        for _ in range(lanes - 1):  # all started before any is fed, so start-ups overlap
+            helpers.append(subprocess.Popen(_TRACE_HELPER, stdin=subprocess.PIPE,
+                                            stdout=subprocess.PIPE))
+        for proc, a, b in zip(helpers, bounds[1:], bounds[2:]):
+            try:
+                proc.stdin.writelines(c[a:b] for c in cols)
+                proc.stdin.close()
+            except BrokenPipeError:
+                pass  # the helper has gone; its exit status is checked below
+        fh.writelines(tracetext.encoded_chunks(cols, cols[4].view(np.int64), start, bounds[1]))
+        for proc in helpers:
+            shutil.copyfileobj(proc.stdout, fh)
+            if proc.wait() != 0:
+                raise RuntimeError(f"write_loss_trace: a helper lane exited with "
+                                   f"status {proc.returncode}")
+    finally:
+        for proc in helpers:
+            proc.kill()  # a no-op once the helper has been waited for
+            for pipe in (proc.stdin, proc.stdout):
+                with contextlib.suppress(BrokenPipeError):  # input a dead helper never read
+                    pipe.close()
+            proc.wait()
+
+
+def write_loss_trace(path, epochs, sample_ids, modulated: ModulatedLoss) -> None:
+    """Write one CSV row per sample-epoch, formatting on every usable CPU.
+
+    epochs and sample_ids hold integers (anything else raises ValueError
+    naming the column), and they and every field of modulated hold one entry
+    per row.  Columns are (epoch, sample_id, input_loss, kappa, threshold,
+    value, selected); floats are written with repr so a reload round-trips
+    bit-exactly, and every line ends in \\r\\n.
+
+    The rows are split into contiguous ranges, one per lane: this process
+    and one helper interpreter (crucial.tracetext, standard library only)
+    per further CPU, with at least _TRACE_MIN_LANE_ROWS rows per lane, so
+    short traces never leave the process.  This process formats the first
+    range and copies the helpers' text into the file in row order, so the
+    bytes are the same for any number of lanes.  Every lane formats
+    CHUNK_ROWS rows at a time; this process holds one chunk's text at a
+    time, and a helper its whole range's, so traces longer than
+    _TRACE_MAX_LANE_ROWS rows per lane are written in blocks of that many.
+    A helper that fails makes this raise RuntimeError, and no helper
+    outlives the call.
     """
     m = modulated
     cols = [np.asarray(c) for c in (epochs, sample_ids, m.input_loss, m.kappa,
                                     m.threshold, m.value, m.selected)]
     if len({c.shape for c in cols}) != 1 or cols[0].ndim != 1:
         raise ValueError("write_loss_trace: columns disagree on the number of rows")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("epoch,sample_id,input_loss,kappa,threshold,value,selected\r\n")
-        for start in range(0, cols[0].size, _TRACE_CHUNK_ROWS):
-            epoch, sample_id, loss, kappa, threshold, value, selected = (
-                c[start:start + _TRACE_CHUNK_ROWS] for c in cols)
-            # The threshold holds at most two values per epoch: repr each
-            # distinct bit pattern once (bits, not values, keep -0.0 apart
-            # from 0.0).
-            bits, index = np.unique(threshold.astype(np.float64).view(np.uint64),
-                                    return_inverse=True)
-            threshold_text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-            loss, kappa, value = (list(map(repr, c.astype(np.float64).tolist()))
-                                  for c in (loss, kappa, value))
-            fh.writelines(map(",".join, zip(
-                list(map(str, epoch.tolist())), list(map(str, sample_id.tolist())),
-                loss, kappa, threshold_text[index].tolist(), value,
-                np.where(selected, "true\r\n", "false\r\n").tolist(),
-            )))
+    for name, c in zip(("epochs", "sample_ids"), cols):
+        if c.dtype.kind not in "iu" or not np.can_cast(c.dtype, np.int64):
+            raise ValueError(f"write_loss_trace: {name} must hold int64 integers, "
+                             f"not {c.dtype}")
+    cols[-1] = cols[-1].astype(bool, copy=False)
+    cols = [np.ascontiguousarray(c, dtype=code) for c, (_, code) in zip(cols, tracetext.COLUMNS)]
+    n = cols[0].size
+    block = _usable_cpus() * _TRACE_MAX_LANE_ROWS
+    with open(path, "wb") as fh:
+        fh.write(tracetext.HEADER)
+        for start in range(0, n, block):
+            _write_trace_rows(fh, cols, start, min(start + block, n))

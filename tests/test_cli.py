@@ -387,6 +387,8 @@ _BAD_INPUTS = {
     "csv_label_out_of_range": (_CSV + _SINGLE,
                                _HEADER + "0,1,0.1,0.2,0.3\r\n1,2,0.1,0.2,0.3\r\n"),
     "sine_single_shot": (("train", "--dataset", "sine") + _SINGLE, None),
+    "continuous_one_cut": (("train", "--task", "continuous", "--dataset", "drift",
+                            "--cuts", "16"), None),
     "simulate_one_draw_far_tail": (("simulate", "--n", "1", "--sigmas", "300", "--rates", "2",
                                     "--seed", "3"), None),
     "simulate_one_draw": (("simulate", "--n", "1"), None),

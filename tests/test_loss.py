@@ -2,11 +2,15 @@
 
 import csv
 import math
+import signal
+import subprocess
+import sys
 from dataclasses import astuple
 
 import numpy as np
 import pytest
 
+import crucial.loss as loss_module
 from crucial.loss import (
     CAP_BETA,
     KAPPA_CAP,
@@ -28,6 +32,7 @@ from crucial.loss import (
     write_loss_trace,
 )
 from crucial.numerics import W_DOMAIN_MIN, SeededRng
+from crucial.tracetext import CHUNK_ROWS
 
 
 def golden_min(f, lo, hi, tol=1e-12):
@@ -471,3 +476,123 @@ class TestTraceMatchesCsvReference:
         m = modulate_epoch(losses, EpochState(epoch_index=1, threshold=0.0), cfg)
         assert 0 < int(m.selected.sum()) < losses.size
         self.assert_same_bytes(tmp_path, np.full(losses.size, 1), np.arange(losses.size), m)
+
+
+MIN_LANE_ROWS = loss_module._TRACE_MIN_LANE_ROWS
+SPECIAL = np.array([math.nan, math.inf, -math.inf, 5e-324, -0.0, 0.0, 1e16, 0.1])
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """Every process started through subprocess.Popen during the test, in order."""
+    procs = []
+    real_popen = subprocess.Popen
+
+    def recording_popen(*args, **kwargs):
+        procs.append(real_popen(*args, **kwargs))
+        return procs[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", recording_popen)
+    return procs
+
+
+def lane_splits(n, lanes):
+    return [n * i // lanes for i in range(1, lanes)]
+
+
+def record_with_specials_at_splits(n, lanes):
+    """A record whose float columns hold every special value on both sides of each split."""
+    m = random_record(n, n, thresholds=(-0.0, 0.0))
+    for split in lane_splits(n, lanes):
+        rows = slice(split - SPECIAL.size // 2, split + SPECIAL.size // 2)
+        for column, shift in ((m.input_loss, 0), (m.kappa, 3), (m.threshold, 5), (m.value, 6)):
+            column[rows] = np.roll(SPECIAL, shift)
+    return m
+
+
+class TestTraceLanes:
+    """Traces long enough to be split between this process and helper processes."""
+
+    assert_same_bytes = TestTraceMatchesCsvReference.assert_same_bytes
+
+    @pytest.mark.parametrize("lanes, n, split_at_chunk_edge", [
+        (2, 2 * MIN_LANE_ROWS, True),
+        (2, 2 * MIN_LANE_ROWS + 1, True),            # odd total
+        (2, 2 * MIN_LANE_ROWS + 1001, False),         # odd total, split inside a chunk
+        (3, 3 * MIN_LANE_ROWS + 7, False),
+    ])
+    def test_lanes_write_the_csv_reference_bytes(self, tmp_path, monkeypatch, started,
+                                                 lanes, n, split_at_chunk_edge):
+        monkeypatch.setattr(loss_module, "_usable_cpus", lambda: lanes)
+        splits = lane_splits(n, lanes)
+        assert all((s % CHUNK_ROWS == 0) == split_at_chunk_edge for s in splits)
+        m = record_with_specials_at_splits(n, lanes)
+        sample_ids = np.arange(n) % 512
+        sample_ids[splits[0] - 1:splits[0] + 1] = (-5, np.iinfo(np.int64).max)
+        self.assert_same_bytes(tmp_path, np.arange(n) // 512, sample_ids, m)
+        text = (tmp_path / "new.csv").read_text(encoding="utf-8")
+        assert ",-0.0," in text and ",0.0," in text and ",5e-324," in text
+        assert len(started) == lanes - 1
+        assert all(proc.returncode == 0 for proc in started)
+
+    def test_a_long_trace_is_written_in_blocks_of_bounded_lanes(self, tmp_path, monkeypatch,
+                                                                 started):
+        monkeypatch.setattr(loss_module, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(loss_module, "_TRACE_MAX_LANE_ROWS", MIN_LANE_ROWS + 100)
+        # Blocks of 2 * (MIN_LANE_ROWS + 100) rows: two of two lanes, then a
+        # last block too short to split.
+        n = 5 * MIN_LANE_ROWS + 123
+        m = record_with_specials_at_splits(n, 5)
+        self.assert_same_bytes(tmp_path, np.arange(n) // 512, np.arange(n) % 512, m)
+        assert len(started) == 2
+        assert all(proc.returncode == 0 for proc in started)
+
+    def test_a_trace_below_the_lane_minimum_starts_no_process(self, tmp_path, monkeypatch,
+                                                               started):
+        monkeypatch.setattr(loss_module, "_usable_cpus", lambda: 2)
+        n = 2 * MIN_LANE_ROWS - 1
+        self.assert_same_bytes(tmp_path, np.zeros(n, dtype=int), np.arange(n),
+                               random_record(n, 5))
+        assert started == []
+
+    @pytest.mark.parametrize("script", [
+        "import sys; sys.stdin.buffer.read(); sys.exit(3)",
+        "import sys; sys.exit(3)",  # gone before its rows are sent
+    ])
+    def test_a_failing_helper_raises_and_leaves_no_process(self, tmp_path, monkeypatch,
+                                                           started, script):
+        monkeypatch.setattr(loss_module, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(loss_module, "_TRACE_HELPER", (sys.executable, "-c", script))
+        n = 3 * MIN_LANE_ROWS
+        with pytest.raises(RuntimeError, match="status 3"):
+            write_loss_trace(tmp_path / "t.csv", np.zeros(n, dtype=int), np.arange(n),
+                             random_record(n, 6))
+        assert len(started) == 2
+        for proc in started:
+            assert proc.returncode is not None and proc.stdin.closed and proc.stdout.closed
+
+    def test_an_error_in_this_process_kills_the_helpers(self, tmp_path, monkeypatch, started):
+        def failing_chunks(*args):
+            raise OSError("no space left")
+            yield
+
+        monkeypatch.setattr(loss_module, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(loss_module.tracetext, "encoded_chunks", failing_chunks)
+        n = 2 * MIN_LANE_ROWS
+        with pytest.raises(OSError, match="no space left"):
+            write_loss_trace(tmp_path / "t.csv", np.zeros(n, dtype=int), np.arange(n),
+                             random_record(n, 7))
+        # Nothing reads the helper's text, which overflows its pipe, so the
+        # helper cannot have finished on its own.
+        assert [proc.returncode for proc in started] == [-signal.SIGKILL]
+        assert started[0].stdin.closed and started[0].stdout.closed
+
+    @pytest.mark.parametrize("column", ["epochs", "sample_ids"])
+    @pytest.mark.parametrize("values", [[3.0, 3.0], [True, False],
+                                        np.array([1, 2], dtype=np.uint64)])
+    def test_non_integer_epochs_and_ids_are_refused(self, tmp_path, column, values):
+        columns = {"epochs": [0, 0], "sample_ids": [0, 1], column: values}
+        with pytest.raises(ValueError, match=column):
+            write_loss_trace(tmp_path / "t.csv", columns["epochs"], columns["sample_ids"],
+                             random_record(2, 8))
+        assert not (tmp_path / "t.csv").exists()
