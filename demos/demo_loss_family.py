@@ -44,11 +44,12 @@ for t in range(8):
 print("epochs 0-3 and 4-7 are identical: the cycle length is 4\n")
 
 # 3. The gate.  At quarter phase the cycled variant drops samples whose
-#    loss falls below half the modulation times the epoch mean.
+#    loss falls below half the modulation F times the epoch mean.
+F = math.sin(cfg_sin.omega * 1 + cfg_sin.phase) ** 2
 for l in (0.2, 0.3):
     m = crucial_sin(l, 1, 1.0, cfg_sin)
     print(f"quarter-phase sample with loss {l}: selected={m.selected} "
-          f"(gate at {m.gate})")
+          f"(gate at {0.5 * F * 1.0})")
 print()
 
 # 4. The adaptive variant.  The threshold is last epoch's skewness times

@@ -73,6 +73,18 @@ class ConfigError(Exception):
 
 _LN2 = math.log(2.0)
 
+# The synthetic-data keys that train and gen-data share.
+_GENERATOR_DEFAULTS = {
+    "n": 512,
+    "t": 64,
+    "noise_sd": 0.1,
+    "freq_lo": 0.02,
+    "freq_hi": 0.08,
+    "drift_rate": 1.0,
+    "label_noise": 0.0,
+    "class_sep": 1.8,
+}
+
 _DEFAULTS: dict[str, dict] = {
     "simulate": {
         "seed": 0,
@@ -104,14 +116,7 @@ _DEFAULTS: dict[str, dict] = {
         "accumulate_stats": False,
         "dataset": "sine",
         "csv_path": "",
-        "n": 512,
-        "t": 64,
-        "noise_sd": 0.1,
-        "freq_lo": 0.02,
-        "freq_hi": 0.08,
-        "drift_rate": 1.0,
-        "label_noise": 0.0,
-        "class_sep": 1.8,
+        **_GENERATOR_DEFAULTS,
         "test_n": 256,
         "cuts": "16,32,48,64",
         "sweep_seeds": 1,
@@ -137,14 +142,7 @@ _DEFAULTS: dict[str, dict] = {
     "gen-data": {
         "seed": 0,
         "kind": "sine",
-        "n": 512,
-        "t": 64,
-        "noise_sd": 0.1,
-        "freq_lo": 0.02,
-        "freq_hi": 0.08,
-        "drift_rate": 1.0,
-        "label_noise": 0.0,
-        "class_sep": 1.8,
+        **_GENERATOR_DEFAULTS,
         "filename": "dataset.csv",
         "output_dir": "",
     },
@@ -243,24 +241,18 @@ def _echo_config(cfg: dict, out_dir: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _float_list(text: str, key: str) -> list[float]:
-    items = [p.strip() for p in text.split(",") if p.strip()]
-    if not items:
+def _list(cfg: dict, key: str, parse=str) -> list:
+    """The comma-separated items of cfg[key], each passed through parse."""
+    out = []
+    for item in (p.strip() for p in str(cfg[key]).split(",")):
+        if item:
+            try:
+                out.append(parse(item))
+            except ValueError:
+                raise ConfigError(f"key {key}: invalid item {item!r} in {cfg[key]!r}") from None
+    if not out:
         raise ConfigError(f"key {key}: empty list")
-    try:
-        return [float(p) for p in items]
-    except ValueError:
-        raise ConfigError(f"key {key}: cannot parse {text!r} as float list") from None
-
-
-def _int_list(text: str, key: str) -> list[int]:
-    items = [p.strip() for p in text.split(",") if p.strip()]
-    if not items:
-        raise ConfigError(f"key {key}: empty list")
-    try:
-        return [int(p) for p in items]
-    except ValueError:
-        raise ConfigError(f"key {key}: cannot parse {text!r} as integer list") from None
+    return out
 
 
 def _fmt(x: float) -> str:
@@ -269,17 +261,9 @@ def _fmt(x: float) -> str:
 
 def cmd_simulate(cfg: dict) -> int:
     out_dir = cfg["output_dir"]
-    populations = [p.strip() for p in str(cfg["populations"]).split(",") if p.strip()]
-    if not populations:
-        raise ConfigError("populations list is empty")
-    kinds = []
-    for p in populations:
-        try:
-            kinds.append(PopulationKind(p))
-        except ValueError:
-            raise ConfigError(f"unknown population kind {p!r}") from None
-    sigmas = _float_list(str(cfg["sigmas"]), "sigmas")
-    rates = _float_list(str(cfg["rates"]), "rates")
+    kinds = _list(cfg, "populations", PopulationKind)
+    sigmas = _list(cfg, "sigmas", float)
+    rates = _list(cfg, "rates", float)
     if not all(math.isfinite(r) and r > 0.0 for r in rates):
         raise ConfigError(f"key rates: every rate must be finite and > 0, got {cfg['rates']}")
     n = int(cfg["n"])
@@ -368,31 +352,26 @@ def _wrapper_config(cfg: dict) -> CrucialConfig | None:
     name = str(cfg["wrapper"]).lower()
     if name == "none":
         return None
-    formula = _kappa_formula(cfg)
-    mu_fixed = None
-    if str(cfg["mu_policy"]) == "fixed":
-        mu_fixed = float(cfg["mu_value"])
-    elif str(cfg["mu_policy"]) != "epoch_mean":
-        raise ConfigError(f"unknown mu_policy {cfg['mu_policy']!r}")
-    common = dict(
-        lam=float(cfg["lam"]),
-        omega=float(cfg["omega"]),
-        phase=float(cfg["phase"]),
-        mu_fixed=mu_fixed,
-        threshold=float(cfg["threshold"]),
-        kappa_formula=formula,
-        accumulate_stats=bool(cfg["accumulate_stats"]),
-    )
     try:
-        if name == "adp":
-            return CrucialConfig(variant=Variant.ADP, **common)
-        if name == "sin":
-            return CrucialConfig(variant=Variant.SIN, **common)
-        if name == "baseline":
-            return CrucialConfig(variant=Variant.BASELINE, **common)
+        variant = Variant(name)
+    except ValueError:
+        raise ConfigError(f"unknown wrapper {name!r}") from None
+    policy = str(cfg["mu_policy"])
+    if policy not in ("fixed", "epoch_mean"):
+        raise ConfigError(f"unknown mu_policy {policy!r}")
+    try:
+        return CrucialConfig(
+            variant,
+            lam=float(cfg["lam"]),
+            omega=float(cfg["omega"]),
+            phase=float(cfg["phase"]),
+            mu_fixed=float(cfg["mu_value"]) if policy == "fixed" else None,
+            threshold=float(cfg["threshold"]),
+            kappa_formula=_kappa_formula(cfg),
+            accumulate_stats=bool(cfg["accumulate_stats"]),
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    raise ConfigError(f"unknown wrapper {name!r}")
 
 
 def _kappa_formula(cfg: dict) -> KappaFormula:
@@ -438,22 +417,13 @@ def _make_datasets(cfg: dict, rng: SeededRng):
 
 def _train_one(cfg: dict, run_seed: int, run_id: str, out_dir: str) -> dict:
     rng = SeededRng(run_seed)
-    task_name = str(cfg["task"])
     wrapper = _wrapper_config(cfg)
     train_ds, test_ds = _make_datasets(cfg, rng)
-    hidden = _int_list(str(cfg["hidden"]), "hidden")
-    is_regression = task_name == "regression"
-    n_outputs = 1 if is_regression else 2
-    base_loss = "mse" if is_regression else "cross_entropy"
+    hidden = _list(cfg, "hidden", int)
     try:
-        task = TaskSpec(
-            task=task_name,
-            base_loss=base_loss,
-            epochs=int(cfg["epochs"]),
-            learning_rate=float(cfg["learning_rate"]),
-            wrapper=wrapper,
-        )
-        model = make_model(str(cfg["model"]), int(cfg["window"]), n_outputs,
+        task = TaskSpec(str(cfg["task"]), int(cfg["epochs"]), float(cfg["learning_rate"]),
+                        wrapper)
+        model = make_model(str(cfg["model"]), int(cfg["window"]), task.n_outputs,
                            rng.derive("model"), hidden=tuple(hidden))
         for ds in (train_ds, test_ds):  # bad data fails here, before any training
             featurize(ds, model)
@@ -461,8 +431,8 @@ def _train_one(cfg: dict, run_seed: int, run_id: str, out_dir: str) -> dict:
         raise ConfigError(str(exc)) from None
 
     metrics_rows = []
-    if task_name == "continuous":
-        cuts = _int_list(str(cfg["cuts"]), "cuts")
+    if task.task == "continuous":
+        cuts = _list(cfg, "cuts", int)
         if len(cuts) < 2:  # a transfer matrix needs at least two stages
             raise ConfigError(f"key cuts: the continuous task needs at least 2 cuts, "
                               f"got {len(cuts)}")
@@ -534,7 +504,7 @@ def cmd_properties(cfg: dict) -> int:
     formula = _kappa_formula(cfg)
     names = None
     if str(cfg["suites"]).strip():
-        names = [s.strip() for s in str(cfg["suites"]).split(",") if s.strip()]
+        names = _list(cfg, "suites")
         unknown = [s for s in names if s not in SUITES]
         if unknown:
             raise ConfigError(f"unknown suites: {unknown}")
@@ -585,7 +555,10 @@ def cmd_gen_data(cfg: dict) -> int:
     n, t = int(cfg["n"]), int(cfg["t"])
     ds = _generate(cfg, kind, n, SeededRng(int(cfg["seed"])).derive("data/train"))
     path = os.path.join(out_dir, str(cfg["filename"]))
-    save_csv(path, ds)
+    try:
+        save_csv(path, ds)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
     meta = {
         "kind": kind,
         "n": n,

@@ -32,6 +32,12 @@ __all__ = [
     "save_csv",
 ]
 
+# Amplitudes of gen_sine_regression are uniform in this range.
+_SINE_AMP_RANGE = (0.8, 1.2)
+# gen_drift_classification's AR(1) noise: coefficient and shock sd.
+_DRIFT_AR_COEFF = 0.8
+_DRIFT_AR_SD = 0.4
+
 
 @dataclass(frozen=True, eq=False)
 class TimeSeriesSample:
@@ -102,24 +108,26 @@ def _check_finite(dataset: Dataset, where: str) -> Dataset:
 
 
 def gen_sine_regression(n: int, T: int, noise_sd: float, rng: SeededRng, *,
-                        freq_range: tuple[float, float] = (0.02, 0.08),
-                        amp_range: tuple[float, float] = (0.8, 1.2)) -> Dataset:
+                        freq_range: tuple[float, float] = (0.02, 0.08)) -> Dataset:
     """Sinusoids with random amplitude/frequency/phase plus Gaussian noise.
 
     Each sample is x_t = A sin(2 pi f t + phi) + noise for t = 0..T-1; the
     regression target is the next value of the same noisy process at t = T,
     so with noise_sd = 0 the target is exactly the extrapolated sinusoid.
-    Frequencies are uniform in freq_range (cycles per step); pass a
-    degenerate range to pin the spectral peak for analysis.
+    Amplitudes are uniform in _SINE_AMP_RANGE.  Frequencies are uniform in
+    freq_range (cycles per step), whose ends and width must be finite; pass
+    a degenerate range to pin the spectral peak for analysis.
     """
     if n < 1 or T < 2:
         raise ValueError("gen_sine_regression: need n >= 1 and T >= 2")
     if noise_sd < 0.0:
         raise ValueError("gen_sine_regression: noise_sd must be >= 0")
+    if not math.isfinite(freq_range[1] - freq_range[0]):
+        raise ValueError("gen_sine_regression: freq_range must be finite, with a finite width")
     gen = rng.derive("sine-regression").generator
     freqs = gen.uniform(freq_range[0], freq_range[1], n)
     phases = gen.uniform(0.0, 2.0 * math.pi, n)
-    amps = gen.uniform(amp_range[0], amp_range[1], n)
+    amps = gen.uniform(*_SINE_AMP_RANGE, n)
     t = np.arange(T + 1, dtype=np.float64)
     clean = amps[:, None] * np.sin(2.0 * math.pi * freqs[:, None] * t[None, :] + phases[:, None])
     noisy = clean + noise_sd * gen.standard_normal((n, T + 1))
@@ -128,19 +136,18 @@ def gen_sine_regression(n: int, T: int, noise_sd: float, rng: SeededRng, *,
 
 
 def gen_drift_classification(n: int, T: int, drift_rate: float, label_noise: float,
-                             rng: SeededRng, *,
-                             class_sep: float = 1.8,
-                             ar_coeff: float = 0.8,
-                             ar_sd: float = 0.4) -> Dataset:
+                             rng: SeededRng, *, class_sep: float = 1.8) -> Dataset:
     """Two AR(1)-like classes whose separating level drifts over time.
 
     Class c in {0, 1} fluctuates around m_c(t) = (2c-1)*class_sep/2
-    + drift_rate * t/(T-1): the class-conditional window statistic moves
-    over t (both classes together), so a threshold fit on an early prefix
-    goes stale on later ones, which is the forgetting pressure the
-    continuous task needs.  Separability itself stays constant, and a
-    brute-force threshold sweep on the final window of clean data reaches
-    at least ~0.95 accuracy with the default shape parameters.
+    + drift_rate * t/(T-1), with stationary AR(1) noise of coefficient
+    _DRIFT_AR_COEFF and shock sd _DRIFT_AR_SD.  The class-conditional
+    window statistic moves over t (both classes together), so a threshold
+    fit on an early prefix goes stale on later ones, which is the
+    forgetting pressure the continuous task needs.  Separability itself
+    stays constant, and a brute-force threshold sweep on the final window
+    of clean data reaches at least ~0.95 accuracy with the default
+    class_sep.
 
     A label_noise fraction of labels (rounded) is flipped; the flipped
     sample ids are recorded on the returned dataset.
@@ -157,12 +164,12 @@ def gen_drift_classification(n: int, T: int, drift_rate: float, label_noise: flo
     tt = np.arange(T, dtype=np.float64)
     means = sign[:, None] * (class_sep / 2.0) + drift_rate * (tt[None, :] / (T - 1))
     # Stationary AR(1) noise around the drifting class level.
-    stat_sd = ar_sd / math.sqrt(1.0 - ar_coeff * ar_coeff)
+    stat_sd = _DRIFT_AR_SD / math.sqrt(1.0 - _DRIFT_AR_COEFF * _DRIFT_AR_COEFF)
     e = np.empty((n, T), dtype=np.float64)
     e[:, 0] = stat_sd * gen.standard_normal(n)
-    shocks = ar_sd * gen.standard_normal((n, T - 1))
+    shocks = _DRIFT_AR_SD * gen.standard_normal((n, T - 1))
     for t in range(1, T):
-        e[:, t] = ar_coeff * e[:, t - 1] + shocks[:, t - 1]
+        e[:, t] = _DRIFT_AR_COEFF * e[:, t - 1] + shocks[:, t - 1]
     values = means + e
 
     n_flip = int(round(label_noise * n))

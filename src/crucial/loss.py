@@ -112,8 +112,7 @@ class CrucialConfig:
     ignores it and derives a per-epoch lam = -ln F instead.  mu_fixed pins
     the population mean used by the cycled variant; None means "use the
     current epoch's mean loss".  threshold only applies to the baseline
-    variant.  theorem_mode asserts the regime lam <= 0.01 in which the
-    sampling-error bounds of the sampler module are derived.
+    variant.  Every value must be finite, whichever variant reads it.
     """
 
     variant: Variant
@@ -123,18 +122,18 @@ class CrucialConfig:
     mu_fixed: float | None = None
     threshold: float = 0.0
     kappa_formula: KappaFormula = KappaFormula.ARGMIN
-    theorem_mode: bool = False
     accumulate_stats: bool = False
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.lam) or self.lam <= 0.0:
             raise ValueError("CrucialConfig: lam must be finite and > 0")
+        for name in ("omega", "phase", "threshold"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"CrucialConfig: {name} must be finite")
         if self.variant is Variant.SIN and self.omega == 0.0:
             raise ValueError("CrucialConfig: omega must be nonzero for the cycled variant")
-        if self.theorem_mode and self.lam > 0.01:
-            raise ValueError("CrucialConfig: theorem_mode requires lam <= 0.01")
-        if self.mu_fixed is not None and self.mu_fixed <= 0.0:
-            raise ValueError("CrucialConfig: a fixed mu must be positive")
+        if self.mu_fixed is not None and not (math.isfinite(self.mu_fixed) and self.mu_fixed > 0.0):
+            raise ValueError("CrucialConfig: a fixed mu must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -143,16 +142,15 @@ class ModulatedLoss:
 
     modulate_epoch fills every field with an array of shape (n,) (bool for
     selected, float64 otherwise); the per-sample wrappers return the
-    one-sample record as Python scalars.  gate is the selection bound of the
-    cycled variant (-inf for variants that never drop samples).  kappa is
-    also each sample's gradient factor: it is 0.0 exactly on the samples
-    whose value is pinned to 0, unselected ones included.
+    one-sample record as Python scalars.  selected is False only where the
+    cycled variant's gate dropped the sample.  kappa is also each sample's
+    gradient factor: it is 0.0 exactly on the samples whose value is pinned
+    to 0, unselected ones included.
     """
 
     input_loss: np.ndarray
     kappa: np.ndarray
     threshold: np.ndarray
-    gate: np.ndarray
     value: np.ndarray
     selected: np.ndarray
 
@@ -271,10 +269,9 @@ def _sin_losses(losses: np.ndarray, epoch: int, mu_l: float, cfg: CrucialConfig)
     if not math.isfinite(mu_l) or mu_l <= 0.0:
         raise ValueError("crucial_sin: mu_l must be finite and positive")
     f = _sin_cycle_factor(epoch, cfg.omega, cfg.phase)
-    gate = 0.5 * f * mu_l
     thr = (f - 1.0) * mu_l
     n = losses.shape[0]
-    selected = ~(losses < gate)
+    selected = ~(losses < 0.5 * f * mu_l)
     if f <= _F_EPS:
         # lam_t -> inf limit: unit weight, plain centered loss.
         kappa, threshold, value = np.ones(n), mu_l, losses - mu_l
@@ -288,7 +285,6 @@ def _sin_losses(losses: np.ndarray, epoch: int, mu_l: float, cfg: CrucialConfig)
         input_loss=losses,
         kappa=np.where(selected, kappa, 0.0),
         threshold=np.where(selected, threshold, thr),
-        gate=np.full(n, gate),
         value=np.where(selected, value, 0.0),
         selected=selected,
     )
@@ -314,8 +310,7 @@ def modulate_epoch(losses, state: EpochState, cfg: CrucialConfig | None) -> Modu
     else:
         threshold = state.threshold if cfg.variant is Variant.ADP else cfg.threshold
         kappa, value = kappa_and_value(losses, threshold, cfg.lam, cfg.kappa_formula)
-    return ModulatedLoss(losses, kappa, np.full(n, threshold), np.full(n, -math.inf),
-                         value, np.ones(n, dtype=bool))
+    return ModulatedLoss(losses, kappa, np.full(n, threshold), value, np.ones(n, dtype=bool))
 
 
 def _single(m: ModulatedLoss) -> ModulatedLoss:

@@ -485,24 +485,31 @@ def compare_conditions(pop: LossPopulation, rate: float, n: int, rng: SeededRng,
     return replace(p, mc_eu=u.mc_eu, mc_eu_stderr=u.mc_eu_stderr, seed=rng.seed)
 
 
+# The toy loop of distribution_cycle_sim: initial population, selection
+# shares and tilt, and the decay and noise applied each epoch.
+_CYCLE_INIT_MEAN = 1.0
+_CYCLE_INIT_SIGMA = 0.25
+_CYCLE_UNIFORM_FRAC = 0.8
+_CYCLE_EXP_FRAC = 0.2
+_CYCLE_RATE = 2.0
+_CYCLE_DECAY = 0.9
+_CYCLE_NOISE_SD = 0.12
+
+
 def distribution_cycle_sim(n_samples: int, epochs: int, rng: SeededRng, *,
                            schedule: str = "alternating",
-                           init: str = "normal",
-                           init_mean: float = 1.0,
-                           init_sigma: float = 0.25,
-                           decay: float = 0.9,
-                           noise_sd: float = 0.12,
-                           uniform_frac: float = 0.8,
-                           exp_frac: float = 0.2,
-                           rate: float = 2.0) -> list[LossStats]:
+                           init: str = "normal") -> list[LossStats]:
     """Toy selection/decay loop exposing the skewness cycle.
 
-    Maintains a population of n_samples losses.  Each epoch a selection mask
-    is drawn (uniform: a large random fraction; exponential: a small
-    fraction tilted toward low losses by exp(-rate*l)); selected losses
-    decay toward 0 by the fixed factor ``decay`` while unselected ones are
-    re-inflated by additive half-normal noise.  The decay factor and noise
-    dynamics are artifact choices for the toy loop, not derived quantities.
+    Maintains a population of n_samples losses, drawn from a normal or
+    half-normal law with mean offset _CYCLE_INIT_MEAN and scale
+    _CYCLE_INIT_SIGMA and clipped at 0.  Each epoch a selection mask is
+    drawn (uniform: a _CYCLE_UNIFORM_FRAC share at random; exponential: a
+    _CYCLE_EXP_FRAC share in expectation, tilted toward low losses by
+    exp(-_CYCLE_RATE*l)); selected losses decay toward 0 by the factor
+    _CYCLE_DECAY while unselected ones are re-inflated by additive
+    half-normal noise of scale _CYCLE_NOISE_SD.  These constants are
+    artifact choices for the toy loop, not derived quantities.
 
     schedule is "uniform", "exponential", or "alternating"; alternating
     picks uniform whenever the current skewness is <= 0 and exponential
@@ -518,32 +525,29 @@ def distribution_cycle_sim(n_samples: int, epochs: int, rng: SeededRng, *,
         raise ValueError(f"distribution_cycle_sim: unknown schedule {schedule!r}")
     gen = rng.derive("cycle").generator
     if init == "normal":
-        losses = init_mean + init_sigma * gen.standard_normal(n_samples)
+        losses = _CYCLE_INIT_MEAN + _CYCLE_INIT_SIGMA * gen.standard_normal(n_samples)
     elif init == "half_normal":
-        losses = init_mean + init_sigma * np.abs(gen.standard_normal(n_samples))
+        losses = _CYCLE_INIT_MEAN + _CYCLE_INIT_SIGMA * np.abs(gen.standard_normal(n_samples))
     else:
         raise ValueError(f"distribution_cycle_sim: unknown init {init!r}")
     losses = np.clip(losses, 0.0, None)
 
     out = [loss_stats(losses)]
     for _ in range(epochs):
-        if schedule == "uniform":
-            mode = "uniform"
-        elif schedule == "exponential":
-            mode = "exponential"
-        else:
+        mode = schedule
+        if schedule == "alternating":
             mode = "uniform" if out[-1].skewness <= 0.0 else "exponential"
         if mode == "uniform":
-            selected = gen.random(n_samples) < uniform_frac
+            selected = gen.random(n_samples) < _CYCLE_UNIFORM_FRAC
         else:
-            w = np.exp(-rate * losses)
-            prob = np.clip(exp_frac * n_samples * w / np.sum(w), 0.0, 1.0)
+            w = np.exp(-_CYCLE_RATE * losses)
+            prob = np.clip(_CYCLE_EXP_FRAC * n_samples * w / np.sum(w), 0.0, 1.0)
             selected = gen.random(n_samples) < prob
         losses = losses.copy()
-        losses[selected] *= decay
+        losses[selected] *= _CYCLE_DECAY
         n_out = int(np.sum(~selected))
         if n_out:
-            losses[~selected] += noise_sd * np.abs(gen.standard_normal(n_out))
+            losses[~selected] += _CYCLE_NOISE_SD * np.abs(gen.standard_normal(n_out))
         losses = np.clip(losses, 0.0, None)
         out.append(loss_stats(losses))
     return out

@@ -255,15 +255,15 @@ def make_model(kind: str, window: int, n_outputs: int, rng: SeededRng,
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """One training job: task shape, base loss, budget, optional wrapper.
+    """One training job: task shape, budget, optional wrapper.
 
-    Regression pairs with MSE; both classification shapes pair with
+    The task picks the base loss and the model's output count: regression
+    trains one output under MSE, both classification shapes train two under
     cross-entropy.  The wrapper, when present, scales each sample's row of
     dl/dout by its confidence factor before the one backward pass.
     """
 
     task: str                        # regression | single_shot | continuous
-    base_loss: str                   # mse | cross_entropy
     epochs: int
     learning_rate: float
     wrapper: CrucialConfig | None = None
@@ -271,16 +271,18 @@ class TaskSpec:
     def __post_init__(self) -> None:
         if self.task not in ("regression", "single_shot", "continuous"):
             raise ValueError(f"TaskSpec: unknown task {self.task!r}")
-        if self.base_loss not in ("mse", "cross_entropy"):
-            raise ValueError(f"TaskSpec: unknown base_loss {self.base_loss!r}")
-        if self.task == "regression" and self.base_loss != "mse":
-            raise ValueError("TaskSpec: regression pairs with mse")
-        if self.task != "regression" and self.base_loss != "cross_entropy":
-            raise ValueError("TaskSpec: classification pairs with cross_entropy")
         if self.epochs < 1:
             raise ValueError("TaskSpec: epochs must be >= 1")
         if not math.isfinite(self.learning_rate) or self.learning_rate <= 0.0:
             raise ValueError("TaskSpec: learning_rate must be finite and > 0")
+
+    @property
+    def base_loss(self) -> str:
+        return "mse" if self.task == "regression" else "cross_entropy"
+
+    @property
+    def n_outputs(self) -> int:
+        return 1 if self.task == "regression" else 2
 
 
 def featurize(dataset: Dataset, model: Model):
@@ -290,6 +292,8 @@ def featurize(dataset: Dataset, model: Model):
     is a slice of dataset.values, zero-padded on the left only when the
     window is longer than the series; the recurrent model reads whole
     series.  Multivariate input is out of the zoo's scope; use dimension 1.
+    Every sample must be labeled; a classifier's labels must be whole
+    numbers in [0, n_outputs) (ValueError otherwise).
     """
     values = dataset.values
     if len(dataset) == 0:
@@ -299,12 +303,16 @@ def featurize(dataset: Dataset, model: Model):
     T = values.shape[1]
     w = T if isinstance(model, ElmanRNN) else model.window
     X = values[:, T - w:] if w <= T else np.pad(values, ((0, 0), (w - T, 0)))
-    if np.isnan(dataset.labels).any():
+    labels = dataset.labels
+    if np.isnan(labels).any():
         raise ValueError("featurize: all samples must be labeled for training")
-    y = dataset.labels.astype(np.float64 if model.n_outputs == 1 else np.int64)
-    if model.n_outputs > 1 and (y.min() < 0 or y.max() >= model.n_outputs):
+    if model.n_outputs == 1:
+        return X, labels.astype(np.float64)
+    if labels.dtype.kind == "f" and (labels != np.floor(labels)).any():
+        raise ValueError("featurize: class labels must be whole numbers")
+    if labels.min() < 0 or labels.max() >= model.n_outputs:
         raise ValueError("featurize: class label out of range")
-    return X, y
+    return X, labels.astype(np.int64)
 
 
 def _losses_and_dout(model: Model, X: np.ndarray, y: np.ndarray, base_loss: str):

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from crucial.cli import main
+from crucial.cli import _DEFAULTS, main
 from crucial.data import load_csv
 from crucial.loss import KAPPA_CAP
 
@@ -394,6 +394,15 @@ _BAD_INPUTS = {
     "simulate_one_draw": (("simulate", "--n", "1"), None),
     "simulate_nan_tolerance": (("simulate", "--tolerance-se", "nan"), None),
     "simulate_negative_tolerance": (("simulate", "--tolerance-se", "-1"), None),
+    "baseline_threshold_nan": (("train", "--wrapper", "baseline", "--threshold", "nan"), None),
+    "baseline_threshold_inf": (("train", "--wrapper", "baseline", "--threshold", "inf"), None),
+    "sin_fixed_mu_nan": (("train", "--wrapper", "sin", "--mu-policy", "fixed",
+                          "--mu-value", "nan"), None),
+    "sin_omega_nan": (("train", "--wrapper", "sin", "--omega", "nan"), None),
+    "freq_lo_nan": (("train", "--freq-lo", "nan"), None),
+    "csv_real_labels": (_CSV + _SINGLE, _HEADER + "0,0.5,0.1,0.2,0.3\r\n1,1.7,0.1,0.2,0.3\r\n"
+                                        "2,1,0.4,0.5,0.6\r\n"),
+    "gen_data_empty_filename": (("gen-data", "--filename", ""), None),
 }
 
 
@@ -409,3 +418,21 @@ def test_bad_input_exits_two_without_a_traceback(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "Traceback" not in err
+
+
+# Every float key of train and gen-data, set to each non-finite value, exits
+# with a documented code; an uncaught exception fails the run itself.
+_TINY = ("--epochs", "1", "--n", "16", "--t", "8", "--test-n", "8", "--window", "4")
+_SWEEPS = [("train", "--wrapper", w, *_TINY) for w in ("none", "adp", "sin", "baseline")]
+_SWEEPS.append(("gen-data", "--n", "16", "--t", "8"))
+
+
+@pytest.mark.parametrize("argv", _SWEEPS, ids=lambda a: a[2] if a[0] == "train" else a[0])
+def test_non_finite_float_keys_exit_cleanly(tmp_path, capsys, argv):
+    keys = [k for k, v in _DEFAULTS[argv[0]].items() if isinstance(v, float)]
+    assert keys
+    for key in keys:
+        for bad in ("nan", "inf", "-inf"):
+            flag = "--" + key.replace("_", "-")
+            assert run(*argv, flag, bad, "--output-dir", str(tmp_path / key / bad)) in (0, 1, 2)
+            assert "Traceback" not in capsys.readouterr().err

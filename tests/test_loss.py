@@ -191,7 +191,7 @@ class TestSin:
         m = crucial_sin(0.6, 1, mu, self.CFG)
         # F = 1/2: threshold (F-1)mu = -mu/2, per-epoch lambda = ln 2
         assert m.threshold == pytest.approx(-0.5, abs=1e-12)
-        assert m.gate == pytest.approx(0.25, abs=1e-12)
+        assert m.selected == (not 0.6 < 0.5 * 0.5 * mu)  # ~(loss < F*mu/2)
         lam_t = math.log(2.0)
         k = kappa_star(0.6, -0.5, lam_t)
         assert m.kappa == pytest.approx(k, abs=1e-15)
@@ -262,7 +262,7 @@ class TestGradientFactor:
 def _rows(m):
     """The rows of a record of arrays, each as a one-sample record's fields."""
     return list(zip(m.input_loss.tolist(), m.kappa.tolist(), m.threshold.tolist(),
-                    m.gate.tolist(), m.value.tolist(), m.selected.tolist()))
+                    m.value.tolist(), m.selected.tolist()))
 
 
 class TestModulateEpoch:
@@ -320,6 +320,8 @@ class TestModulateEpoch:
         for t in range(8):  # F = 0, 1/2, 1, 1/2, then again
             m = modulate_epoch(self.LOSSES, EpochState(epoch_index=t, threshold=0.0), cfg)
             assert _rows(m) == [astuple(crucial_sin(float(l), t, mu, cfg)) for l in self.LOSSES]
+            f = math.sin(math.pi / 4.0 * (t % 4)) ** 2  # the period is 4 epochs
+            assert np.array_equal(m.selected, ~(self.LOSSES < f * mu / 2.0))
             if t % 2:
                 assert 0 < np.count_nonzero(~m.selected) < self.LOSSES.size
 
@@ -327,6 +329,8 @@ class TestModulateEpoch:
         cfg = CrucialConfig(Variant.SIN, lam=0.01, omega=0.37, phase=0.4, mu_fixed=1.3)
         for t in range(12):
             m = modulate_epoch(self.LOSSES, EpochState(epoch_index=t, threshold=0.0), cfg)
+            f = math.sin(0.37 * t + 0.4) ** 2
+            assert np.array_equal(m.selected, ~(self.LOSSES < f * 1.3 / 2.0))
             assert np.all(m.kappa[~m.selected] == 0.0)
             assert np.all(m.value[~m.selected] == 0.0)
 
@@ -352,14 +356,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             CrucialConfig(Variant.SIN, lam=0.01, omega=0.0)
 
-    def test_theorem_mode_bounds_lambda(self):
-        with pytest.raises(ValueError):
-            CrucialConfig(Variant.ADP, lam=0.02, theorem_mode=True)
-        CrucialConfig(Variant.ADP, lam=0.01, theorem_mode=True)
-
     def test_fixed_mu_must_be_positive(self):
         with pytest.raises(ValueError):
             CrucialConfig(Variant.SIN, lam=0.01, omega=1.0, mu_fixed=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", ["omega", "phase", "threshold", "mu_fixed"])
+    def test_values_must_be_finite(self, key, bad):
+        for variant in Variant:
+            with pytest.raises(ValueError, match=key if key != "mu_fixed" else "fixed mu"):
+                CrucialConfig(variant, **{key: bad})
 
     def test_modulated_value_rejects_nonpositive_kappa(self):
         with pytest.raises(ValueError):
@@ -429,7 +435,6 @@ def random_record(n, seed, thresholds=(0.25, -1.5)):
         input_loss=gen.gamma(2.0, 0.5, n),
         kappa=gen.uniform(0.0, KAPPA_CAP, n),
         threshold=np.asarray(thresholds, dtype=np.float64)[gen.integers(0, len(thresholds), n)],
-        gate=np.full(n, -math.inf),
         value=gen.standard_normal(n),
         selected=gen.random(n) < 0.8,
     )
@@ -455,8 +460,8 @@ class TestTraceMatchesCsvReference:
 
     def test_special_floats_in_every_float_column(self, tmp_path):
         special = np.array([math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5, -0.0, 0.1])
-        m = ModulatedLoss(special, special[::-1].copy(), special, np.full(8, -math.inf),
-                          np.roll(special, 3), np.arange(8) % 3 == 0)
+        m = ModulatedLoss(special, special[::-1].copy(), special, np.roll(special, 3),
+                          np.arange(8) % 3 == 0)
         self.assert_same_bytes(tmp_path, np.zeros(8, dtype=int), np.arange(8), m)
 
     def test_float32_columns(self, tmp_path):

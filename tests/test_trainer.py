@@ -112,6 +112,14 @@ class TestFeaturize:
         with pytest.raises(ValueError):
             featurize(bad, model)
 
+    def test_classification_refuses_real_valued_labels(self):
+        model = make_model("linear", 4, 2, SeededRng(0))
+        values = [np.arange(4.0), np.arange(4.0)]
+        _, y = featurize(Dataset(ids=[0, 1], values=values, labels=[1.0, 0.0]), model)
+        assert y.dtype == np.int64 and y.tolist() == [1, 0]
+        with pytest.raises(ValueError, match="whole numbers"):
+            featurize(Dataset(ids=[0, 1], values=values, labels=[0.5, 1.0]), model)
+
     def test_rejects_empty_unlabeled_multivariate(self):
         model = make_model("linear", 4, 1, SeededRng(0))
         with pytest.raises(ValueError):
@@ -235,7 +243,7 @@ class TestBackward:
             state = EpochState(epoch_index=2, threshold=0.0)
         rows = per_sample_rows(model, X, y, "mse")
         before = model.params.copy()
-        task = TaskSpec("regression", "mse", 1, 0.1, wrapper=cfg)
+        task = TaskSpec("regression", 1, 0.1, wrapper=cfg)
         _, mod = train_epoch(model, (X, y), task, state)
         if variant is Variant.SIN:
             gated = ~mod.selected
@@ -283,18 +291,21 @@ class TestLayout:
 
 class TestTaskSpec:
     def test_pairing_rules(self):
-        TaskSpec("regression", "mse", 1, 0.1)
-        TaskSpec("single_shot", "cross_entropy", 1, 0.1)
         with pytest.raises(ValueError):
-            TaskSpec("regression", "cross_entropy", 1, 0.1)
+            TaskSpec("lifelong", 1, 0.1)
         with pytest.raises(ValueError):
-            TaskSpec("single_shot", "mse", 1, 0.1)
+            TaskSpec("regression", 0, 0.1)
         with pytest.raises(ValueError):
-            TaskSpec("lifelong", "mse", 1, 0.1)
-        with pytest.raises(ValueError):
-            TaskSpec("regression", "mse", 0, 0.1)
-        with pytest.raises(ValueError):
-            TaskSpec("regression", "mse", 1, 0.0)
+            TaskSpec("regression", 1, 0.0)
+
+    @pytest.mark.parametrize("task,base_loss,n_outputs", [
+        ("regression", "mse", 1),
+        ("single_shot", "cross_entropy", 2),
+        ("continuous", "cross_entropy", 2),
+    ])
+    def test_task_derives_base_loss_and_outputs(self, task, base_loss, n_outputs):
+        spec = TaskSpec(task, 1, 0.1)
+        assert (spec.base_loss, spec.n_outputs) == (base_loss, n_outputs)
 
 
 class TestTrainLoop:
@@ -306,7 +317,7 @@ class TestTrainLoop:
 
     def test_loss_decreases_on_regression(self):
         ds, model = self._sine_setup()
-        task = TaskSpec("regression", "mse", 60, 0.1)
+        task = TaskSpec("regression", 60, 0.1)
         res = train_model(model, ds, task)
         assert res.epoch_mean_losses[-1] < 0.5 * res.epoch_mean_losses[0]
         assert len(res.epoch_mean_losses) == 60
@@ -318,8 +329,8 @@ class TestTrainLoop:
         ds, model_a = self._sine_setup()
         _, model_b = self._sine_setup()
         assert np.array_equal(model_a.params, model_b.params)
-        plain = TaskSpec("regression", "mse", 40, 0.1)
-        inert = TaskSpec("regression", "mse", 40, 0.1,
+        plain = TaskSpec("regression", 40, 0.1)
+        inert = TaskSpec("regression", 40, 0.1,
                          wrapper=CrucialConfig(Variant.BASELINE, lam=1e300, threshold=0.0))
         res_a = train_model(model_a, ds, plain)
         res_b = train_model(model_b, ds, inert)
@@ -328,19 +339,19 @@ class TestTrainLoop:
 
     def test_unwrapped_counts_report_whole_batch(self):
         ds, model = self._sine_setup()
-        res = train_model(model, ds, TaskSpec("regression", "mse", 3, 0.05))
+        res = train_model(model, ds, TaskSpec("regression", 3, 0.05))
         assert res.kappa_ge1_counts == [64, 64, 64]
 
     def test_divergence_guard_trips(self):
         ds, model = self._sine_setup()
-        task = TaskSpec("regression", "mse", 200, 50.0)
+        task = TaskSpec("regression", 200, 50.0)
         with pytest.raises(TrainingDiverged):
             train_model(model, ds, task)
 
     def test_training_is_deterministic(self):
         ds, model_a = self._sine_setup(3)
         _, model_b = self._sine_setup(3)
-        task = TaskSpec("regression", "mse", 20, 0.1,
+        task = TaskSpec("regression", 20, 0.1,
                         wrapper=CrucialConfig(Variant.ADP, lam=0.01))
         res_a = train_model(model_a, ds, task)
         res_b = train_model(model_b, ds, task)
@@ -354,7 +365,7 @@ class TestTrainLoop:
         ds = gen_drift_classification(512, 64, 1.0, 0.0, rng.derive("data/train"),
                                       class_sep=1.2)
         model = make_model("mlp", 16, 2, rng.derive("model"), hidden=(8,))
-        task = TaskSpec("single_shot", "cross_entropy", 40, 1.0,
+        task = TaskSpec("single_shot", 40, 1.0,
                         wrapper=CrucialConfig(Variant.ADP, lam=0.001))
         res = train_model(model, ds, task)
         counts = res.kappa_ge1_counts
@@ -415,7 +426,7 @@ class TestEvaluate:
     def test_regression_reports_mse(self):
         ds = gen_sine_regression(32, 16, 0.1, SeededRng(2))
         model = make_model("linear", 8, 1, SeededRng(2))
-        m = evaluate(model, ds, TaskSpec("regression", "mse", 1, 0.1))
+        m = evaluate(model, ds, TaskSpec("regression", 1, 0.1))
         X, y = featurize(ds, model)
         manual = float(np.mean((model.forward(X)[:, 0] - y) ** 2))
         assert m == {"mse": pytest.approx(manual, rel=1e-14)}
@@ -423,7 +434,7 @@ class TestEvaluate:
     def test_binary_classification_reports_accuracy_and_auc(self):
         ds = gen_drift_classification(64, 16, 0.0, 0.0, SeededRng(2))
         model = make_model("linear", 8, 2, SeededRng(2))
-        m = evaluate(model, ds, TaskSpec("single_shot", "cross_entropy", 1, 0.1))
+        m = evaluate(model, ds, TaskSpec("single_shot", 1, 0.1))
         assert set(m) == {"accuracy", "auc"}
         assert 0.0 <= m["accuracy"] <= 1.0 and 0.0 <= m["auc"] <= 1.0
 
@@ -471,7 +482,7 @@ class TestTransfer:
             ds = gen_drift_classification(128, 32, 1.0, 0.0, rng.derive("data"))
             prefixes = make_prefixes(ds, [8, 16, 32])
             model = make_model("linear", 8, 2, rng.derive("model"))
-            task = TaskSpec("continuous", "cross_entropy", 15, 0.1)
+            task = TaskSpec("continuous", 15, 0.1)
             return run_continuous(model, prefixes, task, rng.derive("run")), rng
 
         tm_a, rng = one_run()
@@ -487,7 +498,7 @@ class TestTransfer:
         ds = gen_drift_classification(32, 16, 0.0, 0.0, rng.derive("data"))
         prefixes = make_prefixes(ds, [4, 8])
         model = make_model("linear", 8, 2, rng.derive("model"))
-        task = TaskSpec("continuous", "cross_entropy", 2, 0.1)
+        task = TaskSpec("continuous", 2, 0.1)
         with pytest.raises(ValueError):
             run_continuous(model, [], task, rng)
         with pytest.raises(ValueError):
