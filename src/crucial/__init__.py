@@ -32,7 +32,6 @@ from .numerics import (
 from .loss import (
     CrucialConfig,
     EpochState,
-    KappaFormula,
     ModulatedLoss,
     Variant,
     advance_epoch_adp,

@@ -129,7 +129,9 @@ def gen_sine_regression(n: int, T: int, noise_sd: float, rng: SeededRng, *,
     phases = gen.uniform(0.0, 2.0 * math.pi, n)
     amps = gen.uniform(*_SINE_AMP_RANGE, n)
     t = np.arange(T + 1, dtype=np.float64)
-    clean = amps[:, None] * np.sin(2.0 * math.pi * freqs[:, None] * t[None, :] + phases[:, None])
+    with np.errstate(over="ignore", invalid="ignore"):  # _check_finite rejects the result
+        clean = amps[:, None] * np.sin(2.0 * math.pi * freqs[:, None] * t[None, :]
+                                       + phases[:, None])
     noisy = clean + noise_sd * gen.standard_normal((n, T + 1))
     return _check_finite(Dataset(ids=np.arange(n), values=np.ascontiguousarray(noisy[:, :T]),
                                  labels=noisy[:, T].copy()), "gen_sine_regression")
@@ -251,11 +253,13 @@ def _parse_label(text: str):
     return v
 
 
-def load_csv(path, schema: tuple[int, int] | None = None) -> CsvLoadResult:
+def load_csv(path) -> CsvLoadResult:
     """Load a dataset from the bit-exact CSV contract.
 
-    A malformed header (wrong leading columns, out-of-order or mixed value
-    columns, or a mismatch against the optional ``schema`` tuple (T, d))
+    The header alone sets the series shape: values load as (n, T), or as
+    (n, T, d) under multivariate columns, so a caller that expects a shape
+    checks result.dataset.values.shape.  A malformed header (wrong leading
+    columns, out-of-order or mixed value columns, fewer than 2 time steps)
     raises ValueError immediately.  Malformed rows (wrong arity, bad id,
     non-numeric or non-finite cells) are rejected one by one and reported
     in ``rejected`` with their 1-based file line numbers; every other row
@@ -271,8 +275,6 @@ def load_csv(path, schema: tuple[int, int] | None = None) -> CsvLoadResult:
         except StopIteration:
             raise ValueError("csv header mismatch: empty file") from None
         T, d = _parse_header(header)
-        if schema is not None and (T, d) != tuple(schema):
-            raise ValueError(f"csv header mismatch: file has (T={T}, d={d}), expected {schema}")
         n_cols = 2 + T * d
         ids: list[int] = []
         labels: list[int | float] = []

@@ -6,9 +6,11 @@ Every variant shares one algebraic shell
 
 where l is a raw per-sample loss, eps a threshold that moves with the loss
 population, and kappa a confidence weight chosen in closed form so the shell
-is minimized over kappa in (0, e].  Samples with loss above the threshold get
-kappa < 1 (down-weighted, "not yet trustworthy"), samples below get kappa > 1
-up to a hard cap of e.
+is minimized over kappa in (0, e].  There is one closed form, SuperLoss's
+kappa = exp(-W(max(-2/e, beta)/2)) with beta = (l - eps)/lam (Castells,
+Weinzaepfel & Revaud, NeurIPS 2020).  Samples with loss above the threshold
+get kappa < 1 (down-weighted, "not yet trustworthy"), samples below get
+kappa > 1 up to a hard cap of e.
 
 Two schedules move the threshold:
 
@@ -42,14 +44,13 @@ from enum import Enum
 import numpy as np
 
 from . import tracetext
-from .numerics import W_DOMAIN_MIN, lambert_w0, lambert_w0_array, loss_stats
+from .numerics import lambert_w0, lambert_w0_array, loss_stats
 
 __all__ = [
     "KAPPA_CAP",
     "CAP_BETA",
     "CrucialConfig",
     "EpochState",
-    "KappaFormula",
     "ModulatedLoss",
     "Variant",
     "advance_epoch_adp",
@@ -91,19 +92,6 @@ class Variant(str, Enum):
     SIN = "sin"            # sinusoidally cycled gate + threshold
 
 
-class KappaFormula(str, Enum):
-    """Closed form used for the confidence weight.
-
-    ARGMIN is exp(-W(beta/2)), the exact minimizer of the shell over
-    kappa in (0, e].  HALF_W is the legacy rendering exp(-W(beta)/2); it is
-    kept as a compatibility mode and clamps beta at the W domain edge -1/e
-    (below which it is not evaluable) instead of capping at -2/e.
-    """
-
-    ARGMIN = "argmin"
-    HALF_W = "half_w"
-
-
 @dataclass(frozen=True)
 class CrucialConfig:
     """Configuration for one wrapped-loss schedule.
@@ -121,8 +109,6 @@ class CrucialConfig:
     phase: float = 0.0
     mu_fixed: float | None = None
     threshold: float = 0.0
-    kappa_formula: KappaFormula = KappaFormula.ARGMIN
-    accumulate_stats: bool = False
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.lam) or self.lam <= 0.0:
@@ -173,11 +159,10 @@ class EpochState:
     threshold: float
 
 
-def kappa_star(loss: float, threshold: float, lam: float,
-               formula: KappaFormula = KappaFormula.ARGMIN) -> float:
+def kappa_star(loss: float, threshold: float, lam: float) -> float:
     """Closed-form confidence weight minimizing the shared loss shell.
 
-    With beta = (loss - threshold) / lam, the ARGMIN form returns
+    With beta = (loss - threshold) / lam this is SuperLoss's closed form
     exp(-W(beta/2)), which solves d/dkappa [kappa*(l-eps) + lam*(ln kappa)^2]
     = 0; for beta <= -2/e the unconstrained stationary point exceeds the
     cap and the constrained minimizer sits at the boundary, so exactly e is
@@ -187,12 +172,9 @@ def kappa_star(loss: float, threshold: float, lam: float,
     if lam <= 0.0 or not math.isfinite(lam):
         raise ValueError("kappa_star: lam must be finite and > 0")
     beta = (loss - threshold) / lam
-    if formula is KappaFormula.ARGMIN:
-        if beta <= CAP_BETA:
-            return KAPPA_CAP
-        return math.exp(-lambert_w0(beta / 2.0))
-    # Legacy half-W rendering, clamped at the W domain edge.
-    return math.exp(-0.5 * lambert_w0(max(beta, W_DOMAIN_MIN)))
+    if beta <= CAP_BETA:
+        return KAPPA_CAP
+    return math.exp(-lambert_w0(beta / 2.0))
 
 
 def modulated_value(loss: float, threshold: float, lam: float, kappa: float) -> float:
@@ -230,7 +212,7 @@ def shell_value(gap, lam, kappa):
     return kappa * gap + lam * log_k * log_k
 
 
-def kappa_and_value(losses, threshold, lam, formula: KappaFormula):
+def kappa_and_value(losses, threshold, lam):
     """kappa_star and the shell value of every loss, as arrays.
 
     This is the kernel every wrapper runs; losses, threshold and lam
@@ -239,12 +221,9 @@ def kappa_and_value(losses, threshold, lam, formula: KappaFormula):
     """
     gap = losses - threshold
     beta = gap / lam
-    if formula is KappaFormula.ARGMIN:
-        capped = beta <= CAP_BETA
-        w = lambert_w0_array(np.where(capped, 0.0, beta / 2.0))
-        kappa = np.where(capped, KAPPA_CAP, np.exp(-w))
-    else:
-        kappa = np.exp(-0.5 * lambert_w0_array(np.maximum(beta, W_DOMAIN_MIN)))
+    capped = beta <= CAP_BETA
+    w = lambert_w0_array(np.where(capped, 0.0, beta / 2.0))
+    kappa = np.where(capped, KAPPA_CAP, np.exp(-w))
     return kappa, shell_value(gap, lam, kappa)
 
 
@@ -279,7 +258,7 @@ def _sin_losses(losses: np.ndarray, epoch: int, mu_l: float, cfg: CrucialConfig)
         # lam_t -> 0 limit: survivors contribute nothing this epoch.
         kappa, threshold, value = np.zeros(n), 0.0, np.zeros(n)
     else:
-        kappa, value = kappa_and_value(losses, thr, -math.log(f), cfg.kappa_formula)
+        kappa, value = kappa_and_value(losses, thr, -math.log(f))
         threshold = thr
     return ModulatedLoss(
         input_loss=losses,
@@ -309,7 +288,7 @@ def modulate_epoch(losses, state: EpochState, cfg: CrucialConfig | None) -> Modu
         return _sin_losses(losses, state.epoch_index, mu, cfg)
     else:
         threshold = state.threshold if cfg.variant is Variant.ADP else cfg.threshold
-        kappa, value = kappa_and_value(losses, threshold, cfg.lam, cfg.kappa_formula)
+        kappa, value = kappa_and_value(losses, threshold, cfg.lam)
     return ModulatedLoss(losses, kappa, np.full(n, threshold), value, np.ones(n, dtype=bool))
 
 
@@ -354,10 +333,9 @@ def crucial_sin(loss: float, epoch: int, mu_l: float, cfg: CrucialConfig) -> Mod
     return _single(_sin_losses(np.array([loss], dtype=np.float64), epoch, mu_l, cfg))
 
 
-def baseline_confidence_loss(loss: float, threshold: float, lam: float,
-                             formula: KappaFormula = KappaFormula.ARGMIN) -> ModulatedLoss:
+def baseline_confidence_loss(loss: float, threshold: float, lam: float) -> ModulatedLoss:
     """Confidence weighting against a fixed, caller-supplied threshold."""
-    cfg = CrucialConfig(Variant.BASELINE, lam=lam, threshold=threshold, kappa_formula=formula)
+    cfg = CrucialConfig(Variant.BASELINE, lam=lam, threshold=threshold)
     return _single(modulate_epoch([loss], initial_epoch_state(), cfg))
 
 

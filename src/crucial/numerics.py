@@ -145,9 +145,6 @@ def loss_stats(values) -> LossStats:
     return LossStats(mean=mean, std=std, skewness=skew, n=n)
 
 
-_RNG_ALGORITHM = "pcg64"
-
-
 def derive_seed(seed: int, name: str) -> int:
     """Stable 64-bit sub-seed for (seed, component name).
 
@@ -169,7 +166,6 @@ class SeededRng:
     """
 
     seed: int
-    algorithm: str = field(default=_RNG_ALGORITHM, init=False)
     generator: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

@@ -1,13 +1,16 @@
 """Executable invariant suites.
 
-Each suite returns (passed, detail) and is deterministic given a seed, so
-the CLI can emit a machine-readable pass/fail report and the test suite can
-assert the same facts.  The Lambert W and confidence-weight suites run, over
-whole arrays of draws, the kernels that training runs: lambert_w0_array,
-loss.kappa_and_value and loss.shell_value, and modulate_epoch for the cycled
-variant.  The confidence weights are checked against an independent
-golden-section minimizer of the raw objective kappa*(l - eps) +
-lam*(ln kappa)^2, never against the closed form itself.
+Each suite takes one SeededRng, returns (passed, detail) and is
+deterministic given a seed, so the CLI can emit a machine-readable pass/fail
+report and the test suite can assert the same facts.  The Lambert W and
+confidence-weight suites run, over whole arrays of draws, the kernels that
+training runs: lambert_w0_array, loss.kappa_and_value and loss.shell_value,
+and modulate_epoch for the cycled variant.  The confidence weights are
+checked against an independent golden-section minimizer of the raw
+objective kappa*(l - eps) + lam*(ln kappa)^2, never against the closed form
+itself: a kernel that renders the closed form wrongly, with the exponent
+halved outside W, still passes the structural properties and fails
+kappa_argmin_oracle alone.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ import numpy as np
 from scipy.special import erfcx
 
 from .data import gen_drift_classification, gen_sine_regression, load_csv, save_csv
-from .loss import (CrucialConfig, EpochState, KappaFormula, ModulatedLoss, Variant,
-                   kappa_and_value, modulate_epoch, shell_value)
+from .loss import (CrucialConfig, EpochState, ModulatedLoss, Variant, kappa_and_value,
+                   modulate_epoch, shell_value)
 from .numerics import SeededRng, lambert_w0_array, loss_stats
 from .sampler import LossPopulation, PopulationKind
 from .trainer import forward_backward, make_model
@@ -62,7 +65,7 @@ def _draws(rng: SeededRng, name: str, lows, highs, n: int = 1000):
     return rng.derive(name).generator.uniform(lows, highs, (n, len(lows))).T
 
 
-def suite_lambert_w_residual(rng: SeededRng, formula: KappaFormula):
+def suite_lambert_w_residual(rng: SeededRng):
     """Max |w*exp(w) - x| over 10^4 grid points in [-1/e, 10] is <= 1e-12."""
     xs = np.linspace(-math.exp(-1.0), 10.0, 10_000)
     w = lambert_w0_array(xs)
@@ -70,14 +73,14 @@ def suite_lambert_w_residual(rng: SeededRng, formula: KappaFormula):
     return worst <= 1e-12, f"max residual {worst:.3e} over 10^4 grid points"
 
 
-def suite_lambert_w_monotonic(rng: SeededRng, formula: KappaFormula):
+def suite_lambert_w_monotonic(rng: SeededRng):
     """W is strictly increasing on its domain (checked on a dense grid)."""
     ws = lambert_w0_array(np.linspace(-math.exp(-1.0), 10.0, 4_000))
     bad = int(np.count_nonzero(~(ws[1:] > ws[:-1])))
     return bad == 0, f"{bad} non-increasing steps on 4000-point grid"
 
 
-def suite_erfc_reflection(rng: SeededRng, formula: KappaFormula):
+def suite_erfc_reflection(rng: SeededRng):
     """The sampler's tail-safe erfc forms: erfc(x) = exp(-x^2) erfcx(x) meets
     erfc(-x) + erfc(x) = 2 to 1e-10 on |x| <= 6, and the tilted half-normal's
     inverse CDF starts at its cut mu for rate*sigma up to 60, well past where
@@ -91,7 +94,7 @@ def suite_erfc_reflection(rng: SeededRng, formula: KappaFormula):
         f"max reflection defect {worst:.3e}; tilted cut offset {cut:.3e} up to rate*sigma 60")
 
 
-def suite_loss_stats_invariance(rng: SeededRng, formula: KappaFormula):
+def suite_loss_stats_invariance(rng: SeededRng):
     """Shift leaves std/skewness unchanged; positive scaling leaves skewness."""
     gen = rng.derive("loss-stats").generator
     worst = 0.0
@@ -109,7 +112,7 @@ def suite_loss_stats_invariance(rng: SeededRng, formula: KappaFormula):
     return worst <= 1e-9, f"max relative drift {worst:.3e} over 200 draws"
 
 
-def suite_kappa_argmin_oracle(rng: SeededRng, formula: KappaFormula):
+def suite_kappa_argmin_oracle(rng: SeededRng):
     """Closed-form weight vs. golden-section minimization of the raw shell.
 
     1000 random (l, eps, lam in [1e-3, 1]) triples must agree to 1e-6 in
@@ -121,9 +124,9 @@ def suite_kappa_argmin_oracle(rng: SeededRng, formula: KappaFormula):
     l, eps, lam = _draws(rng, "kappa-argmin", [0.0, 0.0, 1e-3], [2.0, 2.0, 1.0])
     oracle = [golden_section_min(_shell(*t), 1e-8, math.e)
               for t in np.column_stack((l, eps, lam)).tolist()]
-    worst = float(np.max(np.abs(kappa_and_value(l, eps, lam, formula)[0] - oracle)))
+    worst = float(np.max(np.abs(kappa_and_value(l, eps, lam)[0] - oracle)))
     edge = kappa_and_value(np.array([1.25, 0.0]), np.array([1.25, 2.0 * 0.01 / math.e + 1e-9]),
-                           0.01, formula)[0]
+                           0.01)[0]
     exact_one, capped = bool(edge[0] == 1.0), bool(edge[1] == math.e)
     return worst <= 1e-6 and exact_one and capped, (
         f"max |closed form - golden section| {worst:.3e}; "
@@ -131,25 +134,25 @@ def suite_kappa_argmin_oracle(rng: SeededRng, formula: KappaFormula):
     )
 
 
-def suite_property1_translation(rng: SeededRng, formula: KappaFormula):
+def suite_property1_translation(rng: SeededRng):
     """Adding C to both loss and threshold changes nothing (to 1e-12)."""
     l, eps, lam, c = _draws(rng, "p1", [0.0, 0.0, 1e-3, -5.0], [2.0, 2.0, 1.0, 5.0])
-    drift = np.subtract(kappa_and_value(l + c, eps + c, lam, formula),
-                        kappa_and_value(l, eps, lam, formula))
+    drift = np.subtract(kappa_and_value(l + c, eps + c, lam),
+                        kappa_and_value(l, eps, lam))
     worst = float(np.max(np.abs(drift)))
     return worst <= 1e-12, f"max translation drift {worst:.3e} over 1000 draws"
 
 
-def suite_property2_homogeneity(rng: SeededRng, formula: KappaFormula):
+def suite_property2_homogeneity(rng: SeededRng):
     """(C*l, C*eps, C*lam) scales the value by exactly C (1e-10 relative)."""
     l, eps, lam, c = _draws(rng, "p2", [0.0, 0.0, 1e-3, 0.1], [2.0, 2.0, 1.0, 10.0])
-    cv0 = c * kappa_and_value(l, eps, lam, formula)[1]
-    v1 = kappa_and_value(c * l, c * eps, c * lam, formula)[1]
+    cv0 = c * kappa_and_value(l, eps, lam)[1]
+    v1 = kappa_and_value(c * l, c * eps, c * lam)[1]
     worst = float(np.max(np.abs(v1 - cv0) / np.maximum(np.abs(cv0), 1e-30)))
     return worst <= 1e-10, f"max relative homogeneity defect {worst:.3e}"
 
 
-def suite_property3_unit_confidence(rng: SeededRng, formula: KappaFormula):
+def suite_property3_unit_confidence(rng: SeededRng):
     """Forcing kappa = 1 reduces the kernel's shell to l - eps exactly."""
     l, eps, lam = _draws(rng, "p3", [-2.0, -2.0, 1e-3], [2.0, 2.0, 1.0])
     ok = shell_value(l - eps, lam, 1.0) == l - eps
@@ -159,7 +162,7 @@ def suite_property3_unit_confidence(rng: SeededRng, formula: KappaFormula):
     return True, "value == l - eps exactly on 1000 draws"
 
 
-def suite_property4_differentiated_scaling(rng: SeededRng, formula: KappaFormula):
+def suite_property4_differentiated_scaling(rng: SeededRng):
     """Easy samples are amplified more than hard ones are kept.
 
     For pairs l_i < eps < l_j (lam = 0.01, 1000 pairs, gaps at least 0.01
@@ -172,7 +175,7 @@ def suite_property4_differentiated_scaling(rng: SeededRng, formula: KappaFormula
     eps = 0.5 + (1.5 - 0.5) * u[:, 0]
     l = np.stack([eps - (0.01 + (eps * 0.98 - 0.01) * u[:, 1]),
                   eps + (0.01 + (2.0 - 0.01) * u[:, 2])])
-    (k_e, k_h), value = kappa_and_value(l, eps, 0.01, formula)
+    (k_e, k_h), value = kappa_and_value(l, eps, 0.01)
     r_e, r_h = value / (l - eps)
     ok = (r_e > r_h) & (k_e > 1.0) & (1.0 > k_h)
     if not ok.all():
@@ -184,12 +187,11 @@ def suite_property4_differentiated_scaling(rng: SeededRng, formula: KappaFormula
     return True, "ratio ordering and kappa bracketing held on 1000 pairs"
 
 
-def suite_sin_period_identity(rng: SeededRng, formula: KappaFormula):
+def suite_sin_period_identity(rng: SeededRng):
     """omega = pi/4 outputs at epochs t and t+4 are bit-identical, for 25
     epochs t in [0, 64), each with its own fixed mu and 10 losses."""
     gen = rng.derive("sin-period").generator
-    cfg = CrucialConfig(variant=Variant.SIN, omega=math.pi / 4.0, phase=0.0,
-                        kappa_formula=formula)
+    cfg = CrucialConfig(variant=Variant.SIN, omega=math.pi / 4.0, phase=0.0)
     losses, mus = gen.uniform(0.0, 3.0, (25, 10)), gen.uniform(0.2, 2.0, 25).tolist()
     for loss, mu, t in zip(losses, mus, gen.integers(0, 64, 25).tolist()):
         at = replace(cfg, mu_fixed=mu)
@@ -202,16 +204,16 @@ def suite_sin_period_identity(rng: SeededRng, formula: KappaFormula):
     return True, "250 random (loss, mu, epoch) draws bit-identical at t and t+4"
 
 
-def suite_kappa_bounds(rng: SeededRng, formula: KappaFormula):
+def suite_kappa_bounds(rng: SeededRng):
     """0 < kappa <= e for every finite input, across all variants; the
     cycled variant weighs |l| at each epoch of [0, 16), mu the epoch mean."""
     l, eps, lam = _draws(rng, "kappa-bounds", [-10.0, -10.0, 1e-4], [10.0, 10.0, 10.0])
-    k = kappa_and_value(l, eps, lam, formula)[0]
+    k = kappa_and_value(l, eps, lam)[0]
     ok = (0.0 < k) & (k <= math.e)
     if not ok.all():
         i = np.argmin(ok)
         return False, f"kappa_star out of (0, e]: {k[i]} at l={l[i]}, eps={eps[i]}, lam={lam[i]}"
-    cfg = CrucialConfig(variant=Variant.SIN, kappa_formula=formula)
+    cfg = CrucialConfig(variant=Variant.SIN)
     cycled = np.concatenate([modulate_epoch(np.abs(l), EpochState(t, 0.0), cfg).kappa
                              for t in range(16)])
     out = cycled[~((0.0 <= cycled) & (cycled <= math.e))]
@@ -220,7 +222,7 @@ def suite_kappa_bounds(rng: SeededRng, formula: KappaFormula):
     return True, "all weights inside (0, e] (0 only as the explicit flag)"
 
 
-def suite_gradient_finite_difference(rng: SeededRng, formula: KappaFormula):
+def suite_gradient_finite_difference(rng: SeededRng):
     """The summed gradient of one backward pass matches centered finite differences.
 
     For each model kind, random parameters and a random direction: the
@@ -260,7 +262,7 @@ def suite_gradient_finite_difference(rng: SeededRng, formula: KappaFormula):
     return True, "all three model kinds within 1e-4 of centered differences"
 
 
-def suite_csv_round_trip(rng: SeededRng, formula: KappaFormula):
+def suite_csv_round_trip(rng: SeededRng):
     """save_csv -> load_csv reproduces ids, values bit for bit, and labels
     (dtype included, NaN equal to NaN) as whole arrays."""
     import tempfile
@@ -304,13 +306,12 @@ SUITES = {
 }
 
 
-def run_suites(seed: int, formula: KappaFormula = KappaFormula.ARGMIN,
-               names=None) -> dict:
+def run_suites(seed: int, names=None) -> dict:
     """Run the invariant suites; returns {name: {passed, detail}}."""
     rng = SeededRng(seed)
     picked = SUITES if names is None else {n: SUITES[n] for n in names}
     report = {}
     for name, fn in picked.items():
-        passed, detail = fn(rng.derive(f"suite/{name}"), formula)
+        passed, detail = fn(rng.derive(f"suite/{name}"))
         report[name] = {"passed": bool(passed), "detail": detail}
     return report

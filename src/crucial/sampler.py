@@ -217,21 +217,28 @@ def analytic_expected_errors(pop: LossPopulation, rate: float):
     Monte Carlo estimator rather than silently corrected.
 
     Returns (E_U, E_P, diamond), diamond None for normal populations.
+    Raises ValueError where E_U or E_P is not a finite float.
     """
     if not math.isfinite(rate) or rate <= 0.0:
         raise ValueError("analytic_expected_errors: rate must be finite and > 0")
     s = pop.sigma
     if pop.kind is PopulationKind.NORMAL:
-        e_u = s * s
-        e_p = (rate * rate) * (s ** 4) + s * s
-        return e_u, e_p, None
-    e_u = s * s * (1.0 - 2.0 / math.pi)
-    # exp(-x^2) / erfc(x) = 1 / erfcx(x), finite where erfc underflows to 0.
-    x = math.sqrt(2.0) / 2.0 * s * rate
-    diamond = math.sqrt(2.0) * s / (math.sqrt(math.pi) * float(erfcx(x)))
-    e_p = s * s * (2.0 / math.pi + 1.0) + (
-        2.0 * s * (2.0 / math.pi) + rate * s * s
-    ) * (rate * s * s - diamond)
+        e_u, diamond = s * s, None
+        try:
+            e_p = (rate * rate) * (s ** 4) + s * s
+        except OverflowError:  # float ** raises where float * gives inf
+            e_p = math.inf
+    else:
+        e_u = s * s * (1.0 - 2.0 / math.pi)
+        # exp(-x^2) / erfc(x) = 1 / erfcx(x), finite where erfc underflows to 0.
+        x = math.sqrt(2.0) / 2.0 * s * rate
+        diamond = math.sqrt(2.0) * s / (math.sqrt(math.pi) * float(erfcx(x)))
+        e_p = s * s * (2.0 / math.pi + 1.0) + (
+            2.0 * s * (2.0 / math.pi) + rate * s * s
+        ) * (rate * s * s - diamond)
+    if not (math.isfinite(e_u) and math.isfinite(e_p)):
+        raise ValueError(f"analytic_expected_errors: E_U or E_P is not finite at "
+                         f"sigma={s!r}, rate={rate!r}")
     return e_u, e_p, diamond
 
 

@@ -326,7 +326,8 @@ def _losses_and_dout(model: Model, X: np.ndarray, y: np.ndarray, base_loss: str)
         if model.n_outputs != 1:
             raise ValueError("forward_backward: mse expects a single output")
         r = out[:, 0] - y
-        losses = r * r
+        with np.errstate(over="ignore"):  # an overflow is caught by the divergence guard
+            losses = r * r
         dout = (2.0 * r)[:, None]
     elif base_loss == "cross_entropy":
         z = out - np.max(out, axis=1, keepdims=True)
@@ -395,32 +396,27 @@ class TrainResult:
     epoch_mean_losses: list[float]
     kappa_ge1_counts: list[int]
     traces: list[ModulatedLoss] = field(repr=False, default_factory=list)
-    final_state: EpochState | None = None
 
 
 def train_model(model: Model, dataset: Dataset, task: TaskSpec,
-                *, keep_traces: bool = False,
-                initial_state: EpochState | None = None) -> TrainResult:
-    """Train for task.epochs full-batch epochs on one dataset (featurized once)."""
+                *, keep_traces: bool = False) -> TrainResult:
+    """Train for task.epochs full-batch epochs on one dataset (featurized once),
+    starting from initial_epoch_state()."""
     data = featurize(dataset, model)
-    state = initial_state if initial_state is not None else initial_epoch_state()
+    state = initial_epoch_state()
     mean_losses: list[float] = []
     counts: list[int] = []
     traces: list[ModulatedLoss] = []
-    for _ in range(task.epochs):
+    for epoch in range(task.epochs):
+        if epoch:
+            state = _advance_state(state, mod.input_loss, task)
         model, mod = train_epoch(model, data, task, state)
         mean_losses.append(float(np.mean(mod.input_loss)))
         counts.append(int(np.count_nonzero(mod.selected & (mod.kappa >= 1.0))))
         if keep_traces:
             traces.append(mod)
-        state = _advance_state(state, mod.input_loss, task)
-    return TrainResult(
-        model=model,
-        epoch_mean_losses=mean_losses,
-        kappa_ge1_counts=counts,
-        traces=traces,
-        final_state=state,
-    )
+    return TrainResult(model=model, epoch_mean_losses=mean_losses, kappa_ge1_counts=counts,
+                       traces=traces)
 
 
 def auc_roc(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -515,8 +511,9 @@ def run_continuous(model: Model, prefixes: list[Dataset], task: TaskSpec,
     make_prefixes returns them.  After each stage the model is scored on
     every prefix (row i of R).  The untrained baseline row comes from a
     fresh model drawn with one extra derived seed, recorded on the result.
-    Adaptive wrapper statistics reset at each stage unless the wrapper sets
-    accumulate_stats.
+    Each stage is one train_model call, so it starts from
+    initial_epoch_state(): the adaptive threshold and the cycle's epoch
+    index restart at every stage.
     """
     if not prefixes:
         raise ValueError("run_continuous: no prefixes")
@@ -528,16 +525,8 @@ def run_continuous(model: Model, prefixes: list[Dataset], task: TaskSpec,
     fresh = model.fresh(baseline_rng)
     baseline = np.array([_continuous_score(fresh, p, task) for p in prefixes])
     R = np.zeros((k, k))
-    state: EpochState | None = None
     for i, prefix in enumerate(prefixes):
-        carry = (
-            state
-            if (task.wrapper is not None and task.wrapper.accumulate_stats)
-            else None
-        )
-        result = train_model(model, prefix, task, initial_state=carry)
-        model = result.model
-        state = result.final_state
+        model = train_model(model, prefix, task).model
         for j, other in enumerate(prefixes):
             R[i, j] = _continuous_score(model, other, task)
     return TransferMatrix(R=R, baseline=baseline, baseline_seed=baseline_rng.seed)

@@ -262,7 +262,7 @@ class TestCsvContract:
         save_csv(p, ds)
         header = p.read_text(encoding="utf-8").split("\n")[0]
         assert header.startswith("id,label,v1_d1,v1_d2,v1_d3,v2_d1")
-        back = load_csv(p, schema=(5, 3))
+        back = load_csv(p)
         assert back.rejected == []
         assert back.dataset.values.shape == (4, 5, 3)
         assert np.array_equal(ds.values, back.dataset.values)
@@ -281,13 +281,6 @@ class TestCsvContract:
             p.write_text(text, encoding="utf-8")
             with pytest.raises(ValueError):
                 load_csv(p)
-
-    def test_schema_mismatch_hard_fails(self, tmp_path):
-        p = tmp_path / "s.csv"
-        p.write_text("id,label,v1,v2\n0,1,0.0,0.0\n", encoding="utf-8")
-        with pytest.raises(ValueError):
-            load_csv(p, schema=(3, 1))
-        assert len(load_csv(p, schema=(2, 1)).dataset) == 1
 
     def test_bad_rows_rejected_with_line_numbers(self, tmp_path):
         p = tmp_path / "r.csv"

@@ -16,7 +16,6 @@ from crucial.loss import (
     KAPPA_CAP,
     CrucialConfig,
     EpochState,
-    KappaFormula,
     ModulatedLoss,
     Variant,
     advance_epoch_adp,
@@ -97,15 +96,6 @@ class TestKappaStar:
             k = kappa_star(float(gen.uniform(-5, 5)), float(gen.uniform(-5, 5)),
                            float(gen.uniform(1e-4, 2.0)))
             assert 0.0 < k <= KAPPA_CAP
-
-    def test_compat_formula_differs_and_is_not_the_argmin(self):
-        a = kappa_star(1.0, 0.5, 0.01, KappaFormula.ARGMIN)
-        h = kappa_star(1.0, 0.5, 0.01, KappaFormula.HALF_W)
-        assert h != pytest.approx(a, rel=1e-3)
-        oracle = golden_min(shell(1.0, 0.5, 0.01), 1e-8, math.e)
-        assert abs(h - oracle) > 1e-3
-        # the compat rendering agrees at the fixed point l == threshold
-        assert kappa_star(2.0, 2.0, 0.01, KappaFormula.HALF_W) == 1.0
 
     def test_lambda_validation(self):
         with pytest.raises(ValueError):
@@ -269,36 +259,32 @@ class TestModulateEpoch:
     LOSSES = np.concatenate([SeededRng(5).generator.uniform(0.0, 3.0, 200),
                              [0.0, 0.7, 1e-3, 2.9]])
 
-    @pytest.mark.parametrize("formula", list(KappaFormula))
-    def test_kappa_matches_kappa_star(self, formula):
+    def test_kappa_matches_kappa_star(self):
         gen = SeededRng(8).generator
         for _ in range(20):
             thr = float(gen.uniform(0.0, 2.0))
             lam = float(gen.uniform(1e-3, 1.0))
             losses = np.concatenate([self.LOSSES, [thr, thr + 2.0 * lam * CAP_BETA]])
-            cfg = CrucialConfig(Variant.BASELINE, lam=lam, threshold=thr, kappa_formula=formula)
+            cfg = CrucialConfig(Variant.BASELINE, lam=lam, threshold=thr)
             m = modulate_epoch(losses, initial_epoch_state(), cfg)
-            ref = np.array([kappa_star(float(l), thr, lam, formula) for l in losses])
+            ref = np.array([kappa_star(float(l), thr, lam) for l in losses])
             beta = (losses - thr) / lam
-            x = beta / 2.0 if formula is KappaFormula.ARGMIN else beta
-            away = np.abs(x - W_DOMAIN_MIN) >= 1e-8
+            away = np.abs(beta / 2.0 - W_DOMAIN_MIN) >= 1e-8
             assert np.max(np.abs(m.kappa - ref)[away]) <= 1e-12
             assert m.kappa[-2] == 1.0 and m.value[-2] == 0.0
-            if formula is KappaFormula.ARGMIN:
-                assert np.all(m.kappa[beta <= CAP_BETA] == KAPPA_CAP)
-                assert m.kappa[-1] == KAPPA_CAP
+            assert np.all(m.kappa[beta <= CAP_BETA] == KAPPA_CAP)
+            assert m.kappa[-1] == KAPPA_CAP
             values = [modulated_value(float(l), thr, lam, float(k)) for l, k in zip(losses, m.kappa)]
             assert np.max(np.abs(m.value - values)) <= 1e-12
 
-    @pytest.mark.parametrize("formula", list(KappaFormula))
-    def test_kernel_broadcasts_threshold_and_lam_per_entry(self, formula):
+    def test_kernel_broadcasts_threshold_and_lam_per_entry(self):
         gen = SeededRng(4).generator
         thr = gen.uniform(0.0, 2.0, self.LOSSES.size)
         lam = gen.uniform(1e-3, 1.0, self.LOSSES.size)
-        kappa, value = kappa_and_value(self.LOSSES, thr, lam, formula)
+        kappa, value = kappa_and_value(self.LOSSES, thr, lam)
         for i, l in enumerate(self.LOSSES.tolist()):
             one = modulate_epoch([l], initial_epoch_state(), CrucialConfig(
-                Variant.BASELINE, lam=float(lam[i]), threshold=float(thr[i]), kappa_formula=formula))
+                Variant.BASELINE, lam=float(lam[i]), threshold=float(thr[i])))
             assert (kappa[i], value[i]) == (one.kappa[0], one.value[0])
         assert value.tobytes() == shell_value(self.LOSSES - thr, lam, kappa).tobytes()
 
@@ -313,9 +299,8 @@ class TestModulateEpoch:
         assert _rows(m) == [astuple(baseline_confidence_loss(float(l), 0.9, 0.05))
                             for l in self.LOSSES]
 
-    @pytest.mark.parametrize("formula", list(KappaFormula))
-    def test_sin_matches_the_per_sample_wrapper(self, formula):
-        cfg = CrucialConfig(Variant.SIN, lam=0.01, omega=math.pi / 4.0, kappa_formula=formula)
+    def test_sin_matches_the_per_sample_wrapper(self):
+        cfg = CrucialConfig(Variant.SIN, lam=0.01, omega=math.pi / 4.0)
         mu = float(np.mean(self.LOSSES))
         for t in range(8):  # F = 0, 1/2, 1, 1/2, then again
             m = modulate_epoch(self.LOSSES, EpochState(epoch_index=t, threshold=0.0), cfg)

@@ -151,4 +151,4 @@ class TestSeededRng:
             SeededRng(2**64)
 
     def test_algorithm_tag(self):
-        assert SeededRng(0).algorithm == "pcg64"
+        assert type(SeededRng(0).generator.bit_generator) is np.random.PCG64

@@ -4,7 +4,6 @@ import pytest
 
 from crucial import loss, properties
 from crucial.data import CsvLoadResult, Dataset
-from crucial.loss import KappaFormula
 from crucial.properties import SUITES, golden_section_min, run_suites
 
 ALL_NAMES = sorted(SUITES)
@@ -34,10 +33,10 @@ class TestRunSuites:
         report = run_suites(1234)
         assert all(r["passed"] for r in report.values())
 
-    def test_compat_formula_fails_exactly_the_argmin_oracle(self):
+    def test_compat_formula_fails_exactly_the_argmin_oracle(self, halved_exponent_suites):
         # the halved-exponent rendering is not the shell's minimizer, so the
         # oracle suite must flag it while the structural invariants survive
-        report = run_suites(0, formula=KappaFormula.HALF_W)
+        report = run_suites(0)
         assert report["kappa_argmin_oracle"]["passed"] is False
         assert report["property1_translation"]["passed"] is True
         assert report["property2_homogeneity"]["passed"] is True
@@ -67,8 +66,8 @@ class TestSuitesRunTheTrainingKernel:
         # not a scalar twin: scaling its kappa has to show.
         real = loss.kappa_and_value
 
-        def off(losses, threshold, lam, formula):
-            kappa, value = real(losses, threshold, lam, formula)
+        def off(losses, threshold, lam):
+            kappa, value = real(losses, threshold, lam)
             return kappa * (1.0 - 1e-5), value
 
         for module in (loss, properties):
@@ -81,8 +80,8 @@ class TestCsvRoundTripSuite:
     def test_a_load_that_drops_the_last_row_fails(self, monkeypatch):
         real_load = properties.load_csv
 
-        def drop_last_row(path, schema=None):
-            res = real_load(path, schema)
+        def drop_last_row(path):
+            res = real_load(path)
             ds = res.dataset
             return CsvLoadResult(Dataset(ids=ds.ids[:-1], values=ds.values[:-1],
                                          labels=ds.labels[:-1]), res.rejected)
