@@ -520,7 +520,12 @@ def cmd_trace_loss(cfg: dict) -> int:
     # in the same order as a running product.
     steps = np.full((epochs, 2), float(cfg["decay"]))
     steps[0] = (float(cfg["easy_start"]), float(cfg["hard_start"]))
-    losses = np.cumprod(steps, axis=0).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        losses = np.cumprod(steps, axis=0).ravel()
+    if not np.isfinite(losses).all():
+        raise ConfigError(f"a loss leaves the float range within {epochs} epochs "
+                          f"(easy_start={cfg['easy_start']}, hard_start={cfg['hard_start']}, "
+                          f"decay={cfg['decay']})")
     write_loss_trace(os.path.join(out_dir, "trace.csv"), np.repeat(np.arange(epochs), 2),
                      np.tile([0, 1], epochs),
                      modulate_epoch(losses, initial_epoch_state(), wrapper))

@@ -132,7 +132,7 @@ def gen_sine_regression(n: int, T: int, noise_sd: float, rng: SeededRng, *,
     with np.errstate(over="ignore", invalid="ignore"):  # _check_finite rejects the result
         clean = amps[:, None] * np.sin(2.0 * math.pi * freqs[:, None] * t[None, :]
                                        + phases[:, None])
-    noisy = clean + noise_sd * gen.standard_normal((n, T + 1))
+        noisy = clean + noise_sd * gen.standard_normal((n, T + 1))
     return _check_finite(Dataset(ids=np.arange(n), values=np.ascontiguousarray(noisy[:, :T]),
                                  labels=noisy[:, T].copy()), "gen_sine_regression")
 

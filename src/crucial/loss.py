@@ -42,6 +42,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
+from scipy.special import wrightomega
 
 from . import tracetext
 from .numerics import lambert_w0, lambert_w0_array, loss_stats
@@ -218,13 +219,26 @@ def kappa_and_value(losses, threshold, lam):
     This is the kernel every wrapper runs; losses, threshold and lam
     broadcast against each other.  W is never evaluated on capped entries:
     they sit at or beyond the branch point, where it is undefined or slow.
+    Where beta = gap/lam overflows to +inf (a tiny lam or a far threshold),
+    w = W(beta/2) is the Wright omega function of ln(gap) - ln(2*lam)
+    instead, since W(x) = omega(ln x); there kappa = exp(-w) and, because
+    kappa*gap = 2*lam*w at the minimizer, the value is lam*w*(w + 2).  A
+    beta of -inf is capped like any other beta below the branch point.
     """
     gap = losses - threshold
-    beta = gap / lam
+    with np.errstate(over="ignore"):
+        beta = gap / lam
     capped = beta <= CAP_BETA
-    w = lambert_w0_array(np.where(capped, 0.0, beta / 2.0))
+    huge = beta == np.inf
+    w = lambert_w0_array(np.where(capped | huge, 0.0, beta / 2.0))
     kappa = np.where(capped, KAPPA_CAP, np.exp(-w))
-    return kappa, shell_value(gap, lam, kappa)
+    value = shell_value(gap, lam, kappa)
+    if huge.any():
+        with np.errstate(divide="ignore", invalid="ignore"):  # only huge entries are kept
+            w = wrightomega(np.log(gap) - np.log(2.0 * lam))
+        kappa = np.where(huge, np.exp(-w), kappa)
+        value = np.where(huge, lam * w * (w + 2.0), value)
+    return kappa, value
 
 
 def _sin_cycle_factor(epoch: int, omega: float, phase: float) -> float:
@@ -233,10 +247,11 @@ def _sin_cycle_factor(epoch: int, omega: float, phase: float) -> float:
     sin^2 has period pi/|omega| in the epoch index.  When that period is an
     integer (within 1e-9), the epoch is reduced modulo it first, so epochs t
     and t + period produce bit-identical factors instead of drifting apart
-    through rounding in the angle multiply.
+    through rounding in the angle multiply.  A period that overflows (a
+    subnormal omega) is no integer.
     """
     period = math.pi / abs(omega)
-    nearest = round(period)
+    nearest = round(period) if math.isfinite(period) else 0
     if nearest >= 1 and abs(period - nearest) < 1e-9:
         epoch = epoch % nearest
     s = math.sin(omega * epoch + phase)

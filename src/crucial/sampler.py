@@ -11,7 +11,7 @@ For normal and folded half-normal loss populations the module provides the
 closed-form expectations (transcribed verbatim, including the half-normal
 coefficients whose bookkeeping is suspect; the Monte Carlo estimator is the
 ground truth and any disagreement is reported, not hidden), a seeded
-self-normalized Monte Carlo estimator with standard errors (stratified
+self-normalized Monte Carlo estimate with its standard error (stratified
 inverse-CDF draws, with a tilted defensive component under condition P so
 the estimator stays sharp at large rate * sigma), an ordering check, and a
 toy population simulator showing the skewness cycle that alternating U/P
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -151,10 +151,7 @@ class SelectionMode(str, Enum):
 
 @dataclass(frozen=True)
 class SelectionCondition:
-    """How a batch is drawn: uniformly, or tilted by exp(-rate * loss).
-
-    The rate also picks the closed forms a report of either mode carries.
-    """
+    """How a batch is drawn: uniformly, or tilted by exp(-rate * loss)."""
 
     mode: SelectionMode
     rate: float = 1.0
@@ -174,8 +171,8 @@ class Ordering(str, Enum):
 class ErrorReport:
     """Analytic and Monte Carlo expected squared errors for one population.
 
-    Analytic values are deterministic closed forms; mc values are estimates
-    with standard errors and are None for the condition that was not run.
+    Analytic values are deterministic closed forms; mc values are both
+    conditions' estimates and standard errors, n_samples draws each.
     diamond is the erfc-based correction term of the half-normal closed
     form (None for normal populations).
     """
@@ -185,10 +182,10 @@ class ErrorReport:
     analytic_eu: float
     analytic_ep: float
     diamond: float | None
-    mc_eu: float | None
-    mc_eu_stderr: float | None
-    mc_ep: float | None
-    mc_ep_stderr: float | None
+    mc_eu: float
+    mc_eu_stderr: float
+    mc_ep: float
+    mc_ep_stderr: float
     n_samples: int
     seed: int
 
@@ -222,14 +219,14 @@ def analytic_expected_errors(pop: LossPopulation, rate: float):
     if not math.isfinite(rate) or rate <= 0.0:
         raise ValueError("analytic_expected_errors: rate must be finite and > 0")
     s = pop.sigma
+    e_u = pop.population_var()
     if pop.kind is PopulationKind.NORMAL:
-        e_u, diamond = s * s, None
+        diamond = None
         try:
-            e_p = (rate * rate) * (s ** 4) + s * s
+            e_p = (rate * rate) * (s ** 4) + e_u
         except OverflowError:  # float ** raises where float * gives inf
             e_p = math.inf
     else:
-        e_u = s * s * (1.0 - 2.0 / math.pi)
         # exp(-x^2) / erfc(x) = 1 / erfcx(x), finite where erfc underflows to 0.
         x = math.sqrt(2.0) / 2.0 * s * rate
         diamond = math.sqrt(2.0) * s / (math.sqrt(math.pi) * float(erfcx(x)))
@@ -385,8 +382,8 @@ def _run_chunks(tasks, workers: int, size: int):
 
 
 def mc_expected_errors(pop: LossPopulation, cond: SelectionCondition, n: int,
-                       rng: SeededRng, workers: int = 1) -> ErrorReport:
-    """Monte Carlo expected squared error under one selection condition.
+                       rng: SeededRng, workers: int = 1) -> tuple[float, float]:
+    """(estimate, standard error) of the expected squared error under cond.
 
     Under U, n losses are drawn from pop (one per jittered
     equal-probability stratum) and the errors (l_i - mu_pop)^2 are averaged
@@ -418,39 +415,20 @@ def mc_expected_errors(pop: LossPopulation, cond: SelectionCondition, n: int,
     if n < 2:
         raise ValueError("mc_expected_errors: n must be >= 2 for a standard error")
     center = pop.population_mean()
-    sizes = _chunk_sizes(n, _MC_CHUNKS)
-    starts = [sum(sizes[:i]) for i in range(len(sizes))]
-    e_u, e_p, diamond = analytic_expected_errors(pop, cond.rate)
-    report = ErrorReport(
-        population=pop,
-        rate=cond.rate,
-        analytic_eu=e_u,
-        analytic_ep=e_p,
-        diamond=diamond,
-        mc_eu=None,
-        mc_eu_stderr=None,
-        mc_ep=None,
-        mc_ep_stderr=None,
-        n_samples=n,
-        seed=rng.seed,
-    )
-
     # Rounding can leave a variance sum just below zero; only that is
     # clamped, since max(0.0, nan) would turn a broken sum into 0.0.
     if cond.mode is SelectionMode.UNIFORM:
+        sizes = _chunk_sizes(n, _MC_CHUNKS)
+        starts = [sum(sizes[:i]) for i in range(len(sizes))]
         tasks = [
             (lambda work, i=i, st=st, sz=sz: _uniform_chunk(
                 pop, center, st, sz, n, rng.derive(f"u/chunk{i}"), work))
             for i, (st, sz) in enumerate(zip(starts, sizes)) if sz > 0
         ]
-        parts = _run_chunks(tasks, workers, sizes[0])
-        s1 = sum(p[0] for p in parts)
-        s2 = sum(p[1] for p in parts)
+        s1, s2 = map(sum, zip(*_run_chunks(tasks, workers, sizes[0])))
         est = s1 / n
         var = (s2 - n * est * est) / max(1, n - 1)
-        report.mc_eu = est
-        report.mc_eu_stderr = math.sqrt((0.0 if var < 0.0 else var) / n)
-        return report
+        return est, math.sqrt((0.0 if var < 0.0 else var) / n)
 
     rate = cond.rate
     n_pop = (n + 1) // 2
@@ -467,29 +445,25 @@ def mc_expected_errors(pop: LossPopulation, cond: SelectionCondition, n: int,
             rng.derive(f"p/chunk{i}"), work))
         for i in range(_MC_CHUNKS) if p_sizes[i] + t_sizes[i] > 0
     ]
-    parts = _run_chunks(tasks, workers, p_sizes[0] + t_sizes[0])
-    sw = sum(p[0] for p in parts)
-    swy = sum(p[1] for p in parts)
-    sw2 = sum(p[2] for p in parts)
-    sw2y = sum(p[3] for p in parts)
-    sw2y2 = sum(p[4] for p in parts)
+    sw, swy, sw2, sw2y, sw2y2 = map(sum, zip(*_run_chunks(tasks, workers,
+                                                          p_sizes[0] + t_sizes[0])))
     est = swy / sw
     num = sw2y2 - 2.0 * est * sw2y + est * est * sw2
-    report.mc_ep = est
-    report.mc_ep_stderr = math.sqrt(0.0 if num < 0.0 else num) / sw
-    return report
+    return est, math.sqrt(0.0 if num < 0.0 else num) / sw
 
 
 def compare_conditions(pop: LossPopulation, rate: float, n: int, rng: SeededRng,
                        workers: int = 1) -> ErrorReport:
-    """Run both conditions on derived substreams and merge into one report."""
-    u = mc_expected_errors(
-        pop, SelectionCondition(SelectionMode.UNIFORM, rate), n, rng.derive("cond-u"), workers
-    )
-    p = mc_expected_errors(
-        pop, SelectionCondition(SelectionMode.EXPONENTIAL, rate), n, rng.derive("cond-p"), workers
-    )
-    return replace(p, mc_eu=u.mc_eu, mc_eu_stderr=u.mc_eu_stderr, seed=rng.seed)
+    """One grid point's report.  The closed forms come first, so where they
+    are not finite ValueError is raised before any draw; U and P then run n
+    draws each on the substreams rng.derive("cond-u") and "cond-p"."""
+    e_u, e_p, diamond = analytic_expected_errors(pop, rate)
+    mc_eu, mc_eu_stderr = mc_expected_errors(
+        pop, SelectionCondition(SelectionMode.UNIFORM, rate), n, rng.derive("cond-u"), workers)
+    mc_ep, mc_ep_stderr = mc_expected_errors(
+        pop, SelectionCondition(SelectionMode.EXPONENTIAL, rate), n, rng.derive("cond-p"), workers)
+    return ErrorReport(pop, rate, e_u, e_p, diamond, mc_eu, mc_eu_stderr, mc_ep, mc_ep_stderr,
+                       n, rng.seed)
 
 
 # The toy loop of distribution_cycle_sim: initial population, selection

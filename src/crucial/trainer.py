@@ -260,7 +260,8 @@ class TaskSpec:
     The task picks the base loss and the model's output count: regression
     trains one output under MSE, both classification shapes train two under
     cross-entropy.  The wrapper, when present, scales each sample's row of
-    dl/dout by its confidence factor before the one backward pass.
+    dl/dout by its confidence factor before the one backward pass.  A cycled
+    wrapper's angle omega*epoch + phase must stay finite up to the last epoch.
     """
 
     task: str                        # regression | single_shot | continuous
@@ -275,6 +276,11 @@ class TaskSpec:
             raise ValueError("TaskSpec: epochs must be >= 1")
         if not math.isfinite(self.learning_rate) or self.learning_rate <= 0.0:
             raise ValueError("TaskSpec: learning_rate must be finite and > 0")
+        cfg = self.wrapper
+        if (cfg is not None and cfg.variant is Variant.SIN
+                and not math.isfinite(cfg.omega * (self.epochs - 1) + cfg.phase)):
+            raise ValueError("TaskSpec: the cycled wrapper's last angle "
+                             "omega*(epochs - 1) + phase is not finite")
 
     @property
     def base_loss(self) -> str:
@@ -326,8 +332,7 @@ def _losses_and_dout(model: Model, X: np.ndarray, y: np.ndarray, base_loss: str)
         if model.n_outputs != 1:
             raise ValueError("forward_backward: mse expects a single output")
         r = out[:, 0] - y
-        with np.errstate(over="ignore"):  # an overflow is caught by the divergence guard
-            losses = r * r
+        losses = r * r
         dout = (2.0 * r)[:, None]
     elif base_loss == "cross_entropy":
         z = out - np.max(out, axis=1, keepdims=True)
@@ -354,25 +359,33 @@ def forward_backward(model: Model, X: np.ndarray, y: np.ndarray, base_loss: str)
     return losses, model.backward(cache, dout)
 
 
+def _guard(losses: np.ndarray, when: str) -> None:
+    """Raise TrainingDiverged when the mean raw loss is not finite or is
+    above DIVERGENCE_LIMIT."""
+    mean_loss = float(np.mean(losses))
+    if not math.isfinite(mean_loss) or mean_loss > DIVERGENCE_LIMIT:
+        raise TrainingDiverged(
+            f"mean loss {mean_loss:.3e} beyond guard {DIVERGENCE_LIMIT:.0e} {when}")
+
+
 def train_epoch(model: Model, data, task: TaskSpec, state: EpochState):
     """One full-batch epoch; returns (model, the epoch's ModulatedLoss record).
 
     data is the (X, y) pair from featurize.  The step is one backward pass
     with each sample's dl/dout row scaled by kappa_i / n, i.e. the mean of
     the kappa-weighted per-sample gradients; a mean raw loss above
-    DIVERGENCE_LIMIT aborts before the update.
+    DIVERGENCE_LIMIT aborts before the update.  Overflow in the forward pass
+    or the step is left to that guard, here or on the next forward pass; the
+    wrapper's kernel runs outside it and keeps its own warnings.
     """
     X, y = data
-    losses, dout, cache = _losses_and_dout(model, X, y, task.base_loss)
-    mean_loss = float(np.mean(losses))
-    if not math.isfinite(mean_loss) or mean_loss > DIVERGENCE_LIMIT:
-        raise TrainingDiverged(
-            f"mean loss {mean_loss:.3e} beyond guard {DIVERGENCE_LIMIT:.0e} "
-            f"at epoch {state.epoch_index}"
-        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        losses, dout, cache = _losses_and_dout(model, X, y, task.base_loss)
+    _guard(losses, f"at epoch {state.epoch_index}")
     mod = modulate_epoch(losses, state, task.wrapper)
-    grad = model.backward(cache, dout * (mod.kappa / X.shape[0])[:, None])
-    model.params -= task.learning_rate * grad
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad = model.backward(cache, dout * (mod.kappa / X.shape[0])[:, None])
+        model.params -= task.learning_rate * grad
     return model, mod
 
 
@@ -401,7 +414,8 @@ class TrainResult:
 def train_model(model: Model, dataset: Dataset, task: TaskSpec,
                 *, keep_traces: bool = False) -> TrainResult:
     """Train for task.epochs full-batch epochs on one dataset (featurized once),
-    starting from initial_epoch_state()."""
+    starting from initial_epoch_state(); the trained model's mean raw loss
+    must pass the divergence guard too."""
     data = featurize(dataset, model)
     state = initial_epoch_state()
     mean_losses: list[float] = []
@@ -415,6 +429,9 @@ def train_model(model: Model, dataset: Dataset, task: TaskSpec,
         counts.append(int(np.count_nonzero(mod.selected & (mod.kappa >= 1.0))))
         if keep_traces:
             traces.append(mod)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _guard(_losses_and_dout(model, *data, task.base_loss)[0],
+               f"after epoch {task.epochs - 1}")
     return TrainResult(model=model, epoch_mean_losses=mean_losses, kappa_ge1_counts=counts,
                        traces=traces)
 

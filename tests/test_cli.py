@@ -1,5 +1,6 @@
 """End-to-end CLI contract: exit codes, file outputs, byte determinism."""
 
+import csv
 import json
 import math
 import re
@@ -14,6 +15,15 @@ from crucial.loss import KAPPA_CAP
 
 def run(*argv):
     return main(list(argv))
+
+
+def assert_weights_in_range(trace_path):
+    """Every row of a loss trace has kappa in (0, e] and a finite value."""
+    with open(trace_path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows
+    assert all(0.0 < float(r["kappa"]) <= KAPPA_CAP for r in rows)
+    assert all(math.isfinite(float(r["value"])) for r in rows)
 
 
 def tree_bytes(root):
@@ -225,6 +235,13 @@ class TestTraceLoss:
             assert a.split(",")[2:] == b.split(",")[2:]
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag,value", [("--lam", "1e-320"), ("--hard-start", "1e308")])
+    def test_an_overflowing_beta_traces_finite_rows(self, tmp_path, capsys, flag, value):
+        assert run("trace-loss", "--output-dir", str(tmp_path), "--epochs", "2",
+                   flag, value) == 0
+        assert capsys.readouterr().err == ""
+        assert_weights_in_range(tmp_path / "trace.csv")
+
     def test_epoch_validation(self, tmp_path, capsys):
         assert run("trace-loss", "--output-dir", str(tmp_path), "--epochs", "0") == 2
         capsys.readouterr()
@@ -342,6 +359,25 @@ class TestTrain:
             assert code == 1
             assert capsys.readouterr().err.startswith("train: diverged:")
 
+    @pytest.mark.parametrize("lr,epochs", [("1e305", "1"), ("1e308", "2")])
+    def test_a_step_that_overflows_exits_one(self, tmp_path, capsys, lr, epochs):
+        # at 1e305 the only step overflows, which one more forward pass shows
+        code = run("train", "--output-dir", str(tmp_path), "--epochs", epochs, "--n", "16",
+                   "--learning-rate", lr)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("train: diverged:")
+        assert not (tmp_path / "aggregate.csv").exists()
+
+    @pytest.mark.parametrize("argv", [("--wrapper", "sin", "--omega", "1e-320", "--epochs", "2"),
+                                      ("--wrapper", "adp", "--lam", "1e-320", "--epochs", "3"),
+                                      ("--wrapper", "baseline", "--threshold", "-1e308",
+                                       "--epochs", "3")],
+                             ids=["sin_omega", "adp_lam", "baseline_threshold"])
+    def test_extreme_wrapper_settings_train_cleanly(self, tmp_path, capsys, argv):
+        assert run("train", "--output-dir", str(tmp_path), "--n", "16", *argv) == 0
+        assert capsys.readouterr().err == ""
+        assert_weights_in_range(tmp_path / "loss_trace_run0.csv")
+
     def test_wrapper_and_policy_validation(self, tmp_path, capsys):
         assert run("train", "--output-dir", str(tmp_path), "--wrapper", "magic") == 2
         assert run("train", "--output-dir", str(tmp_path), "--wrapper", "sin",
@@ -410,6 +446,10 @@ _BAD_INPUTS = {
                                           "--n", "16"), None),
     "gen_data_overflowing_frequency": (("gen-data", "--freq-lo", "1e308",
                                         "--freq-hi", "1e308"), None),
+    "gen_data_overflowing_noise": (("gen-data", "--noise-sd", "1e308"), None),
+    "sin_omega_overflowing_angle": (("train", "--wrapper", "sin", "--omega", "1e308",
+                                     "--epochs", "3"), None),
+    "trace_loss_overflowing_decay": (("trace-loss", "--decay", "1e200", "--epochs", "3"), None),
 }
 
 

@@ -200,6 +200,12 @@ class TestSin:
         m0 = crucial_sin(0.9, 0, 1.0, cfg)  # F = sin^2(0) = 0 exactly
         assert (m0.kappa, m0.value, m0.selected) == (1.0, 0.9 - 1.0, True)
 
+    def test_subnormal_omega_has_no_integer_period(self):
+        # pi/omega overflows to inf; the cycle factor is sin^2 of a tiny angle
+        cfg = CrucialConfig(Variant.SIN, lam=0.01, omega=1e-320)
+        m = crucial_sin(0.9, 3, 1.0, cfg)
+        assert (m.kappa, m.value, m.selected) == (1.0, 0.9 - 1.0, True)
+
     def test_mu_validation(self):
         with pytest.raises(ValueError):
             crucial_sin(0.5, 1, 0.0, self.CFG)
@@ -330,6 +336,44 @@ class TestModulateEpoch:
         b = modulate_epoch(self.LOSSES[3:5], initial_epoch_state(), None)
         both = ModulatedLoss.concat([a, b])
         assert _rows(both) == _rows(a) + _rows(b)
+
+
+class TestOverflowingBeta:
+    """beta = gap/lam beyond the float range: w solves w + ln w = ln gap - ln(2 lam)."""
+
+    # (loss, threshold, lam): a tiny lam, a far threshold, a far loss
+    POINTS = [(5.0, 0.0, 2.5e-308), (0.5, -1e308, 0.01), (1e308, 0.7, 0.01),
+              (1e10, 1.0, 1e-300)]
+
+    @pytest.mark.parametrize("loss,threshold,lam", POINTS)
+    def test_weight_solves_the_stationarity_equation(self, loss, threshold, lam):
+        gap = loss - threshold
+        assert gap / lam == math.inf
+        kappa, value = kappa_and_value(np.array([loss]), threshold, lam)
+        k, v = float(kappa[0]), float(value[0])
+        assert 0.0 < k < 1.0 and math.isfinite(v)
+        w = -math.log(k)
+        target = math.log(gap) - math.log(2.0 * lam)
+        assert abs(w + math.log(w) - target) <= 1e-12 * target
+        # the shell at kappa, with kappa*gap = 2*lam*w at the minimizer
+        assert v == pytest.approx(k * gap + lam * w * w, rel=1e-12)
+        assert k * gap == pytest.approx(2.0 * lam * w, rel=1e-12)
+
+    def test_finite_beta_entries_keep_their_bits(self):
+        losses = np.array([0.1, 0.7, 2.5, 1e10, 0.69, 1e-3])
+        kappa, value = kappa_and_value(losses, 0.69, 1e-300)
+        finite = np.array([True, True, True, False, True, True])
+        k_ref, v_ref = kappa_and_value(losses[finite], 0.69, 1e-300)
+        assert kappa[finite].tobytes() == k_ref.tobytes()
+        assert value[finite].tobytes() == v_ref.tobytes()
+        assert 0.0 < kappa[3] < 1.0 and np.isfinite(value).all()
+
+    def test_tiny_lam_trace_rows_stay_finite(self):
+        # trace-loss --lam 1e-320: the hard sample's beta overflows
+        m = modulate_epoch(np.array([0.25, 2.5]), initial_epoch_state(),
+                           CrucialConfig(Variant.BASELINE, lam=1e-320, threshold=math.log(2.0)))
+        assert m.kappa[0] == KAPPA_CAP
+        assert 0.0 < m.kappa[1] < 1e-300 and 0.0 < m.value[1] < 1e-300
 
 
 class TestConfigValidation:

@@ -125,6 +125,13 @@ class TestLossPopulation:
         assert pop.population_mean() == pytest.approx(1.3)
         assert pop.population_var() == pytest.approx(0.16)
 
+    @pytest.mark.parametrize("kind", list(PopulationKind))
+    def test_closed_form_eu_is_the_population_variance(self, kind):
+        for sigma in (0.1, 0.7, 3.0, 1e30):
+            pop = LossPopulation(kind, mu=0.4, sigma=sigma)
+            for rate in (0.5, 2.0):
+                assert analytic_expected_errors(pop, rate)[0] == pop.population_var()
+
     def test_moments_half_normal(self):
         pop = LossPopulation(PopulationKind.HALF_NORMAL, mu=0.2, sigma=0.5)
         assert pop.population_mean() == pytest.approx(0.2 + 0.5 * math.sqrt(2.0 / math.pi), rel=1e-12)
@@ -272,9 +279,9 @@ class TestFarTail:
                    for k in (1, 2)]
         truth = moments[1] - 2.0 * c * moments[0] + c * c
         assert truth == pytest.approx(239.2085, abs=1e-4)
-        rep = mc_expected_errors(pop, SelectionCondition(SelectionMode.EXPONENTIAL, rate),
-                                 20_000, SeededRng(5))
-        assert abs(rep.mc_ep - truth) <= 4.0 * rep.mc_ep_stderr
+        est, se = mc_expected_errors(pop, SelectionCondition(SelectionMode.EXPONENTIAL, rate),
+                                     20_000, SeededRng(5))
+        assert abs(est - truth) <= 4.0 * se
         draws = pop.tilted_quantile(np.array([1e-300, 0.5, 1.0 - 2.0 ** -53]), rate)
         assert draws[0] == pytest.approx(0.0, abs=1e-12) and np.all(np.diff(draws) > 0.0)
 
@@ -451,8 +458,7 @@ class TestMonteCarlo:
         monkeypatch.setattr(sampler, "_uniform_chunk", lambda *a: (1.0, math.nan))
         monkeypatch.setattr(sampler, "_tilted_chunk", lambda *a: (1.0, 1.0, 1.0, math.nan, 1.0))
         for mode in SelectionMode:
-            rep = mc_expected_errors(pop, SelectionCondition(mode), 1_000, SeededRng(0))
-            se = rep.mc_eu_stderr if mode is SelectionMode.UNIFORM else rep.mc_ep_stderr
+            _, se = mc_expected_errors(pop, SelectionCondition(mode), 1_000, SeededRng(0))
             assert math.isnan(se)
 
     def test_same_seed_reproduces_and_seeds_differ(self):
@@ -461,37 +467,50 @@ class TestMonteCarlo:
         a = mc_expected_errors(pop, cond, 10_000, SeededRng(5))
         b = mc_expected_errors(pop, cond, 10_000, SeededRng(5))
         c = mc_expected_errors(pop, cond, 10_000, SeededRng(6))
-        assert a.mc_ep == b.mc_ep and a.mc_ep_stderr == b.mc_ep_stderr
-        assert a.mc_ep != c.mc_ep
+        assert a == b
+        assert a[0] != c[0]
 
     def test_error_shrinks_with_n(self):
         pop = LossPopulation(PopulationKind.NORMAL, mu=0.0, sigma=1.0)
         cond = SelectionCondition(SelectionMode.EXPONENTIAL, rate=1.0)
         truth = 2.0  # rate^2 sigma^4 + sigma^2
-        small = mc_expected_errors(pop, cond, 4_000, SeededRng(11))
-        big = mc_expected_errors(pop, cond, 256_000, SeededRng(11))
-        assert big.mc_ep_stderr < 0.25 * small.mc_ep_stderr
-        assert abs(big.mc_ep - truth) < 0.01
-
-    def test_uniform_report_leaves_ep_unset(self):
-        pop = LossPopulation(PopulationKind.NORMAL, mu=0.0, sigma=1.0)
-        rep = mc_expected_errors(
-            pop, SelectionCondition(SelectionMode.UNIFORM), 10_000, SeededRng(2))
-        assert isinstance(rep, ErrorReport)
-        assert rep.mc_eu is not None and rep.mc_ep is None
-        assert rep.n_samples == 10_000 and rep.seed == 2
+        _, small_se = mc_expected_errors(pop, cond, 4_000, SeededRng(11))
+        big, big_se = mc_expected_errors(pop, cond, 256_000, SeededRng(11))
+        assert big_se < 0.25 * small_se
+        assert abs(big - truth) < 0.01
 
     def test_uniform_report_carries_its_own_rate_closed_forms(self):
         pop = LossPopulation(PopulationKind.HALF_NORMAL, mu=0.0, sigma=1.0)
-        u = mc_expected_errors(pop, SelectionCondition(SelectionMode.UNIFORM, 2.0),
-                               1_000, SeededRng(2))
         e_u, e_p, diamond = analytic_expected_errors(pop, 2.0)
-        assert (u.analytic_eu, u.analytic_ep, u.diamond) == (e_u, e_p, diamond)
-        assert u.analytic_ep == pytest.approx(0.4150, abs=1e-4)
-        assert u.diamond == pytest.approx(2.3732, abs=1e-4)
+        assert e_p == pytest.approx(0.4150, abs=1e-4)
+        assert diamond == pytest.approx(2.3732, abs=1e-4)
         both = compare_conditions(pop, 2.0, 1_000, SeededRng(2))
         assert (both.analytic_eu, both.analytic_ep, both.diamond) == (e_u, e_p, diamond)
         assert (both.rate, both.n_samples, both.seed) == (2.0, 1_000, 2)
+
+    @pytest.mark.parametrize("kind", list(PopulationKind))
+    def test_report_holds_each_condition_on_its_own_substream(self, kind):
+        pop = LossPopulation(kind, mu=0.1, sigma=0.8)
+        rng = SeededRng(4)
+        rep = compare_conditions(pop, 1.5, 2_000, rng, workers=2)
+        assert isinstance(rep, ErrorReport)
+        u = mc_expected_errors(pop, SelectionCondition(SelectionMode.UNIFORM, 1.5), 2_000,
+                               rng.derive("cond-u"))
+        p = mc_expected_errors(pop, SelectionCondition(SelectionMode.EXPONENTIAL, 1.5), 2_000,
+                               rng.derive("cond-p"))
+        assert (rep.mc_eu, rep.mc_eu_stderr) == u
+        assert (rep.mc_ep, rep.mc_ep_stderr) == p
+        assert all(type(v) is float for v in (*u, *p))
+
+    def test_overflowing_closed_form_raises_before_any_draw(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a chunk ran")
+        monkeypatch.setattr(sampler, "_uniform_chunk", refuse)
+        monkeypatch.setattr(sampler, "_tilted_chunk", refuse)
+        for kind in PopulationKind:
+            pop = LossPopulation(kind, mu=0.0, sigma=1e200)
+            with pytest.raises(ValueError, match="not finite"):
+                compare_conditions(pop, 1.0, 1_000, SeededRng(0))
 
     def test_n_validation(self):
         # One draw has no sample standard error, under either condition.

@@ -298,6 +298,16 @@ class TestTaskSpec:
         with pytest.raises(ValueError):
             TaskSpec("regression", 1, 0.0)
 
+    def test_cycled_wrapper_angle_must_stay_finite(self):
+        sin = CrucialConfig(Variant.SIN, omega=1e308)
+        TaskSpec("regression", 2, 0.1, wrapper=sin)  # last angle 1e308
+        with pytest.raises(ValueError, match="last angle"):
+            TaskSpec("regression", 3, 0.1, wrapper=sin)
+        with pytest.raises(ValueError, match="last angle"):  # -1e308 - 1e308
+            TaskSpec("regression", 2, 0.1,
+                     wrapper=CrucialConfig(Variant.SIN, omega=-1e308, phase=-1e308))
+        TaskSpec("regression", 3, 0.1, wrapper=CrucialConfig(Variant.ADP, omega=1e308))
+
     @pytest.mark.parametrize("task,base_loss,n_outputs", [
         ("regression", "mse", 1),
         ("single_shot", "cross_entropy", 2),
@@ -347,6 +357,11 @@ class TestTrainLoop:
         task = TaskSpec("regression", 200, 50.0)
         with pytest.raises(TrainingDiverged):
             train_model(model, ds, task)
+
+    def test_the_last_step_is_guarded_too(self):
+        ds, model = self._sine_setup()
+        with pytest.raises(TrainingDiverged, match="after epoch 0"):
+            train_model(model, ds, TaskSpec("regression", 1, 1e305))
 
     def test_training_is_deterministic(self):
         ds, model_a = self._sine_setup(3)
