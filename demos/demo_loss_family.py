@@ -66,6 +66,6 @@ for epoch in range(6):
     kappas = modulate_epoch(losses, state, cfg_adp).kappa
     print(f"{epoch:5d} {state.threshold:10.4f} {kappas.mean():11.4f} "
           f"{np.mean(kappas >= 1.0):10.2f}")
-    state = advance_epoch_adp(losses, cfg_adp, epoch + 1)
+    state = advance_epoch_adp(losses, epoch + 1)
     losses = losses * 0.8  # homogeneity: the shape, not the scale, matters
 print("threshold follows skewness * mean, so it decays with the losses")

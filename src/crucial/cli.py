@@ -7,10 +7,17 @@ and has no seed); components derive sub-seeds by fixed hashing of (seed,
 component name), so outputs are byte-identical for a given seed regardless
 of worker count.  Exit codes: 0 success, 1 check or guard failure, 2
 usage/config error.
+
+resolve_config types every value as its default, and each command runs in
+two phases.  The first builds every object it needs (grid points, wrapper,
+datasets, model, prefixes, losses) from that typed config; a ValueError
+raised there is a config error, and nothing but config_resolved.txt has been
+written.  The second runs and writes with no error mapping.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -234,7 +241,7 @@ def _echo_config(cfg: dict, out_dir: str) -> None:
 def _list(cfg: dict, key: str, parse=str) -> list:
     """The comma-separated items of cfg[key], each passed through parse."""
     out = []
-    for item in (p.strip() for p in str(cfg[key]).split(",")):
+    for item in (p.strip() for p in cfg[key].split(",")):
         if item:
             try:
                 out.append(parse(item))
@@ -245,144 +252,126 @@ def _list(cfg: dict, key: str, parse=str) -> list:
     return out
 
 
+@contextlib.contextmanager
+def _config_errors():
+    """Turn a ValueError raised while a command builds its objects into a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
 def cmd_simulate(cfg: dict) -> int:
-    out_dir = cfg["output_dir"]
+    out_dir, n, workers, tol = cfg["output_dir"], cfg["n"], cfg["workers"], cfg["tolerance_se"]
     kinds = _list(cfg, "populations", PopulationKind)
     sigmas = _list(cfg, "sigmas", float)
     rates = _list(cfg, "rates", float)
     if not all(math.isfinite(r) and r > 0.0 for r in rates):
         raise ConfigError(f"key rates: every rate must be finite and > 0, got {cfg['rates']}")
-    n = int(cfg["n"])
-    workers = int(cfg["workers"])
-    tol = float(cfg["tolerance_se"])
     if n < 2 or workers < 1:
         raise ConfigError("n must be >= 2 (a standard error needs two draws) and workers >= 1")
     if not (math.isfinite(tol) and tol > 0.0):
-        raise ConfigError(f"key tolerance_se: must be finite and > 0, got {cfg['tolerance_se']}")
-    master = SeededRng(int(cfg["seed"]))
+        raise ConfigError(f"key tolerance_se: must be finite and > 0, got {tol}")
+    with _config_errors():
+        # the closed forms raise ValueError where E_U or E_P is not finite
+        grid = [(pop, rate, ordering_check(pop, rate))
+                for pop in (LossPopulation(kind, cfg["mu"], sigma)
+                            for kind in kinds for sigma in sigmas)
+                for rate in rates]
 
-    rows = []
+    master = SeededRng(cfg["seed"])
     all_pass = True
-    for kind in kinds:
-        for sigma in sigmas:
-            for rate in rates:
-                try:
-                    pop = LossPopulation(kind=kind, mu=float(cfg["mu"]), sigma=sigma)
-                    # the closed forms raise ValueError where E_U or E_P is not finite
-                    analytic_order = ordering_check(pop, rate)
-                except ValueError as exc:
-                    raise ConfigError(str(exc)) from None
-                point = master.derive(f"grid/{kind.value}/{sigma!r}/{rate!r}")
-                report = compare_conditions(pop, rate, n, point, workers=workers)
-                mc_order = (
-                    Ordering.U_BEATS_P if report.mc_eu < report.mc_ep
-                    else Ordering.P_BEATS_U
-                )
-                eu_ok = abs(report.mc_eu - report.analytic_eu) <= tol * report.mc_eu_stderr
-                if kind is PopulationKind.NORMAL:
-                    ep_ok = abs(report.mc_ep - report.analytic_ep) <= tol * report.mc_ep_stderr
-                    order_ok = analytic_order is Ordering.U_BEATS_P
-                    point_pass = eu_ok and ep_ok and order_ok
-                else:
-                    # The half-normal E_P closed form is a verbatim
-                    # transcription under adjudication; it is reported and
-                    # compared but never gates the exit code.
-                    ep_ok = None
-                    point_pass = eu_ok
-                all_pass = all_pass and point_pass
-                payload = {
-                    "population": {"kind": kind.value, "mu": pop.mu, "sigma": sigma},
-                    "lambda": rate,
-                    "analytic": {
-                        "e_u": report.analytic_eu,
-                        "e_p": report.analytic_ep,
-                        "diamond": report.diamond,
-                    },
-                    "mc": {"e_u": report.mc_eu, "e_p": report.mc_ep},
-                    "stderr": {"e_u": report.mc_eu_stderr, "e_p": report.mc_ep_stderr},
-                    "ordering": {
-                        "analytic": analytic_order.value,
-                        "mc": mc_order.value,
-                        "agree": analytic_order.value == mc_order.value,
-                    },
-                    "n": n,
-                    "seed": report.seed,
-                    "checks": {
-                        "eu_within_tol": eu_ok,
-                        "ep_within_tol": ep_ok,
-                        "passed": point_pass,
-                    },
-                }
-                name = f"report_{kind.value}_s{sigma:g}_r{rate:g}.json"
-                with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-                    json.dump(payload, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-                rows.append((kind.value, sigma, rate, report, analytic_order, mc_order, point_pass))
-
-    with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8") as fh:
-        fh.write(
-            "population sigma rate analytic_eu analytic_ep mc_eu mc_ep "
-            "se_eu se_ep ordering_analytic ordering_mc pass\n"
-        )
-        for kind, sigma, rate, rep, a_ord, m_ord, ok in rows:
-            fh.write(
-                f"{kind} {sigma:g} {rate:g} {_fmt(rep.analytic_eu)} {_fmt(rep.analytic_ep)} "
-                f"{_fmt(rep.mc_eu)} {_fmt(rep.mc_ep)} {_fmt(rep.mc_eu_stderr)} "
-                f"{_fmt(rep.mc_ep_stderr)} {a_ord.value} {m_ord.value} {str(ok).lower()}\n"
+    with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8") as summary:
+        summary.write("population sigma rate analytic_eu analytic_ep mc_eu mc_ep "
+                      "se_eu se_ep ordering_analytic ordering_mc pass\n")
+        for pop, rate, analytic_order in grid:
+            kind, sigma = pop.kind.value, pop.sigma
+            point = master.derive(f"grid/{kind}/{sigma!r}/{rate!r}")
+            report = compare_conditions(pop, rate, n, point, workers=workers)
+            mc_order = Ordering.U_BEATS_P if report.mc_eu < report.mc_ep else Ordering.P_BEATS_U
+            eu_ok = abs(report.mc_eu - report.analytic_eu) <= tol * report.mc_eu_stderr
+            if pop.kind is PopulationKind.NORMAL:
+                ep_ok = abs(report.mc_ep - report.analytic_ep) <= tol * report.mc_ep_stderr
+                order_ok = analytic_order is Ordering.U_BEATS_P
+                point_pass = eu_ok and ep_ok and order_ok
+            else:
+                # The half-normal E_P closed form is a verbatim transcription
+                # under adjudication; it is reported and compared but never
+                # gates the exit code.
+                ep_ok = None
+                point_pass = eu_ok
+            all_pass = all_pass and point_pass
+            payload = {
+                "population": {"kind": kind, "mu": pop.mu, "sigma": sigma},
+                "lambda": rate,
+                "analytic": {
+                    "e_u": report.analytic_eu,
+                    "e_p": report.analytic_ep,
+                    "diamond": report.diamond,
+                },
+                "mc": {"e_u": report.mc_eu, "e_p": report.mc_ep},
+                "stderr": {"e_u": report.mc_eu_stderr, "e_p": report.mc_ep_stderr},
+                "ordering": {
+                    "analytic": analytic_order.value,
+                    "mc": mc_order.value,
+                    "agree": analytic_order.value == mc_order.value,
+                },
+                "n": n,
+                "seed": report.seed,
+                "checks": {
+                    "eu_within_tol": eu_ok,
+                    "ep_within_tol": ep_ok,
+                    "passed": point_pass,
+                },
+            }
+            name = f"report_{kind}_s{sigma:g}_r{rate:g}.json"
+            with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            summary.write(
+                f"{kind} {sigma:g} {rate:g} {_fmt(report.analytic_eu)} "
+                f"{_fmt(report.analytic_ep)} {_fmt(report.mc_eu)} {_fmt(report.mc_ep)} "
+                f"{_fmt(report.mc_eu_stderr)} {_fmt(report.mc_ep_stderr)} "
+                f"{analytic_order.value} {mc_order.value} {str(point_pass).lower()}\n"
             )
 
-    print(f"simulate: {len(rows)} grid points, all checks passed: {all_pass}")
+    print(f"simulate: {len(grid)} grid points, all checks passed: {all_pass}")
     return 0 if all_pass else 1
 
 
 def _wrapper_config(cfg: dict) -> CrucialConfig | None:
-    name = str(cfg["wrapper"]).lower()
+    name = cfg["wrapper"].lower()
     if name == "none":
         return None
-    try:
-        variant = Variant(name)
-    except ValueError:
-        raise ConfigError(f"unknown wrapper {name!r}") from None
-    policy = str(cfg["mu_policy"])
+    if name not in [v.value for v in Variant]:
+        raise ConfigError(f"unknown wrapper {name!r}")
+    policy = cfg["mu_policy"]
     if policy not in ("fixed", "epoch_mean"):
         raise ConfigError(f"unknown mu_policy {policy!r}")
-    try:
-        return CrucialConfig(
-            variant,
-            lam=float(cfg["lam"]),
-            omega=float(cfg["omega"]),
-            phase=float(cfg["phase"]),
-            mu_fixed=float(cfg["mu_value"]) if policy == "fixed" else None,
-            threshold=float(cfg["threshold"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return CrucialConfig(Variant(name), lam=cfg["lam"], omega=cfg["omega"], phase=cfg["phase"],
+                         mu_fixed=cfg["mu_value"] if policy == "fixed" else None,
+                         threshold=cfg["threshold"])
 
 
 def _generate(cfg: dict, kind: str, n: int, rng: SeededRng):
     """n generated samples of kind (sine or drift) from cfg's generator keys."""
-    t = int(cfg["t"])
-    try:
-        if kind == "sine":
-            return gen_sine_regression(n, t, float(cfg["noise_sd"]), rng,
-                                       freq_range=(float(cfg["freq_lo"]), float(cfg["freq_hi"])))
-        if kind == "drift":
-            return gen_drift_classification(n, t, float(cfg["drift_rate"]),
-                                            float(cfg["label_noise"]), rng,
-                                            class_sep=float(cfg["class_sep"]))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    if kind == "sine":
+        return gen_sine_regression(n, cfg["t"], cfg["noise_sd"], rng,
+                                   freq_range=(cfg["freq_lo"], cfg["freq_hi"]))
+    if kind == "drift":
+        return gen_drift_classification(n, cfg["t"], cfg["drift_rate"], cfg["label_noise"], rng,
+                                        class_sep=cfg["class_sep"])
     raise ConfigError(f"unknown dataset kind {kind!r}")
 
 
 def _make_datasets(cfg: dict, rng: SeededRng):
-    kind = str(cfg["dataset"])
+    kind = cfg["dataset"]
     if kind == "csv":
-        path = str(cfg["csv_path"])
+        path = cfg["csv_path"]
         if not path:
             raise ConfigError("dataset=csv requires csv_path")
         try:
@@ -393,43 +382,34 @@ def _make_datasets(cfg: dict, rng: SeededRng):
             msgs = "; ".join(issue.message for issue in result.rejected[:5])
             raise ConfigError(f"csv rejected {len(result.rejected)} rows: {msgs}")
         return result.dataset, result.dataset
-    return (_generate(cfg, kind, int(cfg["n"]), rng.derive("data/train")),
-            _generate(cfg, kind, int(cfg["test_n"]), rng.derive("data/test")))
+    return (_generate(cfg, kind, cfg["n"], rng.derive("data/train")),
+            _generate(cfg, kind, cfg["test_n"], rng.derive("data/test")))
 
 
 def _train_one(cfg: dict, run_seed: int, run_id: str, out_dir: str) -> dict:
     rng = SeededRng(run_seed)
-    wrapper = _wrapper_config(cfg)
-    train_ds, test_ds = _make_datasets(cfg, rng)
-    hidden = _list(cfg, "hidden", int)
-    try:
-        task = TaskSpec(str(cfg["task"]), int(cfg["epochs"]), float(cfg["learning_rate"]),
-                        wrapper)
-        model = make_model(str(cfg["model"]), int(cfg["window"]), task.n_outputs,
-                           rng.derive("model"), hidden=tuple(hidden))
+    with _config_errors():
+        wrapper = _wrapper_config(cfg)
+        train_ds, test_ds = _make_datasets(cfg, rng)
+        hidden = tuple(_list(cfg, "hidden", int))
+        task = TaskSpec(cfg["task"], cfg["epochs"], cfg["learning_rate"], wrapper)
+        model = make_model(cfg["model"], cfg["window"], task.n_outputs, rng.derive("model"),
+                           hidden=hidden)
         for ds in (train_ds, test_ds):  # bad data fails here, before any training
             featurize(ds, model)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    metrics_rows = []
-    if task.task == "continuous":
-        cuts = _list(cfg, "cuts", int)
-        if len(cuts) < 2:  # a transfer matrix needs at least two stages
-            raise ConfigError(f"key cuts: the continuous task needs at least 2 cuts, "
-                              f"got {len(cuts)}")
-        try:
+        if task.task == "continuous":
+            cuts = _list(cfg, "cuts", int)
+            if len(cuts) < 2:  # a transfer matrix needs at least two stages
+                raise ConfigError(f"key cuts: the continuous task needs at least 2 cuts, "
+                                  f"got {len(cuts)}")
             prefixes = make_prefixes(train_ds, cuts)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+
+    rows = []  # (epoch, split, metric_name, value)
+    if task.task == "continuous":
         tm = run_continuous(model, prefixes, task, rng.derive("continuous"))
         write_transfer_json(os.path.join(out_dir, f"transfer_{run_id}.json"), tm)
-        for i in range(tm.R.shape[0]):
-            for j in range(tm.R.shape[1]):
-                metrics_rows.append((run_id, run_seed, i, f"prefix{j}", "score", tm.R[i, j]))
-        metrics_rows.append((run_id, run_seed, tm.R.shape[0] - 1, "final", "bwt", bwt(tm)))
-        metrics_rows.append((run_id, run_seed, tm.R.shape[0] - 1, "final", "fwt", fwt(tm)))
-        final_metrics = {"bwt": bwt(tm), "fwt": fwt(tm)}
+        rows += [(i, f"prefix{j}", "score", tm.R[i, j]) for i, j in np.ndindex(tm.R.shape)]
+        final_metrics, last, split = {"bwt": bwt(tm), "fwt": fwt(tm)}, tm.R.shape[0] - 1, "final"
     else:
         result = train_model(model, train_ds, task, keep_traces=True)
         ids = train_ds.ids
@@ -439,30 +419,25 @@ def _train_one(cfg: dict, run_seed: int, run_id: str, out_dir: str) -> dict:
         for epoch, (mean_loss, k_count) in enumerate(
             zip(result.epoch_mean_losses, result.kappa_ge1_counts)
         ):
-            metrics_rows.append((run_id, run_seed, epoch, "train", "mean_raw_loss", mean_loss))
-            metrics_rows.append((run_id, run_seed, epoch, "train", "kappa_ge1_count", k_count))
+            rows += [(epoch, "train", "mean_raw_loss", mean_loss),
+                     (epoch, "train", "kappa_ge1_count", k_count)]
         final_metrics = evaluate(result.model, test_ds, task)
-        last_epoch = task.epochs - 1
-        for name, value in final_metrics.items():
-            metrics_rows.append((run_id, run_seed, last_epoch, "test", name, value))
-    write_metrics_csv(os.path.join(out_dir, f"metrics_{run_id}.csv"), metrics_rows)
+        last, split = task.epochs - 1, "test"
+    rows += [(last, split, name, value) for name, value in final_metrics.items()]
+    write_metrics_csv(os.path.join(out_dir, f"metrics_{run_id}.csv"),
+                      [(run_id, run_seed, *row) for row in rows])
     return final_metrics
 
 
 def cmd_train(cfg: dict) -> int:
-    out_dir = cfg["output_dir"]
-    sweep = int(cfg["sweep_seeds"])
+    out_dir, sweep, master_seed = cfg["output_dir"], cfg["sweep_seeds"], cfg["seed"]
     if sweep < 1:
         raise ConfigError("sweep_seeds must be >= 1")
-    master_seed = int(cfg["seed"])
     finals: list[dict] = []
     try:
-        if sweep == 1:
-            finals.append(_train_one(cfg, master_seed, "run0", out_dir))
-        else:
-            for i in range(sweep):
-                run_seed = derive_seed(master_seed, f"sweep/{i}")
-                finals.append(_train_one(cfg, run_seed, f"run{i}", out_dir))
+        for i in range(sweep):
+            run_seed = master_seed if sweep == 1 else derive_seed(master_seed, f"sweep/{i}")
+            finals.append(_train_one(cfg, run_seed, f"run{i}", out_dir))
     except TrainingDiverged as exc:
         print(f"train: diverged: {exc}", file=sys.stderr)
         return 1
@@ -482,20 +457,19 @@ def cmd_train(cfg: dict) -> int:
 
 
 def cmd_properties(cfg: dict) -> int:
-    out_dir = cfg["output_dir"]
     names = None
-    if str(cfg["suites"]).strip():
+    if cfg["suites"].strip():
         names = _list(cfg, "suites")
         unknown = [s for s in names if s not in SUITES]
         if unknown:
             raise ConfigError(f"unknown suites: {unknown}")
-    report = run_suites(int(cfg["seed"]), names)
+    report = run_suites(cfg["seed"], names)
     payload = {
-        "seed": int(cfg["seed"]),
+        "seed": cfg["seed"],
         "suites": report,
         "all_passed": all(entry["passed"] for entry in report.values()),
     }
-    with open(os.path.join(out_dir, "properties.json"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(cfg["output_dir"], "properties.json"), "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     for name, entry in report.items():
@@ -504,53 +478,48 @@ def cmd_properties(cfg: dict) -> int:
 
 
 def cmd_trace_loss(cfg: dict) -> int:
-    out_dir = cfg["output_dir"]
-    epochs = int(cfg["epochs"])
+    epochs = cfg["epochs"]
     if epochs < 1:
         raise ConfigError("epochs must be >= 1")
     for key in ("threshold", "easy_start", "hard_start", "decay"):
-        if not math.isfinite(float(cfg[key])):
+        if not math.isfinite(cfg[key]):
             raise ConfigError(f"key {key}: must be finite, got {cfg[key]}")
-    try:
-        wrapper = CrucialConfig(Variant.BASELINE, lam=float(cfg["lam"]),
-                                threshold=float(cfg["threshold"]))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    with _config_errors():
+        wrapper = CrucialConfig(Variant.BASELINE, lam=cfg["lam"], threshold=cfg["threshold"])
     # Row e holds the easy and hard losses after e decay steps, multiplied
     # in the same order as a running product.
-    steps = np.full((epochs, 2), float(cfg["decay"]))
-    steps[0] = (float(cfg["easy_start"]), float(cfg["hard_start"]))
+    steps = np.full((epochs, 2), cfg["decay"])
+    steps[0] = (cfg["easy_start"], cfg["hard_start"])
     with np.errstate(over="ignore", invalid="ignore"):
         losses = np.cumprod(steps, axis=0).ravel()
     if not np.isfinite(losses).all():
         raise ConfigError(f"a loss leaves the float range within {epochs} epochs "
                           f"(easy_start={cfg['easy_start']}, hard_start={cfg['hard_start']}, "
                           f"decay={cfg['decay']})")
-    write_loss_trace(os.path.join(out_dir, "trace.csv"), np.repeat(np.arange(epochs), 2),
-                     np.tile([0, 1], epochs),
-                     modulate_epoch(losses, initial_epoch_state(), wrapper))
+    with np.errstate(all="ignore"):
+        record = modulate_epoch(losses, initial_epoch_state(), wrapper)
+    if not np.isfinite(record.value).all():
+        raise ConfigError(f"a weighted loss leaves the float range (threshold={cfg['threshold']}, "
+                          f"easy_start={cfg['easy_start']}, hard_start={cfg['hard_start']})")
+
+    write_loss_trace(os.path.join(cfg["output_dir"], "trace.csv"),
+                     np.repeat(np.arange(epochs), 2), np.tile([0, 1], epochs), record)
     print(f"trace-loss: wrote {epochs} epochs for easy/hard trajectories")
     return 0
 
 
 def cmd_gen_data(cfg: dict) -> int:
-    out_dir = cfg["output_dir"]
-    kind = str(cfg["kind"])
-    n, t = int(cfg["n"]), int(cfg["t"])
-    ds = _generate(cfg, kind, n, SeededRng(int(cfg["seed"])).derive("data/train"))
-    path = os.path.join(out_dir, str(cfg["filename"]))
+    kind, n, t, seed = cfg["kind"], cfg["n"], cfg["t"], cfg["seed"]
+    with _config_errors():
+        ds = _generate(cfg, kind, n, SeededRng(seed).derive("data/train"))
+
+    path = os.path.join(cfg["output_dir"], cfg["filename"])
     try:
         save_csv(path, ds)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from None
-    meta = {
-        "kind": kind,
-        "n": n,
-        "t": t,
-        "flipped_ids": list(ds.flipped_ids),
-        "seed": int(cfg["seed"]),
-    }
-    with open(os.path.join(out_dir, "meta.json"), "w", encoding="utf-8") as fh:
+    meta = {"kind": kind, "n": n, "t": t, "flipped_ids": list(ds.flipped_ids), "seed": seed}
+    with open(os.path.join(cfg["output_dir"], "meta.json"), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"gen-data: wrote {len(ds)} samples to {path}")

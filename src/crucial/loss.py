@@ -72,6 +72,10 @@ __all__ = [
 KAPPA_CAP = math.e
 CAP_BETA = -2.0 * math.exp(-1.0)
 
+# A capped weight's value e*(l - threshold) + lam stays finite for every
+# loss l >= 0 only while the threshold is at most this.
+_MAX_THRESHOLD = sys.float_info.max / KAPPA_CAP
+
 # sin^2 factors closer than this to 0 or 1 take the exact limit branches.
 _F_EPS = 1e-12
 
@@ -101,7 +105,9 @@ class CrucialConfig:
     ignores it and derives a per-epoch lam = -ln F instead.  mu_fixed pins
     the population mean used by the cycled variant; None means "use the
     current epoch's mean loss".  threshold only applies to the baseline
-    variant.  Every value must be finite, whichever variant reads it.
+    variant; it may be at most float max / e, above which the value of a
+    capped non-negative loss overflows.  Every value must be finite,
+    whichever variant reads it.
     """
 
     variant: Variant
@@ -117,6 +123,9 @@ class CrucialConfig:
         for name in ("omega", "phase", "threshold"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"CrucialConfig: {name} must be finite")
+        if self.threshold > _MAX_THRESHOLD:
+            raise ValueError(f"CrucialConfig: threshold must be <= float max / e, "
+                             f"got {self.threshold!r}")
         if self.variant is Variant.SIN and self.omega == 0.0:
             raise ValueError("CrucialConfig: omega must be nonzero for the cycled variant")
         if self.mu_fixed is not None and not (math.isfinite(self.mu_fixed) and self.mu_fixed > 0.0):
@@ -191,7 +200,7 @@ def initial_epoch_state() -> EpochState:
     return EpochState(epoch_index=0, threshold=0.0)
 
 
-def advance_epoch_adp(prev_losses, cfg: CrucialConfig, next_epoch_index: int = 1) -> EpochState:
+def advance_epoch_adp(prev_losses, next_epoch_index: int = 1) -> EpochState:
     """Fold a finished epoch's raw losses into the next adaptive state.
 
     The next threshold is skewness * mean of the previous epoch's loss
@@ -260,8 +269,8 @@ def _sin_cycle_factor(epoch: int, omega: float, phase: float) -> float:
 
 def _sin_losses(losses: np.ndarray, epoch: int, mu_l: float, cfg: CrucialConfig) -> ModulatedLoss:
     """The cycled variant over one epoch's losses; see crucial_sin."""
-    if not math.isfinite(mu_l) or mu_l <= 0.0:
-        raise ValueError("crucial_sin: mu_l must be finite and positive")
+    if not math.isfinite(mu_l) or mu_l < 0.0:
+        raise ValueError("crucial_sin: mu_l must be finite and >= 0")
     f = _sin_cycle_factor(epoch, cfg.omega, cfg.phase)
     thr = (f - 1.0) * mu_l
     n = losses.shape[0]
@@ -341,7 +350,9 @@ def crucial_sin(loss: float, epoch: int, mu_l: float, cfg: CrucialConfig) -> Mod
       stays True).
 
     mu_l is the population mean loss under the configured policy and must
-    be positive (an all-zero epoch has no usable scale).
+    be finite and >= 0.  mu_l == 0 (every loss of the epoch zero, or -0.0
+    from a saturated softmax) needs no branch of its own: a zero loss gets
+    kappa 1 (0 at F == 1) and value 0.
     """
     if cfg.variant is not Variant.SIN:
         raise ValueError("crucial_sin: config variant must be SIN")

@@ -391,9 +391,8 @@ def train_epoch(model: Model, data, task: TaskSpec, state: EpochState):
 
 def _advance_state(state: EpochState, raw_losses: np.ndarray, task: TaskSpec) -> EpochState:
     nxt = state.epoch_index + 1
-    cfg = task.wrapper
-    if cfg is not None and cfg.variant is Variant.ADP:
-        return advance_epoch_adp(raw_losses, cfg, nxt)
+    if task.wrapper is not None and task.wrapper.variant is Variant.ADP:
+        return advance_epoch_adp(raw_losses, nxt)
     return EpochState(epoch_index=nxt, threshold=0.0)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from crucial.cli import _DEFAULTS, main
+from crucial.cli import _DEFAULTS, main, parse_config_file, resolve_config
 from crucial.data import load_csv
 from crucial.loss import KAPPA_CAP
 
@@ -107,6 +107,22 @@ class TestConfigResolution:
         assert run("trace-loss", "--config", str(tmp_path / "missing.cfg"),
                    "--output-dir", str(tmp_path)) == 2
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", list(_DEFAULTS))
+def test_resolved_values_have_their_defaults_types(tmp_path, command):
+    # the commands read cfg[key] as it is, with no cast of their own
+    defaults = _DEFAULTS[command]
+    as_text = {k: str(v) or "x" for k, v in defaults.items()}
+    whole = {k: "1" if isinstance(v, (int, float)) else as_text[k] for k, v in defaults.items()}
+    for values in (as_text, whole):
+        path = tmp_path / "run.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()), encoding="utf-8")
+        for file_values, flags in ((parse_config_file(str(path)), {}), ({}, values)):
+            cfg = resolve_config(command, file_values, flags)
+            assert set(cfg) == set(defaults)
+            for key, default in defaults.items():
+                assert type(cfg[key]) is type(default), key
 
 
 class TestSimulate:
@@ -400,6 +416,23 @@ class TestTrain:
         assert run("train", "--output-dir", str(tmp_path), "--model", "foo") == 2
         assert "config error: make_model: unknown kind" in capsys.readouterr().err
 
+    def test_sin_wrapper_survives_an_all_zero_epoch(self, tmp_path, capsys):
+        # classes this far apart saturate the softmax, and every loss of a
+        # late epoch is -log(1.0) = -0.0, so the epoch's mean loss is zero
+        assert run("train", "--output-dir", str(tmp_path), "--task", "single_shot",
+                   "--dataset", "drift", "--wrapper", "sin", "--class-sep", "20",
+                   "--epochs", "60") == 0
+        assert capsys.readouterr().err == ""
+        with open(tmp_path / "metrics_run0.csv", newline="", encoding="utf-8") as fh:
+            means = [float(r["value"]) for r in csv.DictReader(fh)
+                     if r["metric_name"] == "mean_raw_loss"]
+        assert len(means) == 60 and means[-1] == 0.0
+        with open(tmp_path / "loss_trace_run0.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 60 * 512
+        for col in ("input_loss", "kappa", "threshold", "value"):
+            assert all(math.isfinite(float(r[col])) for r in rows), col
+
     def test_sin_wrapper_with_fixed_mu(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = run("train", "--output-dir", str(out), "--wrapper", "sin",
@@ -450,6 +483,12 @@ _BAD_INPUTS = {
     "sin_omega_overflowing_angle": (("train", "--wrapper", "sin", "--omega", "1e308",
                                      "--epochs", "3"), None),
     "trace_loss_overflowing_decay": (("trace-loss", "--decay", "1e200", "--epochs", "3"), None),
+    "simulate_overflowing_later_point": (("simulate", "--sigmas", "0.5,1e200", "--rates", "1",
+                                          "--n", "16"), None),
+    "baseline_threshold_overflowing_value": (("train", "--wrapper", "baseline", "--threshold",
+                                              "1e308", "--epochs", "2", "--n", "16"), None),
+    "trace_loss_overflowing_value": (("trace-loss", "--easy-start", "-1e308", "--epochs", "2"),
+                                     None),
 }
 
 
@@ -465,6 +504,9 @@ def test_bad_input_exits_two_without_a_traceback(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "Traceback" not in err and "RuntimeWarning" not in err
+    # refused before any work: at most the echoed configuration was written
+    # (a bad seed is refused before the directory is made)
+    assert [p.name for p in (tmp_path / "out").glob("*")] in ([], ["config_resolved.txt"])
 
 
 # Every float key of each command, set to each non-finite value, exits with a

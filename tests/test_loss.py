@@ -119,32 +119,30 @@ class TestAdp:
 
     def test_loss_at_threshold_gives_zero_value(self):
         cfg = CrucialConfig(Variant.ADP, lam=0.01)
-        state = advance_epoch_adp([0.2, 0.2, 0.2, 1.0], cfg)
+        state = advance_epoch_adp([0.2, 0.2, 0.2, 1.0])
         m = crucial_adp(state.threshold, state, cfg)
         assert m.kappa == 1.0
         assert m.value == 0.0
 
     def test_threshold_is_skewness_times_mean(self):
-        cfg = CrucialConfig(Variant.ADP, lam=0.01)
-        state = advance_epoch_adp([0.2, 0.2, 0.2, 1.0], cfg)
+        state = advance_epoch_adp([0.2, 0.2, 0.2, 1.0])
         sk = 2.0 / math.sqrt(3.0)  # brute-force third standardized moment
         assert state.threshold == pytest.approx(sk * 0.4, rel=1e-12)
         assert state.threshold == pytest.approx(0.46188, abs=5e-6)
         assert state.epoch_index == 1
 
     def test_threshold_sign_follows_skew_sign(self):
-        cfg = CrucialConfig(Variant.ADP, lam=0.01)
-        assert advance_epoch_adp([1.0, 2.0, 3.0], cfg).threshold == pytest.approx(0.0, abs=1e-12)
-        assert advance_epoch_adp([0.2, 0.2, 0.2, 1.0], cfg).threshold > 0.0
-        assert advance_epoch_adp([1.0, 1.8, 1.8, 1.8], cfg).threshold < 0.0
+        assert advance_epoch_adp([1.0, 2.0, 3.0]).threshold == pytest.approx(0.0, abs=1e-12)
+        assert advance_epoch_adp([0.2, 0.2, 0.2, 1.0]).threshold > 0.0
+        assert advance_epoch_adp([1.0, 1.8, 1.8, 1.8]).threshold < 0.0
 
     def test_empty_epoch_rejected(self):
         with pytest.raises(ValueError):
-            advance_epoch_adp([], CrucialConfig(Variant.ADP, lam=0.01))
+            advance_epoch_adp([])
 
     def test_never_gates_out(self):
         cfg = CrucialConfig(Variant.ADP, lam=0.01)
-        state = advance_epoch_adp([0.5, 1.5, 4.0, 0.1], cfg)
+        state = advance_epoch_adp([0.5, 1.5, 4.0, 0.1])
         for l in (0.0, 0.01, 0.5, 2.0, 10.0):
             assert crucial_adp(l, state, cfg).selected is True
 
@@ -207,10 +205,16 @@ class TestSin:
         assert (m.kappa, m.value, m.selected) == (1.0, 0.9 - 1.0, True)
 
     def test_mu_validation(self):
-        with pytest.raises(ValueError):
-            crucial_sin(0.5, 1, 0.0, self.CFG)
-        with pytest.raises(ValueError):
-            crucial_sin(0.5, 1, -1.0, self.CFG)
+        # a zero mean (-0.0 from a saturated softmax included) takes the
+        # limit values on a zero loss: epoch 1 is mid-cycle, 2 has F == 1
+        # and 4 has F == 0
+        for mu in (0.0, -0.0):
+            for t, kappa in ((1, 1.0), (2, 0.0), (4, 1.0)):
+                m = crucial_sin(0.0, t, mu, self.CFG)
+                assert (m.kappa, m.value, m.selected) == (kappa, 0.0, True)
+        for mu in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                crucial_sin(0.5, 1, mu, self.CFG)
 
 
 class TestBaseline:
@@ -241,7 +245,7 @@ class TestGradientFactor:
     def test_envelope_matches_finite_difference(self):
         # d/dl of the modulated value equals kappa at the inner minimum
         cfg = CrucialConfig(Variant.ADP, lam=0.01)
-        state = advance_epoch_adp([0.3, 0.5, 0.9, 2.0], cfg)
+        state = advance_epoch_adp([0.3, 0.5, 0.9, 2.0])
         gen = SeededRng(31).generator
         h = 1e-7
         for _ in range(200):
@@ -296,7 +300,7 @@ class TestModulateEpoch:
 
     def test_adp_and_baseline_match_the_per_sample_wrappers(self):
         cfg = CrucialConfig(Variant.ADP, lam=0.01)
-        state = advance_epoch_adp([0.2, 0.2, 0.2, 1.0], cfg)
+        state = advance_epoch_adp([0.2, 0.2, 0.2, 1.0])
         m = modulate_epoch(self.LOSSES, state, cfg)
         assert _rows(m) == [astuple(crucial_adp(float(l), state, cfg)) for l in self.LOSSES]
         assert m.threshold.tolist() == [state.threshold] * self.LOSSES.size
@@ -324,6 +328,16 @@ class TestModulateEpoch:
             assert np.array_equal(m.selected, ~(self.LOSSES < f * 1.3 / 2.0))
             assert np.all(m.kappa[~m.selected] == 0.0)
             assert np.all(m.value[~m.selected] == 0.0)
+
+    def test_all_zero_sin_epoch_takes_the_limit_values(self):
+        # a saturated softmax gives -log(1.0) = -0.0 on every sample, so the
+        # epoch's mean loss is zero
+        cfg = CrucialConfig(Variant.SIN, lam=0.01, omega=math.pi / 4.0)
+        losses = np.full(6, -0.0)
+        for t in range(8):  # F = 0, 1/2, 1, 1/2, then again
+            m = modulate_epoch(losses, EpochState(epoch_index=t, threshold=0.0), cfg)
+            assert np.all(m.selected) and np.all(m.value == 0.0)
+            assert np.all(m.kappa == (0.0 if t % 4 == 2 else 1.0))
 
     def test_no_wrapper_is_the_neutral_record(self):
         m = modulate_epoch(self.LOSSES, initial_epoch_state(), None)
@@ -395,6 +409,16 @@ class TestConfigValidation:
         for variant in Variant:
             with pytest.raises(ValueError, match=key if key != "mu_fixed" else "fixed mu"):
                 CrucialConfig(variant, **{key: bad})
+
+    def test_threshold_at_most_float_max_over_e(self):
+        # above it a capped zero loss has value e*(0 - threshold) = -inf
+        top = sys.float_info.max / math.e
+        for variant in Variant:
+            with pytest.raises(ValueError, match="threshold"):
+                CrucialConfig(variant, threshold=np.nextafter(top, math.inf))
+        m = modulate_epoch([0.0], initial_epoch_state(),
+                           CrucialConfig(Variant.BASELINE, threshold=top))
+        assert m.kappa[0] == KAPPA_CAP and np.isfinite(m.value[0])
 
     def test_modulated_value_rejects_nonpositive_kappa(self):
         with pytest.raises(ValueError):
