@@ -368,29 +368,35 @@ def _generate(cfg: dict, kind: str, n: int, rng: SeededRng):
     raise ConfigError(f"unknown dataset kind {kind!r}")
 
 
-def _make_datasets(cfg: dict, rng: SeededRng):
+def _load_csv_dataset(cfg: dict):
+    """The dataset in cfg's csv_path, loaded and checked once per command."""
+    path = cfg["csv_path"]
+    if not path:
+        raise ConfigError("dataset=csv requires csv_path")
+    try:
+        result = load_csv(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot load csv {path}: {exc}") from None
+    if result.rejected:
+        msgs = "; ".join(issue.message for issue in result.rejected[:5])
+        raise ConfigError(f"csv rejected {len(result.rejected)} rows: {msgs}")
+    return result.dataset
+
+
+def _make_datasets(cfg: dict, rng: SeededRng, csv_set):
+    """(train, test): the loaded CSV set for both, or two generated sets."""
+    if csv_set is not None:
+        return csv_set, csv_set
     kind = cfg["dataset"]
-    if kind == "csv":
-        path = cfg["csv_path"]
-        if not path:
-            raise ConfigError("dataset=csv requires csv_path")
-        try:
-            result = load_csv(path)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot load csv {path}: {exc}") from None
-        if result.rejected:
-            msgs = "; ".join(issue.message for issue in result.rejected[:5])
-            raise ConfigError(f"csv rejected {len(result.rejected)} rows: {msgs}")
-        return result.dataset, result.dataset
     return (_generate(cfg, kind, cfg["n"], rng.derive("data/train")),
             _generate(cfg, kind, cfg["test_n"], rng.derive("data/test")))
 
 
-def _train_one(cfg: dict, run_seed: int, run_id: str, out_dir: str) -> dict:
+def _train_one(cfg: dict, csv_set, run_seed: int, run_id: str, out_dir: str) -> dict:
     rng = SeededRng(run_seed)
     with _config_errors():
         wrapper = _wrapper_config(cfg)
-        train_ds, test_ds = _make_datasets(cfg, rng)
+        train_ds, test_ds = _make_datasets(cfg, rng, csv_set)
         hidden = tuple(_list(cfg, "hidden", int))
         task = TaskSpec(cfg["task"], cfg["epochs"], cfg["learning_rate"], wrapper)
         model = make_model(cfg["model"], cfg["window"], task.n_outputs, rng.derive("model"),
@@ -433,11 +439,13 @@ def cmd_train(cfg: dict) -> int:
     out_dir, sweep, master_seed = cfg["output_dir"], cfg["sweep_seeds"], cfg["seed"]
     if sweep < 1:
         raise ConfigError("sweep_seeds must be >= 1")
+    with _config_errors():
+        csv_set = _load_csv_dataset(cfg) if cfg["dataset"] == "csv" else None
     finals: list[dict] = []
     try:
         for i in range(sweep):
             run_seed = master_seed if sweep == 1 else derive_seed(master_seed, f"sweep/{i}")
-            finals.append(_train_one(cfg, run_seed, f"run{i}", out_dir))
+            finals.append(_train_one(cfg, csv_set, run_seed, f"run{i}", out_dir))
     except TrainingDiverged as exc:
         print(f"train: diverged: {exc}", file=sys.stderr)
         return 1

@@ -10,20 +10,19 @@ that depends on how samples are selected.  Two selection laws are compared:
 For normal and folded half-normal loss populations the module provides the
 closed-form expectations (transcribed verbatim, including the half-normal
 coefficients whose bookkeeping is suspect; the Monte Carlo estimator is the
-ground truth and any disagreement is reported, not hidden), a seeded
-self-normalized Monte Carlo estimate with its standard error (stratified
-inverse-CDF draws, with a tilted defensive component under condition P so
-the estimator stays sharp at large rate * sigma), an ordering check, and a
-toy population simulator showing the skewness cycle that alternating U/P
+ground truth and any disagreement is reported, not hidden), a seeded Monte
+Carlo estimate with its standard error, an ordering check, and a toy
+population simulator showing the skewness cycle that alternating U/P
 selection induces.
 
-Monte Carlo draws are cut into fixed chunks with derived substreams and
+A grid point's Monte Carlo estimate is one stratified pass: one jittered
+uniform per equal-probability stratum, inverted through the population's
+quantile for U and through the tilted population's quantile for P.  So P is
+drawn exactly from the tilted law, on the same uniforms as U (common random
+numbers).  The draws are cut into fixed chunks with derived substreams and
 reduced in chunk order, so estimates do not depend on the worker count.
 Each worker thread (a lane) computes its chunks in place in one workspace of
-chunk-sized buffers per condition, not in a new array per operation.  Under
-condition P the log-weights are lowered by one common constant where they
-could overflow the sums of squared weights, which leaves the estimate and
-its standard error unchanged.
+chunk-sized buffers, not in a new array per operation.
 """
 
 from __future__ import annotations
@@ -172,7 +171,8 @@ class ErrorReport:
     """Analytic and Monte Carlo expected squared errors for one population.
 
     Analytic values are deterministic closed forms; mc values are both
-    conditions' estimates and standard errors, n_samples draws each.
+    conditions' estimates and standard errors, from one pass of n_samples
+    draws that the two conditions share.
     diamond is the erfc-based correction term of the half-normal closed
     form (None for normal populations).
     """
@@ -260,12 +260,6 @@ _MC_CHUNKS = 16
 _U_MAX = float(np.nextafter(1.0, 0.0))
 _U_MIN = 2.2250738585072014e-308
 
-# Ceiling on condition P's log-weights.  Their bound grows as (rate*sigma)^2/2
-# for a normal population, and past this ceiling every weight is divided by
-# a common factor so that w^2 y^2 summed over the draws stays finite; the
-# self-normalized estimate and its standard error do not depend on it.
-_LOG_W_MAX = 300.0
-
 
 def _chunk_sizes(n: int, n_chunks: int) -> list[int]:
     base, rem = divmod(n, n_chunks)
@@ -275,8 +269,8 @@ def _chunk_sizes(n: int, n_chunks: int) -> list[int]:
 def _workspace(size: int) -> np.ndarray:
     """Scratch rows for chunks of up to size draws.
 
-    Row 0 holds the draws, row 1 their squared errors, row 2 is scratch and
-    row 3 holds the stratum offsets 0, 1, ..., size - 1.
+    Row 0 holds the draws less the population mean, row 1 the uniforms,
+    row 2 the squared errors and row 3 the stratum offsets 0, 1, ..., size - 1.
     """
     work = np.empty((4, size))
     work[3] = np.arange(size)
@@ -286,7 +280,7 @@ def _workspace(size: int) -> np.ndarray:
 def _stratified_uniforms(start: int, n_total: int, generator: np.random.Generator,
                          out: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Fill out with one jittered point per probability stratum [k/n, (k+1)/n),
-    k = start, start + 1, ...; overwrites work's scratch row."""
+    k = start, start + 1, ...; overwrites work's row 2."""
     size = out.size
     generator.random(out=out)
     out += np.add(work[3, :size], start, out=work[2, :size])
@@ -294,70 +288,44 @@ def _stratified_uniforms(start: int, n_total: int, generator: np.random.Generato
     return np.clip(out, _U_MIN, _U_MAX, out=out)
 
 
+def _square_sums(d: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """(sum of d^2, sum of d^4), with y as scratch."""
+    np.square(d, out=y)
+    s1 = float(np.sum(y))
+    return s1, float(np.sum(np.multiply(y, y, out=y)))
+
+
 def _uniform_chunk(pop: LossPopulation, center: float, start: int, size: int,
                    n_total: int, rng: SeededRng, work: np.ndarray | None = None):
-    if work is None:
-        work = _workspace(size)
-    y = work[0, :size]
-    pop.quantile(_stratified_uniforms(start, n_total, rng.generator, y, work), out=y)
-    y -= center
-    np.square(y, out=y)
-    return float(np.sum(y)), float(np.sum(np.multiply(y, y, out=work[1, :size])))
+    """Condition U's sums over one chunk of stratified draws.
 
-
-def _tilted_chunk(pop: LossPopulation, center: float, rate: float,
-                  pop_block: tuple[int, int, int], til_block: tuple[int, int, int],
-                  rng: SeededRng, work: np.ndarray | None = None):
-    """Self-normalized sums for condition P over a defensive draw design.
-
-    Half the draws come from the population, half from its exponentially
-    tilted form, each stratified by inverse CDF; the two are combined with
-    balance-heuristic corrections, so the effective weight stays
-    exp(-rate*l) times a bounded design factor.  A population-only design
-    collapses when rate*sigma is large (nearly all tilted mass falls inside
-    one population stratum) and cannot meet the MC-vs-analytic tolerance.
+    Leaves the chunk's uniforms in work row 1 and its draws less center in
+    row 0, where _tilted_chunk reads them.
     """
-    gen = rng.generator
-    p_start, p_size, n_pop = pop_block
-    t_start, t_size, n_til = til_block
-    size = p_size + t_size
     if work is None:
         work = _workspace(size)
-    l, y, tmp = work[0, :size], work[1, :size], work[2, :size]
-    if p_size:
-        head = l[:p_size]
-        pop.quantile(_stratified_uniforms(p_start, n_pop, gen, head, work), out=head)
-    if t_size:
-        tail = l[p_size:]
-        pop.tilted_quantile(_stratified_uniforms(t_start, n_til, gen, tail, work), rate, out=tail)
-    n_all = n_pop + n_til
-    if n_til:
-        correction = pop.log_tilt_ratio(l, rate, out=tmp)
-    # Weight centering at the population mean keeps exp() in range; the
-    # self-normalized ratio is invariant to the shift and to the overall
-    # scale of the design correction.
-    l -= center
-    np.square(l, out=y)
-    log_w = np.multiply(l, -rate, out=l)
-    if n_til:
-        if n_pop:
-            correction += math.log(n_til / n_all)
-            np.logaddexp(math.log(n_pop / n_all), correction, out=correction)
-        log_w -= correction
-        # The correction is at least log(n_til/n_all) + log_tilt_ratio(l), so
-        # every log-weight is at most this, whatever l is.
-        bound = rate * (center - pop.mu) + pop._log_tilt_norm(rate) + math.log(n_all / n_til)
-        if bound > _LOG_W_MAX:
-            log_w -= bound - _LOG_W_MAX
-    w = np.exp(log_w, out=log_w)
-    wy = np.multiply(w, y, out=y)
-    return (
-        float(np.sum(w)),
-        float(np.sum(wy)),
-        float(np.sum(np.multiply(w, w, out=tmp))),
-        float(np.sum(np.multiply(w, wy, out=tmp))),
-        float(np.sum(np.multiply(wy, wy, out=tmp))),
-    )
+    d = work[0, :size]
+    u = _stratified_uniforms(start, n_total, rng.generator, work[1, :size], work)
+    pop.quantile(u, out=d)
+    d -= center
+    return _square_sums(d, work[2, :size])
+
+
+def _tilted_chunk(pop: LossPopulation, center: float, rate: float, size: int,
+                  work: np.ndarray):
+    """Condition P's sums over the chunk _uniform_chunk last left in work.
+
+    P's draws are the tilted quantile at U's uniforms.  Tilting a normal
+    only shifts its mean by -rate*sigma^2, so there they are U's draws less
+    that shift and need no second inverse CDF.
+    """
+    d = work[0, :size]
+    if pop.kind is PopulationKind.NORMAL:
+        d -= rate * pop.sigma * pop.sigma
+    else:
+        pop.tilted_quantile(work[1, :size], rate, out=d)
+        d -= center
+    return _square_sums(d, work[2, :size])
 
 
 def _run_chunks(tasks, workers: int, size: int):
@@ -381,30 +349,46 @@ def _run_chunks(tasks, workers: int, size: int):
     return results
 
 
+def _mean_and_stderr(s1: float, s2: float, n: int) -> tuple[float, float]:
+    est = s1 / n
+    # Rounding can leave a variance sum just below zero; only that is
+    # clamped, since max(0.0, nan) would turn a broken sum into 0.0.
+    var = (s2 - n * est * est) / (n - 1)
+    return est, math.sqrt((0.0 if var < 0.0 else var) / n)
+
+
+def _mc_pass(pop: LossPopulation, rate: float, n: int, rng: SeededRng, workers: int):
+    """Both conditions' (estimate, standard error) from one stratified pass."""
+    if n < 2:
+        raise ValueError("mc_expected_errors: n must be >= 2 for a standard error")
+    center = pop.population_mean()
+    sizes = _chunk_sizes(n, _MC_CHUNKS)
+    starts = [sum(sizes[:i]) for i in range(len(sizes))]
+    tasks = [
+        (lambda work, i=i, st=st, sz=sz: _uniform_chunk(
+            pop, center, st, sz, n, rng.derive(f"u/chunk{i}"), work)
+         + _tilted_chunk(pop, center, rate, sz, work))
+        for i, (st, sz) in enumerate(zip(starts, sizes)) if sz > 0
+    ]
+    s1u, s2u, s1p, s2p = map(sum, zip(*_run_chunks(tasks, workers, sizes[0])))
+    return _mean_and_stderr(s1u, s2u, n), _mean_and_stderr(s1p, s2p, n)
+
+
 def mc_expected_errors(pop: LossPopulation, cond: SelectionCondition, n: int,
                        rng: SeededRng, workers: int = 1) -> tuple[float, float]:
     """(estimate, standard error) of the expected squared error under cond.
 
-    Under U, n losses are drawn from pop (one per jittered
-    equal-probability stratum) and the errors (l_i - mu_pop)^2 are averaged
-    uniformly.  Under P the errors are averaged with self-normalized
-    weights exp(-rate * l_i), which realizes the exponential selection
-    probability exactly in the ratio limit (no accept-reject step); the n
-    draws are split evenly between pop and its exponentially tilted form
-    (balance-heuristic corrections fold into the weights), because
-    population-only draws leave the tilted mass unresolved once
-    rate * sigma is large.  The log-weights are bounded above by a constant
-    of the design; when that bound passes _LOG_W_MAX (a normal population
-    with rate * sigma above about 24.5) every log-weight is lowered by the
-    excess, which leaves the ratio and its standard error unchanged and
-    keeps their sums of squares finite.
-
-    The standard error of the U estimate is the usual sample one; for P it
-    comes from the delta method for ratio estimators,
-    sum(w_i^2 (y_i - est)^2) / (sum w_i)^2.  Both formulas ignore the
-    stratification, so the reported errors are conservative (upper bounds).
-    A sum that is not a number gives a standard error that is not a number.
-    n must be at least 2: one draw has no sample standard error.
+    One stratified pass serves both conditions.  It draws n jittered
+    uniforms, one per equal-probability stratum, and inverts each through
+    pop's quantile for U and through the quantile of pop tilted by
+    exp(-rate * l) for P, so P's losses follow the exponential selection
+    law exactly, with no weights, and the two conditions share every draw.
+    Under either condition the estimate is the plain mean of the errors
+    (l_i - mu_pop)^2 and the standard error the usual sample one; it
+    ignores the stratification, so the reported errors are conservative
+    (upper bounds).  A sum that is not a number gives a standard error that
+    is not a number.  n must be at least 2: one draw has no sample standard
+    error.  This returns cond's pair; compare_conditions keeps both.
 
     Draws are partitioned into fixed chunks with substreams derived from
     rng, and reduced in chunk order, so the result depends only on the seed,
@@ -412,56 +396,19 @@ def mc_expected_errors(pop: LossPopulation, cond: SelectionCondition, n: int,
     threads (never more than there are chunks), and each thread computes
     its chunks in place in one workspace of chunk-sized buffers.
     """
-    if n < 2:
-        raise ValueError("mc_expected_errors: n must be >= 2 for a standard error")
-    center = pop.population_mean()
-    # Rounding can leave a variance sum just below zero; only that is
-    # clamped, since max(0.0, nan) would turn a broken sum into 0.0.
-    if cond.mode is SelectionMode.UNIFORM:
-        sizes = _chunk_sizes(n, _MC_CHUNKS)
-        starts = [sum(sizes[:i]) for i in range(len(sizes))]
-        tasks = [
-            (lambda work, i=i, st=st, sz=sz: _uniform_chunk(
-                pop, center, st, sz, n, rng.derive(f"u/chunk{i}"), work))
-            for i, (st, sz) in enumerate(zip(starts, sizes)) if sz > 0
-        ]
-        s1, s2 = map(sum, zip(*_run_chunks(tasks, workers, sizes[0])))
-        est = s1 / n
-        var = (s2 - n * est * est) / max(1, n - 1)
-        return est, math.sqrt((0.0 if var < 0.0 else var) / n)
-
-    rate = cond.rate
-    n_pop = (n + 1) // 2
-    n_til = n - n_pop
-    p_sizes = _chunk_sizes(n_pop, _MC_CHUNKS)
-    t_sizes = _chunk_sizes(n_til, _MC_CHUNKS)
-    p_starts = [sum(p_sizes[:i]) for i in range(len(p_sizes))]
-    t_starts = [sum(t_sizes[:i]) for i in range(len(t_sizes))]
-    tasks = [
-        (lambda work, i=i: _tilted_chunk(
-            pop, center, rate,
-            (p_starts[i], p_sizes[i], n_pop),
-            (t_starts[i], t_sizes[i], n_til),
-            rng.derive(f"p/chunk{i}"), work))
-        for i in range(_MC_CHUNKS) if p_sizes[i] + t_sizes[i] > 0
-    ]
-    sw, swy, sw2, sw2y, sw2y2 = map(sum, zip(*_run_chunks(tasks, workers,
-                                                          p_sizes[0] + t_sizes[0])))
-    est = swy / sw
-    num = sw2y2 - 2.0 * est * sw2y + est * est * sw2
-    return est, math.sqrt(0.0 if num < 0.0 else num) / sw
+    u, p = _mc_pass(pop, cond.rate, n, rng, workers)
+    return u if cond.mode is SelectionMode.UNIFORM else p
 
 
 def compare_conditions(pop: LossPopulation, rate: float, n: int, rng: SeededRng,
                        workers: int = 1) -> ErrorReport:
     """One grid point's report.  The closed forms come first, so where they
-    are not finite ValueError is raised before any draw; U and P then run n
-    draws each on the substreams rng.derive("cond-u") and "cond-p"."""
+    are not finite ValueError is raised before any draw; one pass of n draws
+    on the substream rng.derive("cond-u") then gives both conditions'
+    estimates, P's drawn exactly on U's uniforms."""
     e_u, e_p, diamond = analytic_expected_errors(pop, rate)
-    mc_eu, mc_eu_stderr = mc_expected_errors(
-        pop, SelectionCondition(SelectionMode.UNIFORM, rate), n, rng.derive("cond-u"), workers)
-    mc_ep, mc_ep_stderr = mc_expected_errors(
-        pop, SelectionCondition(SelectionMode.EXPONENTIAL, rate), n, rng.derive("cond-p"), workers)
+    (mc_eu, mc_eu_stderr), (mc_ep, mc_ep_stderr) = _mc_pass(
+        pop, rate, n, rng.derive("cond-u"), workers)
     return ErrorReport(pop, rate, e_u, e_p, diamond, mc_eu, mc_eu_stderr, mc_ep, mc_ep_stderr,
                        n, rng.seed)
 

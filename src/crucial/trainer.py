@@ -468,8 +468,14 @@ def evaluate(model: Model, dataset: Dataset, task: TaskSpec) -> dict:
 
 
 def _continuous_score(model: Model, dataset: Dataset, task: TaskSpec) -> float:
-    """Transfer-matrix entry: AUC for binary labels, accuracy otherwise."""
-    m = evaluate(model, dataset, task)
+    """Transfer-matrix entry: AUC for binary labels, accuracy otherwise.
+
+    Overflow while scoring is silenced as in a training step: the model has
+    passed its stage's divergence guard, and a run that goes on to diverge
+    is reported by a later stage's guard.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = evaluate(model, dataset, task)
     return m["auc"] if "auc" in m else m["accuracy"]
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from crucial import loss, properties, trainer
+from crucial import loss, properties, sampler, trainer
 from crucial.numerics import SeededRng
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -91,3 +91,18 @@ def test_traced_suites_report_what_untraced_ones_do():
     assert names.count("properties.run_suites") == 1
     assert all(names.count(f"properties.suite.{name}") == 1 for name in properties.SUITES)
     assert traced == untraced
+
+
+def test_traced_sampler_pass_reports_what_an_untraced_one_does():
+    # The tracer rebinds the chunk kernels where the sampler looks them up; a
+    # lane task that stopped calling them by those names would run untraced
+    # and leave sampler.chunk empty.
+    pop = sampler.LossPopulation(sampler.PopulationKind.HALF_NORMAL, mu=0.1, sigma=0.8)
+    untraced = sampler.compare_conditions(pop, 1.5, 2_000, SeededRng(4), workers=2)
+    with _installed() as tracer:
+        traced = sampler.compare_conditions(pop, 1.5, 2_000, SeededRng(4), workers=2)
+    names = [span[1] for span in tracer.spans]
+    assert traced == untraced
+    assert names.count("sampler.compare_conditions") == 1
+    # one U and one P kernel call per chunk
+    assert names.count("sampler.chunk") == 2 * sampler._MC_CHUNKS

@@ -4,10 +4,12 @@ import csv
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import pytest
 
+from crucial import cli
 from crucial.cli import _DEFAULTS, main, parse_config_file, resolve_config
 from crucial.data import load_csv
 from crucial.loss import KAPPA_CAP
@@ -366,6 +368,20 @@ class TestTrain:
         assert "accuracy," in agg and "auc," in agg
         capsys.readouterr()
 
+    def test_csv_dataset_is_loaded_once_per_sweep(self, tmp_path, capsys, monkeypatch):
+        data_dir = tmp_path / "data"
+        assert run("gen-data", "--output-dir", str(data_dir), "--kind", "drift",
+                   "--n", "48", "--t", "16", "--seed", "9") == 0
+        paths = []
+        monkeypatch.setattr(cli, "load_csv", lambda path: paths.append(path) or load_csv(path))
+        code = run("train", "--output-dir", str(tmp_path / "out"), "--task", "single_shot",
+                   "--dataset", "csv", "--csv-path", str(data_dir / "dataset.csv"),
+                   "--window", "8", "--epochs", "3", "--sweep-seeds", "3")
+        assert code == 0
+        assert paths == [str(data_dir / "dataset.csv")]
+        assert all((tmp_path / "out" / f"metrics_run{i}.csv").exists() for i in range(3))
+        capsys.readouterr()
+
     def test_divergence_exits_one(self, tmp_path, capsys):
         # at 1e300 the second epoch's r * r overflows to inf; the guard
         # reports it, and no numpy warning comes first
@@ -374,6 +390,20 @@ class TestTrain:
                        "--learning-rate", lr)
             assert code == 1
             assert capsys.readouterr().err.startswith("train: diverged:")
+
+    def test_continuous_scoring_of_a_diverging_run_prints_no_warning(self, tmp_path, capsys):
+        # The first stage passes its guard with outputs whose logit gap
+        # overflows when R is scored; the second stage's guard reports it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run("train", "--output-dir", str(tmp_path), "--task", "continuous",
+                       "--dataset", "drift", "--model", "elman_rnn", "--wrapper", "sin",
+                       "--cuts", "4,8", "--epochs", "2", "--n", "16", "--t", "8",
+                       "--test-n", "8", "--window", "4",
+                       "--learning-rate", "1.7976931348623157e308")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("train: diverged:") and "RuntimeWarning" not in err
 
     @pytest.mark.parametrize("lr,epochs", [("1e305", "1"), ("1e308", "2")])
     def test_a_step_that_overflows_exits_one(self, tmp_path, capsys, lr, epochs):

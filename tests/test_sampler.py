@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import erfcx, log_ndtr, ndtri, ndtri_exp
+from scipy.special import erfcx, log_ndtr, ndtr, ndtri, ndtri_exp
 
 from crucial import sampler
 from crucial.cli import main
@@ -80,36 +80,24 @@ def ref_uniform_chunk(pop, center, start, size, n_total, rng):
     return float(np.sum(y)), float(np.sum(y * y))
 
 
-def ref_tilted_chunk(pop, center, rate, pop_block, til_block, rng):
-    gen = rng.generator
-    p_start, p_size, n_pop = pop_block
-    t_start, t_size, n_til = til_block
-    parts = []
-    if p_size:
-        parts.append(ref_quantile(pop, ref_stratified_uniforms(p_start, p_size, n_pop, gen)))
-    if t_size:
-        parts.append(ref_tilted_quantile(
-            pop, ref_stratified_uniforms(t_start, t_size, n_til, gen), rate))
-    l = np.concatenate(parts)
-    y = (l - center) ** 2
-    log_w = -rate * (l - center)
-    n_all = n_pop + n_til
-    if n_pop and n_til:
-        log_w = log_w - np.logaddexp(
-            math.log(n_pop / n_all),
-            math.log(n_til / n_all) + ref_log_tilt_ratio(pop, l, rate),
-        )
-    elif n_til:
-        log_w = log_w - ref_log_tilt_ratio(pop, l, rate)
-    w = np.exp(log_w)
-    wy = w * y
-    return (
-        float(np.sum(w)),
-        float(np.sum(wy)),
-        float(np.sum(w * w)),
-        float(np.sum(w * wy)),
-        float(np.sum(wy * wy)),
-    )
+def ref_tilted_chunk(pop, center, rate, start, size, n_total, rng):
+    """Condition P's sums on the uniforms that ref_uniform_chunk draws from rng.
+
+    A tilted normal is the normal shifted by -rate*sigma^2, so its draws are
+    the population's less that shift; the half-normal inverts its tilted law.
+    """
+    u = ref_stratified_uniforms(start, size, n_total, rng.generator)
+    if pop.kind is PopulationKind.NORMAL:
+        e = ref_quantile(pop, u) - center - rate * pop.sigma * pop.sigma
+    else:
+        e = ref_tilted_quantile(pop, u, rate) - center
+    y = e ** 2
+    return float(np.sum(y)), float(np.sum(y * y))
+
+
+def ref_mean_and_stderr(s1, s2, n):
+    est = s1 / n
+    return est, math.sqrt(max(0.0, (s2 - n * est * est) / (n - 1)) / n)
 
 
 def chunk_blocks(n):
@@ -168,6 +156,37 @@ class TestLossPopulation:
         u = (np.arange(200001) + 0.5) / 200001
         mean = float(np.mean(pop.tilted_quantile(u, 1.0)))
         assert mean == pytest.approx(truth, abs=1e-3)
+
+    @pytest.mark.parametrize("kind,mu,sigma,rate", [
+        (PopulationKind.HALF_NORMAL, 0.0, 20.0, 2.0),   # tilted mass ndtr(-40) underflows
+        (PopulationKind.HALF_NORMAL, 0.2, 0.5, 1.0),
+        (PopulationKind.NORMAL, 0.3, 20.0, 30.0),       # rate*sigma = 600
+        (PopulationKind.NORMAL, 0.3, 1.5, 0.8),
+    ])
+    def test_tilted_quantile_inverts_an_independent_tilted_cdf(self, kind, mu, sigma, rate):
+        # The tilted CDF at tilted_quantile(u) must return u.  The half-normal
+        # CDF is a ratio of quadratures of exp(-rate*l) times the folded
+        # density; the normal's is ndtr of the standardized draw, since the
+        # tilt moves the mean to mu - rate*sigma^2.  Neither goes through the
+        # log_ndtr / ndtri_exp chain that tilted_quantile uses.
+        u = np.array([1e-9, 1e-4, 0.01, 0.3, 0.5, 0.9, 0.999, 1.0 - 1e-7])
+        x = LossPopulation(kind, mu=mu, sigma=sigma).tilted_quantile(u, rate)
+        if kind is PopulationKind.NORMAL:
+            z = (x - mu) / sigma + rate * sigma
+            lower, upper = ndtr(z), ndtr(-z)
+        else:
+            hi = mu + 40.0 * sigma
+
+            def mass(a, b):
+                return quad(lambda l: math.exp(-rate * (l - mu)) * half_pdf(l, mu, sigma),
+                            a, b, limit=200, epsabs=0.0, epsrel=1e-12)[0]
+            total = mass(mu, hi)
+            lower = np.array([mass(mu, xi) for xi in x]) / total
+            upper = np.array([mass(xi, hi) for xi in x]) / total
+        # each tail is checked relative to its own size
+        small = u <= 0.5
+        assert lower[small] == pytest.approx(u[small], rel=1e-8)
+        assert upper[~small] == pytest.approx(1.0 - u[~small], rel=1e-6)
 
     def test_log_tilt_ratio_matches_quadrature_normalizer(self):
         for kind, pdf in (
@@ -323,13 +342,10 @@ class TestFarTail:
         assert report["ordering"]["mc"] == "u_beats_p"
 
 
-# (kind, sigma, rate) points for the kernel references.  The normal at
-# rate*sigma = 40 is left out: the reference overflows there, and the kernel
-# shifts its log-weights (TestFarTail covers that point).
+# (kind, sigma, rate) points for the kernel references, up to rate*sigma = 40.
 KERNEL_POINTS = [
     (kind, sigma, rate)
     for kind in PopulationKind for sigma in (0.1, 2.0, 20.0) for rate in (0.5, 2.0)
-    if not (kind is PopulationKind.NORMAL and sigma * rate > 24.0)
 ]
 
 
@@ -341,35 +357,38 @@ class TestInPlaceKernels:
         pop = LossPopulation(kind, mu=0.2, sigma=sigma)
         center = pop.population_mean()
         # One workspace for every call, so values left by an earlier chunk
-        # would show; each kernel also runs on its own fresh workspace.
+        # would show; U's kernel also runs on its own fresh workspace.  P's
+        # kernel reads the uniforms and draws U's kernel left in the workspace.
         work = sampler._workspace(600)
-
-        def check_uniform(start, size, n, name):
-            want = ref_uniform_chunk(pop, center, start, size, n, SeededRng(5).derive(name))
-            for w in (work, None):
-                got = sampler._uniform_chunk(pop, center, start, size, n,
-                                             SeededRng(5).derive(name), w)
-                assert got == want
-
-        def check_tilted(pop_block, til_block, name):
-            want = ref_tilted_chunk(pop, center, rate, pop_block, til_block,
-                                    SeededRng(5).derive(name))
-            for w in (work, None):
-                got = sampler._tilted_chunk(pop, center, rate, pop_block, til_block,
-                                            SeededRng(5).derive(name), w)
-                assert got == want
-
-        for n in (1, 2, 1001, 9000):    # n = 1 has no tilted draws
+        for n in (1, 2, 1001, 9000):
             for i, (start, size) in enumerate(chunk_blocks(n)):
-                if size:
-                    check_uniform(start, size, n, f"u/{n}/{i}")
-            n_pop, n_til = (n + 1) // 2, n // 2
-            for i, ((ps, pz), (ts, tz)) in enumerate(zip(chunk_blocks(n_pop), chunk_blocks(n_til))):
-                if pz + tz:
-                    check_tilted((ps, pz, n_pop), (ts, tz, n_til), f"p/{n}/{i}")
-        # chunks with no population draws; n_pop = 0 takes the tilted-only branch
-        check_tilted((0, 0, 7), (3, 5, 8), "p/empty")
-        check_tilted((0, 0, 0), (3, 5, 8), "p/tilted-only")
+                if not size:
+                    continue
+                name = f"u/{n}/{i}"
+                want_u = ref_uniform_chunk(pop, center, start, size, n, SeededRng(5).derive(name))
+                want_p = ref_tilted_chunk(pop, center, rate, start, size, n,
+                                          SeededRng(5).derive(name))
+                assert sampler._uniform_chunk(pop, center, start, size, n,
+                                              SeededRng(5).derive(name)) == want_u
+                assert sampler._uniform_chunk(pop, center, start, size, n,
+                                              SeededRng(5).derive(name), work) == want_u
+                assert sampler._tilted_chunk(pop, center, rate, size, work) == want_p
+
+    @pytest.mark.parametrize("kind,sigma,rate", KERNEL_POINTS)
+    def test_p_draws_are_the_tilted_quantile_at_u_uniforms(self, kind, sigma, rate):
+        pop = LossPopulation(kind, mu=0.2, sigma=sigma)
+        center = pop.population_mean()
+        work = sampler._workspace(700)
+        sampler._uniform_chunk(pop, center, 300, 700, 16_000, SeededRng(9), work)
+        u = work[1].copy()
+        sampler._tilted_chunk(pop, center, rate, 700, work)
+        want = pop.tilted_quantile(u, rate) - center
+        if kind is PopulationKind.HALF_NORMAL:
+            assert work[0].tobytes() == want.tobytes()
+        else:
+            # the shift is applied after centering, a rounding apart
+            scale = abs(pop.mu) + rate * sigma * sigma + sigma * np.abs(ndtri(u))
+            assert np.all(np.abs(work[0] - want) <= 4e-16 * scale)
 
     @pytest.mark.parametrize("kind", list(PopulationKind))
     def test_out_argument_matches_the_allocating_call(self, kind):
@@ -425,41 +444,36 @@ class TestMonteCarlo:
         assert rep.mc_ep + 3.0 * rep.mc_ep_stderr < rep.mc_eu - 3.0 * rep.mc_eu_stderr
 
     def test_worker_count_is_invisible(self, monkeypatch):
-        # distinct threads that ran chunks, per mc_expected_errors call
-        threads, per_call = set(), []
-        for name in ("_uniform_chunk", "_tilted_chunk"):
-            kernel = getattr(sampler, name)
+        # distinct threads that ran chunks, per compare_conditions pass
+        threads = set()
+        kernel = sampler._uniform_chunk
 
-            def counted(*args, _kernel=kernel):
-                threads.add(threading.get_ident())
-                return _kernel(*args)
-            monkeypatch.setattr(sampler, name, counted)
-        one_condition = sampler.mc_expected_errors
-
-        def counted_condition(*args, **kwargs):
-            threads.clear()
-            report = one_condition(*args, **kwargs)
-            per_call.append(len(threads))
-            return report
-        monkeypatch.setattr(sampler, "mc_expected_errors", counted_condition)
+        def counted(*args):
+            threads.add(threading.get_ident())
+            return kernel(*args)
+        monkeypatch.setattr(sampler, "_uniform_chunk", counted)
         pop = LossPopulation(PopulationKind.HALF_NORMAL, mu=0.1, sigma=0.7)
-        results = {}
+        results, lanes = {}, {}
         for workers in (1, 2, 4, 32):
+            threads.clear()
             r = compare_conditions(pop, 1.5, 50_000, SeededRng(7), workers=workers)
             results[workers] = (r.mc_eu, r.mc_eu_stderr, r.mc_ep, r.mc_ep_stderr)
+            lanes[workers] = len(threads)
         assert len(set(results.values())) == 1
         # a lane per requested worker would start 32 threads for 16 chunks
-        assert len(per_call) == 8 and per_call[:2] == [1, 1]
-        assert max(per_call) <= sampler._MC_CHUNKS
+        assert lanes[1] == 1 and lanes[2] <= 2 and lanes[4] <= 4
+        assert lanes[32] <= sampler._MC_CHUNKS
 
     def test_a_nan_sum_gives_a_nan_stderr(self, monkeypatch):
         # max(0.0, nan) is 0.0; a broken sum must not read as a zero error
         pop = LossPopulation(PopulationKind.NORMAL, mu=0.0, sigma=1.0)
+        u_cond = SelectionCondition(SelectionMode.UNIFORM)
+        p_cond = SelectionCondition(SelectionMode.EXPONENTIAL)
+        monkeypatch.setattr(sampler, "_tilted_chunk", lambda *a: (1.0, math.nan))
+        assert math.isnan(mc_expected_errors(pop, p_cond, 1_000, SeededRng(0))[1])
+        assert math.isfinite(mc_expected_errors(pop, u_cond, 1_000, SeededRng(0))[1])
         monkeypatch.setattr(sampler, "_uniform_chunk", lambda *a: (1.0, math.nan))
-        monkeypatch.setattr(sampler, "_tilted_chunk", lambda *a: (1.0, 1.0, 1.0, math.nan, 1.0))
-        for mode in SelectionMode:
-            _, se = mc_expected_errors(pop, SelectionCondition(mode), 1_000, SeededRng(0))
-            assert math.isnan(se)
+        assert math.isnan(mc_expected_errors(pop, u_cond, 1_000, SeededRng(0))[1])
 
     def test_same_seed_reproduces_and_seeds_differ(self):
         pop = LossPopulation(PopulationKind.NORMAL, mu=0.0, sigma=1.0)
@@ -488,19 +502,34 @@ class TestMonteCarlo:
         assert (both.analytic_eu, both.analytic_ep, both.diamond) == (e_u, e_p, diamond)
         assert (both.rate, both.n_samples, both.seed) == (2.0, 1_000, 2)
 
+    # U's (estimate, standard error) at this point when P still had its own
+    # substream; sharing U's draws with P must leave them bit for bit.
+    U_BEFORE_SHARING = {
+        PopulationKind.NORMAL: (0.6423074636141337, 0.020685274852716626),
+        PopulationKind.HALF_NORMAL: (0.23348387596714024, 0.00911734026608434),
+    }
+
     @pytest.mark.parametrize("kind", list(PopulationKind))
-    def test_report_holds_each_condition_on_its_own_substream(self, kind):
+    def test_both_conditions_share_the_cond_u_substreams(self, kind):
         pop = LossPopulation(kind, mu=0.1, sigma=0.8)
-        rng = SeededRng(4)
-        rep = compare_conditions(pop, 1.5, 2_000, rng, workers=2)
+        n, rate, rng = 2_000, 1.5, SeededRng(4)
+        rep = compare_conditions(pop, rate, n, rng, workers=2)
         assert isinstance(rep, ErrorReport)
-        u = mc_expected_errors(pop, SelectionCondition(SelectionMode.UNIFORM, 1.5), 2_000,
-                               rng.derive("cond-u"))
-        p = mc_expected_errors(pop, SelectionCondition(SelectionMode.EXPONENTIAL, 1.5), 2_000,
-                               rng.derive("cond-p"))
+        assert (rep.mc_eu, rep.mc_eu_stderr) == self.U_BEFORE_SHARING[kind]
+        sub = rng.derive("cond-u")
+        u = mc_expected_errors(pop, SelectionCondition(SelectionMode.UNIFORM, rate), n, sub)
+        p = mc_expected_errors(pop, SelectionCondition(SelectionMode.EXPONENTIAL, rate), n, sub)
         assert (rep.mc_eu, rep.mc_eu_stderr) == u
         assert (rep.mc_ep, rep.mc_ep_stderr) == p
         assert all(type(v) is float for v in (*u, *p))
+        # chunk i of both conditions reads the uniforms of cond-u's u/chunk{i}
+        center = pop.population_mean()
+        sums = [ref_uniform_chunk(pop, center, st, sz, n, sub.derive(f"u/chunk{i}"))
+                + ref_tilted_chunk(pop, center, rate, st, sz, n, sub.derive(f"u/chunk{i}"))
+                for i, (st, sz) in enumerate(chunk_blocks(n))]
+        s1u, s2u, s1p, s2p = map(sum, zip(*sums))
+        assert ref_mean_and_stderr(s1u, s2u, n) == u
+        assert ref_mean_and_stderr(s1p, s2p, n) == p
 
     def test_overflowing_closed_form_raises_before_any_draw(self, monkeypatch):
         def refuse(*args):
