@@ -29,7 +29,7 @@ import numpy as np
 from .data import gen_drift_classification, gen_sine_regression, load_csv, make_prefixes, save_csv
 from .loss import (
     CrucialConfig,
-    ModulatedLoss,
+    LossTraceWriter,
     Variant,
     initial_epoch_state,
     modulate_epoch,
@@ -417,11 +417,11 @@ def _train_one(cfg: dict, csv_set, run_seed: int, run_id: str, out_dir: str) -> 
         rows += [(i, f"prefix{j}", "score", tm.R[i, j]) for i, j in np.ndindex(tm.R.shape)]
         final_metrics, last, split = {"bwt": bwt(tm), "fwt": fwt(tm)}, tm.R.shape[0] - 1, "final"
     else:
-        result = train_model(model, train_ds, task, keep_traces=True)
         ids = train_ds.ids
-        write_loss_trace(os.path.join(out_dir, f"loss_trace_{run_id}.csv"),
-                         np.repeat(np.arange(task.epochs), ids.size), np.tile(ids, task.epochs),
-                         ModulatedLoss.concat(result.traces))
+        with LossTraceWriter(os.path.join(out_dir, f"loss_trace_{run_id}.csv"),
+                             task.epochs * ids.size) as trace:
+            result = train_model(model, train_ds, task, on_epoch=lambda epoch, mod:
+                                 trace.append(np.full(ids.size, epoch), ids, mod))
         for epoch, (mean_loss, k_count) in enumerate(
             zip(result.epoch_mean_losses, result.kappa_ge1_counts)
         ):

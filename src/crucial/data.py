@@ -156,8 +156,8 @@ def gen_drift_classification(n: int, T: int, drift_rate: float, label_noise: flo
     """
     if n < 1 or T < 2:
         raise ValueError("gen_drift_classification: need n >= 1 and T >= 2")
-    if drift_rate < 0.0:
-        raise ValueError("gen_drift_classification: drift_rate must be >= 0")
+    if not (math.isfinite(drift_rate) and drift_rate >= 0.0):  # inf * t would be nan at t = 0
+        raise ValueError("gen_drift_classification: drift_rate must be finite and >= 0")
     if not 0.0 <= label_noise < 0.5:
         raise ValueError("gen_drift_classification: label_noise must be in [0, 0.5)")
     gen = rng.derive("drift-classification").generator

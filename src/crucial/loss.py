@@ -23,11 +23,14 @@ Two schedules move the threshold:
 
 Logs are natural throughout.
 
-write_loss_trace records every sample's weight, threshold and value in every
-epoch as CSV.  Long traces are formatted on every CPU the process may use:
-the rows are split into contiguous ranges, the first formatted here and each
-other one by a bare helper interpreter running crucial.tracetext, and the
-file is byte-identical to a one-process write.
+LossTraceWriter records every sample's weight, threshold and value in every
+epoch as CSV, streamed while training hands it one epoch at a time;
+write_loss_trace is one append on it.  Long traces are formatted on every
+CPU the process may use: each block of rows is split into contiguous
+ranges, the first copied aside and formatted here and each other one sent
+as it arrives to a bare helper interpreter running crucial.tracetext, so
+this process holds at most one range per block, and the file is
+byte-identical to a one-process write.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ __all__ = [
     "CAP_BETA",
     "CrucialConfig",
     "EpochState",
+    "LossTraceWriter",
     "ModulatedLoss",
     "Variant",
     "advance_epoch_adp",
@@ -80,11 +84,13 @@ _MAX_THRESHOLD = sys.float_info.max / KAPPA_CAP
 _F_EPS = 1e-12
 
 # The loss-trace writer gives each lane at least this many rows: a helper
-# interpreter takes about 15 ms to start and a row about 5 us to format
-# (2-core VM, Python 3.11), so a smaller range is done sooner in-process.
+# interpreter takes about 14 ms to start and exit and a row 4.5-5 us to
+# format (2-core VM, Python 3.11), so a smaller range is done sooner
+# in-process.
 _TRACE_MIN_LANE_ROWS = 8192
-# A helper keeps its range's input and text until it is done, about 150
-# bytes a row, so a lane takes at most this many rows (about 40 MB) at a time.
+# A helper keeps its range's input and text until it is done, about 125
+# bytes a row, and this process its own range's columns, 49 bytes a row, so
+# a lane takes at most this many rows (about 33 MB in a helper) at a time.
 _TRACE_MAX_LANE_ROWS = 1 << 18
 _TRACE_HELPER = (sys.executable, "-I", "-S", tracetext.__file__)
 
@@ -149,12 +155,6 @@ class ModulatedLoss:
     threshold: np.ndarray
     value: np.ndarray
     selected: np.ndarray
-
-    @staticmethod
-    def concat(records) -> "ModulatedLoss":
-        """One record holding the rows of several records, in order."""
-        return ModulatedLoss(*(np.concatenate([getattr(r, f.name) for r in records])
-                               for f in fields(ModulatedLoss)))
 
 
 @dataclass(frozen=True)
@@ -373,77 +373,158 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _write_trace_rows(fh, cols, start: int, stop: int) -> None:
-    """Write the text of rows [start, stop) to fh, one contiguous range per lane.
+class LossTraceWriter:
+    """A loss-trace CSV file of n_rows rows, written while its rows arrive.
 
-    This process formats the first range; each other range goes to a helper
-    interpreter that is sent its rows as raw column buffers straight from
-    the arrays.  The helpers' text is then copied into fh in row order.
+    Used as a context manager; append(epochs, sample_ids, record) takes the
+    next rows in file order, any number at a time, in write_loss_trace's
+    columns.  n_rows fixes the plan up front: blocks of up to _usable_cpus()
+    * _TRACE_MAX_LANE_ROWS rows, each split into one contiguous range per
+    lane of at least _TRACE_MIN_LANE_ROWS rows, so short traces never leave
+    the process.  A block's helpers start with its first row.  Rows of the
+    first range are copied into columns allocated for the block, rows of the
+    others go at once to their helper; at the block's last row this process
+    formats its range and copies the helpers' text after it in row order.
+    The file is created when its first block is written.  Appending more
+    rows than n_rows, or leaving the with block with fewer, raises
+    ValueError; a helper that fails raises RuntimeError.  On any exception
+    in the with block every helper is killed and reaped and the file, if
+    made, is removed.
     """
-    n = stop - start
-    lanes = max(1, min(_usable_cpus(), n // _TRACE_MIN_LANE_ROWS))
-    bounds = [start + n * i // lanes for i in range(lanes + 1)]
-    helpers = []
-    try:
-        for _ in range(lanes - 1):  # all started before any is fed, so start-ups overlap
-            helpers.append(subprocess.Popen(_TRACE_HELPER, stdin=subprocess.PIPE,
-                                            stdout=subprocess.PIPE))
-        for proc, a, b in zip(helpers, bounds[1:], bounds[2:]):
-            try:
-                proc.stdin.writelines(c[a:b] for c in cols)
-                proc.stdin.close()
-            except BrokenPipeError:
-                pass  # the helper has gone; its exit status is checked below
-        fh.writelines(tracetext.encoded_chunks(cols, cols[4].view(np.int64), start, bounds[1]))
-        for proc in helpers:
+
+    def __init__(self, path, n_rows: int):
+        self._path = path
+        self._n_rows = n_rows
+        self._cpus = _usable_cpus()
+        self._rows = 0        # rows appended so far
+        self._fh = None       # the file, once the first block is written
+        self._bounds = None   # the current block's lane bounds
+        self._own = None      # the current block's first range, as columns
+        self._helpers = []    # the current block's helpers, one per further lane
+
+    def __enter__(self) -> "LossTraceWriter":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        done = False
+        try:
+            if exc_type is None:
+                if self._rows != self._n_rows:
+                    raise ValueError(f"LossTraceWriter: {self._rows} rows appended, "
+                                     f"{self._n_rows} declared")
+                self._file().close()  # an empty trace is its header alone
+                done = True
+        finally:
+            if not done:
+                self._discard()
+
+    def append(self, epochs, sample_ids, modulated: ModulatedLoss) -> None:
+        """Write rows of the trace: the next ones in file order."""
+        m = modulated
+        cols = [np.asarray(c) for c in (epochs, sample_ids, m.input_loss, m.kappa,
+                                        m.threshold, m.value, m.selected)]
+        if len({c.shape for c in cols}) != 1 or cols[0].ndim != 1:
+            raise ValueError("LossTraceWriter: columns disagree on the number of rows")
+        for name, c in zip(("epochs", "sample_ids"), cols):
+            if c.dtype.kind not in "iu" or not np.can_cast(c.dtype, np.int64):
+                raise ValueError(f"LossTraceWriter: {name} must hold int64 integers, "
+                                 f"not {c.dtype}")
+        cols[-1] = cols[-1].astype(bool, copy=False)
+        cols = [np.ascontiguousarray(c, dtype=code)
+                for c, (_, code) in zip(cols, tracetext.COLUMNS)]
+        base = self._rows  # the trace row of cols' first entry
+        stop = base + cols[0].size
+        if stop > self._n_rows:
+            raise ValueError(f"LossTraceWriter: {stop} rows appended, {self._n_rows} declared")
+        while self._rows < stop:
+            if self._bounds is None:
+                self._begin_block()
+            bounds = self._bounds
+            for lane, (a, b) in enumerate(zip(bounds, bounds[1:])):
+                lo, hi = max(a, self._rows), min(b, stop)
+                if lo >= hi:
+                    continue
+                if lane:
+                    # a helper that has gone is caught by its exit status at the block's end
+                    with contextlib.suppress(BrokenPipeError):
+                        self._helpers[lane - 1].stdin.writelines(
+                            tracetext.batch(cols, lo - base, hi - base))
+                else:
+                    for own, c in zip(self._own, cols):
+                        own[lo - a:hi - a] = c[lo - base:hi - base]
+            self._rows = min(stop, bounds[-1])
+            if self._rows == bounds[-1]:
+                self._end_block()
+
+    def _begin_block(self) -> None:
+        """Plan the lanes of the block starting at the next row and start its helpers."""
+        start = self._rows
+        n = min(self._cpus * _TRACE_MAX_LANE_ROWS, self._n_rows - start)
+        lanes = max(1, min(self._cpus, n // _TRACE_MIN_LANE_ROWS))
+        self._bounds = [start + n * i // lanes for i in range(lanes + 1)]
+        self._own = [np.empty(self._bounds[1] - start, dtype=code)
+                     for _, code in tracetext.COLUMNS]
+        for _ in range(lanes - 1):
+            self._helpers.append(subprocess.Popen(_TRACE_HELPER, stdin=subprocess.PIPE,
+                                                  stdout=subprocess.PIPE))
+
+    def _end_block(self) -> None:
+        """Write the finished block: this process's range, then each helper's text."""
+        fh = self._file()
+        for proc in self._helpers:
+            _close(proc.stdin)
+        own = self._own
+        fh.writelines(tracetext.encoded_chunks(own, own[4].view(np.int64), 0, own[0].size))
+        for proc in self._helpers:
             shutil.copyfileobj(proc.stdout, fh)
             if proc.wait() != 0:
-                raise RuntimeError(f"write_loss_trace: a helper lane exited with "
+                raise RuntimeError(f"LossTraceWriter: a helper lane exited with "
                                    f"status {proc.returncode}")
-    finally:
-        for proc in helpers:
-            proc.kill()  # a no-op once the helper has been waited for
-            for pipe in (proc.stdin, proc.stdout):
-                with contextlib.suppress(BrokenPipeError):  # input a dead helper never read
-                    pipe.close()
+        self._reap()
+        self._bounds = self._own = None
+
+    def _file(self):
+        """The trace file, created with its header on first use."""
+        if self._fh is None:
+            self._fh = open(self._path, "wb")
+            self._fh.write(tracetext.HEADER)
+        return self._fh
+
+    def _reap(self) -> None:
+        """Kill (a no-op once waited for) and reap every helper; close its pipes."""
+        for proc in self._helpers:
+            proc.kill()
+            _close(proc.stdin)
+            _close(proc.stdout)
             proc.wait()
+        self._helpers = []
+
+    def _discard(self) -> None:
+        """Reap every helper and remove the file if this writer made it."""
+        self._reap()
+        if self._fh is not None:
+            try:
+                self._fh.close()
+            finally:
+                os.remove(self._path)
+
+
+def _close(pipe) -> None:
+    with contextlib.suppress(BrokenPipeError):  # input a dead helper never read
+        pipe.close()
 
 
 def write_loss_trace(path, epochs, sample_ids, modulated: ModulatedLoss) -> None:
     """Write one CSV row per sample-epoch, formatting on every usable CPU.
 
     epochs and sample_ids hold integers (anything else raises ValueError
-    naming the column), and they and every field of modulated hold one entry
-    per row.  Columns are (epoch, sample_id, input_loss, kappa, threshold,
-    value, selected); floats are written with repr so a reload round-trips
-    bit-exactly, and every line ends in \\r\\n.
-
-    The rows are split into contiguous ranges, one per lane: this process
-    and one helper interpreter (crucial.tracetext, standard library only)
-    per further CPU, with at least _TRACE_MIN_LANE_ROWS rows per lane, so
-    short traces never leave the process.  This process formats the first
-    range and copies the helpers' text into the file in row order, so the
-    bytes are the same for any number of lanes.  Every lane formats
-    CHUNK_ROWS rows at a time; this process holds one chunk's text at a
-    time, and a helper its whole range's, so traces longer than
-    _TRACE_MAX_LANE_ROWS rows per lane are written in blocks of that many.
-    A helper that fails makes this raise RuntimeError, and no helper
+    naming the column, before any file exists), and they and every field of
+    modulated hold one entry per row.  Columns are (epoch, sample_id,
+    input_loss, kappa, threshold, value, selected); floats are written with
+    repr so a reload round-trips bit-exactly, and every line ends in \\r\\n.
+    This is one append on a LossTraceWriter, which documents the lanes and
+    blocks; a helper that fails makes this raise RuntimeError, and no helper
     outlives the call.
     """
-    m = modulated
-    cols = [np.asarray(c) for c in (epochs, sample_ids, m.input_loss, m.kappa,
-                                    m.threshold, m.value, m.selected)]
-    if len({c.shape for c in cols}) != 1 or cols[0].ndim != 1:
-        raise ValueError("write_loss_trace: columns disagree on the number of rows")
-    for name, c in zip(("epochs", "sample_ids"), cols):
-        if c.dtype.kind not in "iu" or not np.can_cast(c.dtype, np.int64):
-            raise ValueError(f"write_loss_trace: {name} must hold int64 integers, "
-                             f"not {c.dtype}")
-    cols[-1] = cols[-1].astype(bool, copy=False)
-    cols = [np.ascontiguousarray(c, dtype=code) for c, (_, code) in zip(cols, tracetext.COLUMNS)]
-    n = cols[0].size
-    block = _usable_cpus() * _TRACE_MAX_LANE_ROWS
-    with open(path, "wb") as fh:
-        fh.write(tracetext.HEADER)
-        for start in range(0, n, block):
-            _write_trace_rows(fh, cols, start, min(start + block, n))
+    with LossTraceWriter(path, np.size(epochs)) as trace:
+        trace.append(epochs, sample_ids, modulated)

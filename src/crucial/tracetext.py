@@ -1,16 +1,19 @@
-"""Loss-trace rows as CSV text: the chunk formatter and the helper that runs it.
+"""Loss-trace rows as CSV text: the chunk formatter, the wire format and the helper.
 
 This module imports nothing but ``sys``, so that it also runs as a bare
 helper interpreter (``python -I -S tracetext.py``) that starts in about
-15 ms instead of importing numpy and scipy.  ``loss.write_loss_trace``
-formats the first range of a trace's rows itself and hands each further
-range to such a helper; both run ``encoded_chunks``, so the bytes do not
-depend on how many lanes ran.
+15 ms instead of importing numpy and scipy.  ``loss.LossTraceWriter``
+formats the first range of each block of a trace's rows itself and hands
+each further range to such a helper; both run ``encoded_chunks``, so the
+bytes do not depend on how many lanes ran.
 
-As a helper, the module reads its rows from stdin as raw column buffers,
-one after the other in ``COLUMNS`` order and native byte order, and writes
-their text to stdout only when it has formatted them all, so it never
-blocks on a full pipe while the parent is still formatting its own range.
+A helper's stdin carries its range's rows as batches, each made by
+``batch``: an 8-byte row count, then the rows' seven column buffers, one
+after the other in ``COLUMNS`` order, all in native byte order.  The writer
+sends a batch whenever training hands it rows of that range.  The helper
+drains stdin until it closes and writes the range's text to stdout only
+then, so neither side ever blocks on a full pipe while the other still
+writes.  A batch cut short makes the helper exit 1 with a message on stderr.
 """
 
 import sys
@@ -23,6 +26,11 @@ HEADER = (",".join(name for name, _ in COLUMNS) + "\r\n").encode()
 # formatter's working memory.
 CHUNK_ROWS = 1024
 _SELECTED = ("false\r\n", "true\r\n")
+_WIDTHS = [1 if code == "B" else 8 for _, code in COLUMNS]
+_COUNT_BYTES = 8
+# A helper reads stdin at most this many bytes at a time, so a corrupt row
+# count costs no more memory than the bytes that really arrive.
+_READ_BYTES = 1 << 20
 
 
 def encoded_chunks(cols, threshold_bits, start, stop):
@@ -49,20 +57,41 @@ def encoded_chunks(cols, threshold_bits, start, stop):
         ))).encode()
 
 
+def batch(cols, start, stop):
+    """The wire buffers of rows [start, stop) of the seven contiguous COLUMNS."""
+    return [(stop - start).to_bytes(_COUNT_BYTES, sys.byteorder),
+            *(c[start:stop] for c in cols)]
+
+
+def _read_into(stream, buf, size):
+    """Append size bytes of stream to buf; False if the stream ends first."""
+    while size:
+        piece = stream.read(min(size, _READ_BYTES))
+        if not piece:
+            return False
+        buf += piece
+        size -= len(piece)
+    return True
+
+
 def _helper_main():
-    """Format the rows whose column buffers arrive on stdin; write their text to stdout."""
-    data = memoryview(sys.stdin.buffer.read())
-    widths = [1 if code == "B" else 8 for _, code in COLUMNS]
-    n, extra = divmod(len(data), sum(widths))
-    if extra:
-        print(f"tracetext: {len(data)} input bytes are not whole rows", file=sys.stderr)
-        return 1
-    buffers, offset = [], 0
-    for width in widths:
-        buffers.append(data[offset:offset + n * width])
-        offset += n * width
-    cols = [buf.cast(code) for buf, (_, code) in zip(buffers, COLUMNS)]
-    text = list(encoded_chunks(cols, buffers[4].cast("q"), 0, n))
+    """Format the rows whose batches arrive on stdin; write their text to stdout."""
+    stdin = sys.stdin.buffer
+    buffers = [bytearray() for _ in COLUMNS]
+    while True:
+        count = bytearray()
+        if not _read_into(stdin, count, _COUNT_BYTES):
+            if not count:
+                break  # stdin closed between batches
+            print("tracetext: a batch's row count is cut short", file=sys.stderr)
+            return 1
+        n = int.from_bytes(count, sys.byteorder)
+        for buf, width in zip(buffers, _WIDTHS):
+            if not _read_into(stdin, buf, n * width):
+                print(f"tracetext: a batch of {n} rows is cut short", file=sys.stderr)
+                return 1
+    cols = [memoryview(buf).cast(code) for buf, (_, code) in zip(buffers, COLUMNS)]
+    text = list(encoded_chunks(cols, memoryview(buffers[4]).cast("q"), 0, len(cols[0])))
     sys.stdout.buffer.writelines(text)
     return 0
 

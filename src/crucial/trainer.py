@@ -24,7 +24,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -401,38 +402,37 @@ class TrainResult:
     """Outcome of train_model: final model plus per-epoch diagnostics.
 
     kappa_ge1_counts are the confident-set sizes (selected samples with
-    kappa >= 1); traces holds each epoch's ModulatedLoss when kept.
+    kappa >= 1).
     """
 
     model: Model
     epoch_mean_losses: list[float]
     kappa_ge1_counts: list[int]
-    traces: list[ModulatedLoss] = field(repr=False, default_factory=list)
 
 
-def train_model(model: Model, dataset: Dataset, task: TaskSpec,
-                *, keep_traces: bool = False) -> TrainResult:
+def train_model(model: Model, dataset: Dataset, task: TaskSpec, *,
+                on_epoch: Callable[[int, ModulatedLoss], None] | None = None) -> TrainResult:
     """Train for task.epochs full-batch epochs on one dataset (featurized once),
     starting from initial_epoch_state(); the trained model's mean raw loss
-    must pass the divergence guard too."""
+    must pass the divergence guard too.  on_epoch, when given, is called as
+    on_epoch(epoch, record) after each epoch with that epoch's ModulatedLoss
+    record, which is how a loss trace is streamed while training."""
     data = featurize(dataset, model)
     state = initial_epoch_state()
     mean_losses: list[float] = []
     counts: list[int] = []
-    traces: list[ModulatedLoss] = []
     for epoch in range(task.epochs):
         if epoch:
             state = _advance_state(state, mod.input_loss, task)
         model, mod = train_epoch(model, data, task, state)
         mean_losses.append(float(np.mean(mod.input_loss)))
         counts.append(int(np.count_nonzero(mod.selected & (mod.kappa >= 1.0))))
-        if keep_traces:
-            traces.append(mod)
+        if on_epoch is not None:
+            on_epoch(epoch, mod)
     with np.errstate(over="ignore", invalid="ignore"):
         _guard(_losses_and_dout(model, *data, task.base_loss)[0],
                f"after epoch {task.epochs - 1}")
-    return TrainResult(model=model, epoch_mean_losses=mean_losses, kappa_ge1_counts=counts,
-                       traces=traces)
+    return TrainResult(model=model, epoch_mean_losses=mean_losses, kappa_ge1_counts=counts)
 
 
 def auc_roc(scores: np.ndarray, labels: np.ndarray) -> float:

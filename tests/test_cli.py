@@ -4,15 +4,19 @@ import csv
 import json
 import math
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import crucial.loss as loss_module
 from crucial import cli
 from crucial.cli import _DEFAULTS, main, parse_config_file, resolve_config
 from crucial.data import load_csv
 from crucial.loss import KAPPA_CAP
+from crucial.tracetext import COLUMNS
 
 
 def run(*argv):
@@ -414,6 +418,51 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("train: diverged:")
         assert not (tmp_path / "aggregate.csv").exists()
 
+    # A trace of 16,384 rows is split between this process and one helper,
+    # started with the first epoch; 20,000-row epochs in blocks of 16,384
+    # rows fill and write the first block during the first epoch and start
+    # the second block's helper.  The second epoch diverges in both.
+    @pytest.mark.parametrize("argv, max_lane_rows, helpers", [
+        (("--n", "512", "--epochs", "32"), None, 1),
+        (("--n", "20000", "--epochs", "2"), loss_module._TRACE_MIN_LANE_ROWS, 2),
+    ], ids=["helper_started", "block_written"])
+    def test_a_diverging_run_leaves_only_its_config(self, tmp_path, capsys, monkeypatch, started,
+                                                    argv, max_lane_rows, helpers):
+        monkeypatch.setattr(loss_module, "_usable_cpus", lambda: 2)
+        if max_lane_rows is not None:
+            monkeypatch.setattr(loss_module, "_TRACE_MAX_LANE_ROWS", max_lane_rows)
+        code = run("train", "--output-dir", str(tmp_path), "--wrapper", "adp", "--t", "8",
+                   "--window", "4", "--test-n", "8", "--learning-rate", "1e305", *argv)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("train: diverged: mean loss inf")
+        assert [p.name for p in tmp_path.iterdir()] == ["config_resolved.txt"]
+        assert len(started) == helpers
+        assert started.all_reaped()
+
+    def test_a_streamed_trace_keeps_one_lane_range_per_block(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # 81,920 rows in 5 blocks of two 8,192-row lanes: this process holds
+        # one lane's columns at a time, a tenth of the trace's, where
+        # keeping every epoch's record would hold all of them at least once.
+        # Short chunks keep the formatter's working memory out of the way.
+        monkeypatch.setattr(loss_module, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(loss_module, "_TRACE_MAX_LANE_ROWS", loss_module._TRACE_MIN_LANE_ROWS)
+        monkeypatch.setattr(loss_module.tracetext, "CHUNK_ROWS", 256)
+        n, epochs = 512, 160
+        tracemalloc.start()
+        try:
+            code = run("train", "--output-dir", str(tmp_path), "--wrapper", "adp", "--n", str(n),
+                       "--t", "16", "--window", "8", "--test-n", "16", "--epochs", str(epochs))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        capsys.readouterr()
+        column_bytes = n * epochs * sum(np.dtype(code).itemsize for _, code in COLUMNS)
+        assert peak < column_bytes / 4, (peak, column_bytes)
+        with open(tmp_path / "loss_trace_run0.csv", "rb") as fh:
+            assert sum(1 for _ in fh) == 1 + n * epochs
+
     @pytest.mark.parametrize("argv", [("--wrapper", "sin", "--omega", "1e-320", "--epochs", "2"),
                                       ("--wrapper", "adp", "--lam", "1e-320", "--epochs", "3"),
                                       ("--wrapper", "baseline", "--threshold", "-1e308",
@@ -539,24 +588,45 @@ def test_bad_input_exits_two_without_a_traceback(tmp_path, capsys, case):
     assert [p.name for p in (tmp_path / "out").glob("*")] in ([], ["config_resolved.txt"])
 
 
-# Every float key of each command, set to each non-finite value, exits with a
-# documented code; an uncaught exception fails the run itself.
+# Every float key of each command, set to each non-finite and each extreme
+# finite value, exits with a documented code, with no traceback and no numpy
+# warning, and an exit 2 has written at most the echoed configuration; an
+# uncaught exception fails the run itself.
 _TINY = ("--epochs", "1", "--n", "16", "--t", "8", "--test-n", "8", "--window", "4")
-_SWEEPS = [("train", "--wrapper", w, *_TINY) for w in ("none", "adp", "sin", "baseline")]
-_SWEEPS += [("gen-data", "--n", "16", "--t", "8"),
-            ("simulate", "--n", "16", "--sigmas", "0.5", "--rates", "1"),
-            ("trace-loss", "--epochs", "2")]
+_SWEEPS = [pytest.param(("train", "--wrapper", w, *_TINY), id=w)
+           for w in ("none", "adp", "sin", "baseline")]
+_SWEEPS += [pytest.param(("gen-data", "--n", "16", "--t", "8"), id="gen-data"),
+            pytest.param(("simulate", "--n", "16", "--sigmas", "0.5", "--rates", "1"),
+                         id="simulate"),
+            pytest.param(("trace-loss", "--epochs", "2"), id="trace-loss"),
+            pytest.param(("train", "--task", "single_shot", "--dataset", "drift", "--model", "mlp",
+                          "--wrapper", "adp", *_TINY), id="single_shot_mlp_adp"),
+            pytest.param(("train", "--task", "continuous", "--dataset", "drift",
+                          "--model", "elman_rnn", "--wrapper", "sin", "--cuts", "4,8", *_TINY),
+                         id="continuous_elman_rnn_sin"),
+            pytest.param(("simulate", "--populations", "half_normal", "--n", "16",
+                          "--sigmas", "0.5", "--rates", "1"), id="simulate_half_normal")]
+_FLOAT_VALUES = ("nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "-1e-320", "-0.0", "0", "-1",
+                 "5e-324", "1.7976931348623157e308")
 
 
-@pytest.mark.parametrize("argv", _SWEEPS, ids=lambda a: a[2] if a[0] == "train" else a[0])
+@pytest.mark.parametrize("argv", _SWEEPS)
 def test_non_finite_float_keys_exit_cleanly(tmp_path, capsys, argv):
     keys = [k for k, v in _DEFAULTS[argv[0]].items() if isinstance(v, float)]
     assert keys
     for key in keys:
-        for bad in ("nan", "inf", "-inf"):
-            flag = "--" + key.replace("_", "-")
-            assert run(*argv, flag, bad, "--output-dir", str(tmp_path / key / bad)) in (0, 1, 2)
-            assert "Traceback" not in capsys.readouterr().err
+        for value in _FLOAT_VALUES:
+            out = tmp_path / key / value
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = run(*argv, "--" + key.replace("_", "-"), value, "--output-dir", str(out))
+            err = capsys.readouterr().err
+            case = f"--{key} {value}: exit {code}"
+            assert code in (0, 1, 2), case
+            assert "Traceback" not in err and "RuntimeWarning" not in err, case
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], case
+            if code == 2:
+                assert [p.name for p in out.glob("*")] in ([], ["config_resolved.txt"]), case
 
 
 def test_readme_cli_block_uses_only_known_keys():

@@ -3,9 +3,8 @@
 import csv
 import math
 import signal
-import subprocess
 import sys
-from dataclasses import astuple
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from crucial.loss import (
     KAPPA_CAP,
     CrucialConfig,
     EpochState,
+    LossTraceWriter,
     ModulatedLoss,
     Variant,
     advance_epoch_adp,
@@ -344,13 +344,6 @@ class TestModulateEpoch:
         assert np.all(m.kappa == 1.0) and np.all(m.threshold == 0.0) and np.all(m.selected)
         assert np.array_equal(m.value, self.LOSSES)
 
-    def test_concat_keeps_row_order(self):
-        cfg = CrucialConfig(Variant.ADP, lam=0.01)
-        a = modulate_epoch(self.LOSSES[:3], initial_epoch_state(), cfg)
-        b = modulate_epoch(self.LOSSES[3:5], initial_epoch_state(), None)
-        both = ModulatedLoss.concat([a, b])
-        assert _rows(both) == _rows(a) + _rows(b)
-
 
 class TestOverflowingBeta:
     """beta = gap/lam beyond the float range: w solves w + ln w = ln gap - ln(2 lam)."""
@@ -540,20 +533,6 @@ MIN_LANE_ROWS = loss_module._TRACE_MIN_LANE_ROWS
 SPECIAL = np.array([math.nan, math.inf, -math.inf, 5e-324, -0.0, 0.0, 1e16, 0.1])
 
 
-@pytest.fixture
-def started(monkeypatch):
-    """Every process started through subprocess.Popen during the test, in order."""
-    procs = []
-    real_popen = subprocess.Popen
-
-    def recording_popen(*args, **kwargs):
-        procs.append(real_popen(*args, **kwargs))
-        return procs[-1]
-
-    monkeypatch.setattr(subprocess, "Popen", recording_popen)
-    return procs
-
-
 def lane_splits(n, lanes):
     return [n * i // lanes for i in range(1, lanes)]
 
@@ -568,11 +547,35 @@ def record_with_specials_at_splits(n, lanes):
     return m
 
 
+def append_in_pieces(path, epochs, sample_ids, modulated, rows, declared=None):
+    """Write a trace through LossTraceWriter, rows rows per append, declaring
+    declared rows (default: as many as there are)."""
+    epochs, sample_ids = np.asarray(epochs), np.asarray(sample_ids)
+    columns = [getattr(modulated, f.name) for f in fields(ModulatedLoss)]
+    with LossTraceWriter(path, epochs.size if declared is None else declared) as trace:
+        for a in range(0, epochs.size, rows):
+            piece = slice(a, a + rows)
+            trace.append(epochs[piece], sample_ids[piece],
+                         ModulatedLoss(*(c[piece] for c in columns)))
+
+
 class TestTraceLanes:
-    """Traces long enough to be split between this process and helper processes."""
+    """Traces long enough to be split between this process and helper processes.
 
-    assert_same_bytes = TestTraceMatchesCsvReference.assert_same_bytes
+    epoch_rows None writes a trace in one write_loss_trace call; 512 streams
+    it one 512-row epoch at a time, so lane and block bounds fall inside an
+    epoch.
+    """
 
+    def assert_same_bytes(self, tmp_path, epochs, sample_ids, modulated, epoch_rows):
+        if epoch_rows is None:
+            write_loss_trace(tmp_path / "new.csv", epochs, sample_ids, modulated)
+        else:
+            append_in_pieces(tmp_path / "new.csv", epochs, sample_ids, modulated, epoch_rows)
+        csv_loss_trace(tmp_path / "ref.csv", epochs, sample_ids, modulated)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("epoch_rows", [None, 512])
     @pytest.mark.parametrize("lanes, n, split_at_chunk_edge", [
         (2, 2 * MIN_LANE_ROWS, True),
         (2, 2 * MIN_LANE_ROWS + 1, True),            # odd total
@@ -580,37 +583,42 @@ class TestTraceLanes:
         (3, 3 * MIN_LANE_ROWS + 7, False),
     ])
     def test_lanes_write_the_csv_reference_bytes(self, tmp_path, monkeypatch, started,
-                                                 lanes, n, split_at_chunk_edge):
+                                                 lanes, n, split_at_chunk_edge, epoch_rows):
         monkeypatch.setattr(loss_module, "_usable_cpus", lambda: lanes)
         splits = lane_splits(n, lanes)
         assert all((s % CHUNK_ROWS == 0) == split_at_chunk_edge for s in splits)
         m = record_with_specials_at_splits(n, lanes)
         sample_ids = np.arange(n) % 512
         sample_ids[splits[0] - 1:splits[0] + 1] = (-5, np.iinfo(np.int64).max)
-        self.assert_same_bytes(tmp_path, np.arange(n) // 512, sample_ids, m)
+        self.assert_same_bytes(tmp_path, np.arange(n) // 512, sample_ids, m, epoch_rows)
         text = (tmp_path / "new.csv").read_text(encoding="utf-8")
         assert ",-0.0," in text and ",0.0," in text and ",5e-324," in text
         assert len(started) == lanes - 1
         assert all(proc.returncode == 0 for proc in started)
+        assert started.all_reaped()
 
+    @pytest.mark.parametrize("epoch_rows", [None, 512])
     def test_a_long_trace_is_written_in_blocks_of_bounded_lanes(self, tmp_path, monkeypatch,
-                                                                 started):
+                                                                 started, epoch_rows):
         monkeypatch.setattr(loss_module, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(loss_module, "_TRACE_MAX_LANE_ROWS", MIN_LANE_ROWS + 100)
         # Blocks of 2 * (MIN_LANE_ROWS + 100) rows: two of two lanes, then a
         # last block too short to split.
         n = 5 * MIN_LANE_ROWS + 123
+        assert (MIN_LANE_ROWS + 100) % 512 and 2 * (MIN_LANE_ROWS + 100) % 512
         m = record_with_specials_at_splits(n, 5)
-        self.assert_same_bytes(tmp_path, np.arange(n) // 512, np.arange(n) % 512, m)
+        self.assert_same_bytes(tmp_path, np.arange(n) // 512, np.arange(n) % 512, m, epoch_rows)
         assert len(started) == 2
         assert all(proc.returncode == 0 for proc in started)
+        assert started.all_reaped()
 
+    @pytest.mark.parametrize("epoch_rows", [None, 512])
     def test_a_trace_below_the_lane_minimum_starts_no_process(self, tmp_path, monkeypatch,
-                                                               started):
+                                                               started, epoch_rows):
         monkeypatch.setattr(loss_module, "_usable_cpus", lambda: 2)
         n = 2 * MIN_LANE_ROWS - 1
         self.assert_same_bytes(tmp_path, np.zeros(n, dtype=int), np.arange(n),
-                               random_record(n, 5))
+                               random_record(n, 5), epoch_rows)
         assert started == []
 
     @pytest.mark.parametrize("script", [
@@ -626,8 +634,42 @@ class TestTraceLanes:
             write_loss_trace(tmp_path / "t.csv", np.zeros(n, dtype=int), np.arange(n),
                              random_record(n, 6))
         assert len(started) == 2
-        for proc in started:
-            assert proc.returncode is not None and proc.stdin.closed and proc.stdout.closed
+        assert started.all_reaped()
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("cut", [
+        lambda parts: [*parts[:-1], parts[-1][:-1]],  # the last column a byte short
+        lambda parts: [parts[0][:5]],                 # the row count itself
+    ], ids=["column", "row_count"])
+    def test_a_batch_cut_short_fails_its_helper(self, tmp_path, monkeypatch, started, capfd,
+                                                cut):
+        batch = loss_module.tracetext.batch
+        monkeypatch.setattr(loss_module.tracetext, "batch", lambda *args: cut(batch(*args)))
+        monkeypatch.setattr(loss_module, "_usable_cpus", lambda: 2)
+        n = 2 * MIN_LANE_ROWS
+        with pytest.raises(RuntimeError, match="status 1"):
+            write_loss_trace(tmp_path / "t.csv", np.zeros(n, dtype=int), np.arange(n),
+                             random_record(n, 9))
+        assert "cut short" in capfd.readouterr().err
+        assert len(started) == 1
+        assert started.all_reaped()
+        assert not (tmp_path / "t.csv").exists()
+
+    # 6 * MIN_LANE_ROWS rows in blocks of 2 * MIN_LANE_ROWS: one row fewer
+    # declared leaves the third block too short for a helper, and the error
+    # comes on the last append; one more is missed when the writer closes.
+    @pytest.mark.parametrize("declared_extra, helpers", [(-1, 2), (1, 3)])
+    def test_rows_other_than_declared_raise_and_leave_no_file(self, tmp_path, monkeypatch,
+                                                              started, declared_extra, helpers):
+        monkeypatch.setattr(loss_module, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(loss_module, "_TRACE_MAX_LANE_ROWS", MIN_LANE_ROWS)
+        n = 6 * MIN_LANE_ROWS
+        with pytest.raises(ValueError, match="declared"):
+            append_in_pieces(tmp_path / "t.csv", np.arange(n) // 512, np.arange(n) % 512,
+                             random_record(n, 10), 512, declared=n + declared_extra)
+        assert len(started) == helpers
+        assert started.all_reaped()
+        assert not (tmp_path / "t.csv").exists()
 
     def test_an_error_in_this_process_kills_the_helpers(self, tmp_path, monkeypatch, started):
         def failing_chunks(*args):
@@ -643,7 +685,8 @@ class TestTraceLanes:
         # Nothing reads the helper's text, which overflows its pipe, so the
         # helper cannot have finished on its own.
         assert [proc.returncode for proc in started] == [-signal.SIGKILL]
-        assert started[0].stdin.closed and started[0].stdout.closed
+        assert started.all_reaped()
+        assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize("column", ["epochs", "sample_ids"])
     @pytest.mark.parametrize("values", [[3.0, 3.0], [True, False],
