@@ -7,6 +7,11 @@ SeededRng and platform-stable.  The CSV contract is bit-exact: header
 headers), UTF-8, ``.`` decimal, label column empty for unlabeled rows.
 Floats are written with repr so a write-then-load round-trip reproduces
 every bit.
+
+Every path that builds a dataset holds one copy of it: the generators fill
+their output in place, drawing their noise one row block of about
+_BLOCK_VALUES values at a time, and load_csv parses each row straight into
+one growing float block.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +43,10 @@ _SINE_AMP_RANGE = (0.8, 1.2)
 # gen_drift_classification's AR(1) noise: coefficient and shock sd.
 _DRIFT_AR_COEFF = 0.8
 _DRIFT_AR_SD = 0.4
+# Values per row block of the generators' noise draws: their only scratch
+# at the dataset's size.  Drawing block by block yields the same stream as
+# one draw of the whole array.
+_BLOCK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,6 +127,9 @@ def gen_sine_regression(n: int, T: int, noise_sd: float, rng: SeededRng, *,
     Amplitudes are uniform in _SINE_AMP_RANGE.  Frequencies are uniform in
     freq_range (cycles per step), whose ends and width must be finite; pass
     a degenerate range to pin the spectral peak for analysis.
+
+    Working memory: the returned values and labels plus two row blocks of
+    _BLOCK_VALUES values (the block's series and its noise).
     """
     if n < 1 or T < 2:
         raise ValueError("gen_sine_regression: need n >= 1 and T >= 2")
@@ -129,12 +142,24 @@ def gen_sine_regression(n: int, T: int, noise_sd: float, rng: SeededRng, *,
     phases = gen.uniform(0.0, 2.0 * math.pi, n)
     amps = gen.uniform(*_SINE_AMP_RANGE, n)
     t = np.arange(T + 1, dtype=np.float64)
+    values = np.empty((n, T), dtype=np.float64)
+    labels = np.empty(n, dtype=np.float64)
+    rows = max(1, _BLOCK_VALUES // (T + 1))
     with np.errstate(over="ignore", invalid="ignore"):  # _check_finite rejects the result
-        clean = amps[:, None] * np.sin(2.0 * math.pi * freqs[:, None] * t[None, :]
-                                       + phases[:, None])
-        noisy = clean + noise_sd * gen.standard_normal((n, T + 1))
-    return _check_finite(Dataset(ids=np.arange(n), values=np.ascontiguousarray(noisy[:, :T]),
-                                 labels=noisy[:, T].copy()), "gen_sine_regression")
+        omegas = 2.0 * math.pi * freqs
+        for lo in range(0, n, rows):
+            block = slice(lo, lo + rows)
+            series = np.multiply(omegas[block, None], t)  # steps 0..T, the last is the label
+            series += phases[block, None]
+            np.sin(series, out=series)
+            series *= amps[block, None]
+            noise = gen.standard_normal(series.shape)
+            noise *= noise_sd
+            series += noise
+            values[block] = series[:, :T]
+            labels[block] = series[:, T]
+    return _check_finite(Dataset(ids=np.arange(n), values=values, labels=labels),
+                         "gen_sine_regression")
 
 
 def gen_drift_classification(n: int, T: int, drift_rate: float, label_noise: float,
@@ -153,6 +178,9 @@ def gen_drift_classification(n: int, T: int, drift_rate: float, label_noise: flo
 
     A label_noise fraction of labels (rounded) is flipped; the flipped
     sample ids are recorded on the returned dataset.
+
+    Working memory: the returned values, one row block of _BLOCK_VALUES
+    shocks and a few (n,) columns.
     """
     if n < 1 or T < 2:
         raise ValueError("gen_drift_classification: need n >= 1 and T >= 2")
@@ -163,16 +191,25 @@ def gen_drift_classification(n: int, T: int, drift_rate: float, label_noise: flo
     gen = rng.derive("drift-classification").generator
     true_labels = gen.integers(0, 2, n)
     sign = 2.0 * true_labels.astype(np.float64) - 1.0
-    tt = np.arange(T, dtype=np.float64)
-    means = sign[:, None] * (class_sep / 2.0) + drift_rate * (tt[None, :] / (T - 1))
-    # Stationary AR(1) noise around the drifting class level.
+    # Stationary AR(1) noise: column 0 from the stationary law, then each
+    # block's shocks scaled into columns 1..T-1 and the recursion run over
+    # whole columns in place.
     stat_sd = _DRIFT_AR_SD / math.sqrt(1.0 - _DRIFT_AR_COEFF * _DRIFT_AR_COEFF)
-    e = np.empty((n, T), dtype=np.float64)
-    e[:, 0] = stat_sd * gen.standard_normal(n)
-    shocks = _DRIFT_AR_SD * gen.standard_normal((n, T - 1))
+    values = np.empty((n, T), dtype=np.float64)
+    values[:, 0] = stat_sd * gen.standard_normal(n)
+    rows = max(1, _BLOCK_VALUES // (T - 1))
+    for lo in range(0, n, rows):
+        shocks = values[lo:lo + rows, 1:]
+        np.multiply(gen.standard_normal(shocks.shape), _DRIFT_AR_SD, out=shocks)
+    column = np.empty(n, dtype=np.float64)
     for t in range(1, T):
-        e[:, t] = _DRIFT_AR_COEFF * e[:, t - 1] + shocks[:, t - 1]
-    values = means + e
+        values[:, t] += np.multiply(values[:, t - 1], _DRIFT_AR_COEFF, out=column)
+    # Then the drifting class level m_c(t), one column at a time.
+    level = sign * (class_sep / 2.0)
+    drift = drift_rate * (np.arange(T, dtype=np.float64) / (T - 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # _check_finite rejects the result
+        for t in range(T):
+            values[:, t] += np.add(level, drift[t], out=column)
 
     n_flip = int(round(label_noise * n))
     flip_idx = np.sort(gen.choice(n, size=n_flip, replace=False)) if n_flip else np.array([], dtype=int)
@@ -262,11 +299,13 @@ def load_csv(path) -> CsvLoadResult:
     columns, out-of-order or mixed value columns, fewer than 2 time steps)
     raises ValueError immediately.  Malformed rows (wrong arity, bad id,
     non-numeric or non-finite cells) are rejected one by one and reported
-    in ``rejected`` with their 1-based file line numbers; every other row
-    loads, so len(result.dataset) + len(result.rejected) equals the data
-    row count.  The label column loads as int64 when every loaded label is
-    an integer and as float64 (NaN for empty cells) otherwise.  Rows are
-    parsed as they stream in; the file is never held as strings.
+    in ``rejected`` with the 1-based file line on which they start; every
+    other row loads, so len(result.dataset) + len(result.rejected) equals
+    the data row count.  The label column loads as int64 when every loaded
+    label is an integer and as float64 (NaN for empty cells) otherwise.
+    Rows are parsed as they stream in, the file is never held as strings,
+    and each accepted row's values go straight into one float block that
+    becomes the dataset's values, so a load holds one copy of them.
     """
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -278,9 +317,12 @@ def load_csv(path) -> CsvLoadResult:
         n_cols = 2 + T * d
         ids: list[int] = []
         labels: list[int | float] = []
-        rows: list[np.ndarray] = []
+        values = array("d")
         rejected: list[RowIssue] = []
-        for line_no, row in enumerate(reader, start=2):
+        last_line = reader.line_num
+        for row in reader:
+            # A quoted cell may span lines: the record starts after the last one.
+            line_no, last_line = last_line + 1, reader.line_num
             if len(row) != n_cols:
                 rejected.append(RowIssue(line_no, f"row {line_no}: expected {n_cols} cells, got {len(row)}"))
                 continue
@@ -295,20 +337,21 @@ def load_csv(path) -> CsvLoadResult:
                 rejected.append(RowIssue(line_no, f"row {line_no}: bad label {row[1]!r}"))
                 continue
             try:
-                vals = np.fromiter(map(float, row[2:]), np.float64, n_cols - 2)
+                cells = list(map(float, row[2:]))
             except ValueError:
                 rejected.append(RowIssue(line_no, f"row {line_no}: non-numeric value cell"))
                 continue
-            if not np.isfinite(vals).all():
+            if not all(map(math.isfinite, cells)):
                 rejected.append(RowIssue(line_no, f"row {line_no}: non-finite value cell"))
                 continue
             ids.append(sample_id)
             labels.append(label)
-            rows.append(vals)
+            values.extend(cells)
     integer_labels = all(type(label) is int for label in labels)
     dataset = Dataset(
         ids=np.array(ids, dtype=np.int64),
-        values=np.array(rows, dtype=np.float64).reshape((len(rows), T) if d == 1 else (len(rows), T, d)),
+        values=np.frombuffer(values, dtype=np.float64).reshape(
+            (len(ids), T) if d == 1 else (len(ids), T, d)),
         labels=np.array(labels, dtype=np.int64 if integer_labels else np.float64),
     )
     return CsvLoadResult(dataset=dataset, rejected=rejected)

@@ -524,6 +524,9 @@ class TestTrain:
 _HEADER = "id,label,v1,v2,v3\r\n"
 _CSV = ("train", "--dataset", "csv")
 _SINGLE = ("--task", "single_shot")
+# class level plus drift overflows at the last step
+_MAX_LEVEL = ("--class-sep", "1.7976931348623157e308", "--drift-rate", "1.7976931348623157e308",
+              "--n", "8", "--t", "4")
 # case -> (argv, text of the file that a csv dataset reads; None: no file)
 _BAD_INPUTS = {
     "csv_missing": (_CSV, None),
@@ -568,6 +571,8 @@ _BAD_INPUTS = {
                                               "1e308", "--epochs", "2", "--n", "16"), None),
     "trace_loss_overflowing_value": (("trace-loss", "--easy-start", "-1e308", "--epochs", "2"),
                                      None),
+    "gen_data_overflowing_drift_level": (("gen-data", "--kind", "drift", *_MAX_LEVEL), None),
+    "train_overflowing_drift_level": (("train", "--dataset", "drift", *_MAX_LEVEL), None),
 }
 
 
@@ -596,6 +601,8 @@ _TINY = ("--epochs", "1", "--n", "16", "--t", "8", "--test-n", "8", "--window", 
 _SWEEPS = [pytest.param(("train", "--wrapper", w, *_TINY), id=w)
            for w in ("none", "adp", "sin", "baseline")]
 _SWEEPS += [pytest.param(("gen-data", "--n", "16", "--t", "8"), id="gen-data"),
+            pytest.param(("gen-data", "--kind", "drift", "--n", "16", "--t", "8"),
+                         id="gen-data-drift"),
             pytest.param(("simulate", "--n", "16", "--sigmas", "0.5", "--rates", "1"),
                          id="simulate"),
             pytest.param(("trace-loss", "--epochs", "2"), id="trace-loss"),

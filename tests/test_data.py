@@ -2,12 +2,17 @@
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from crucial.data import (
+    _DRIFT_AR_COEFF,
+    _DRIFT_AR_SD,
+    _SINE_AMP_RANGE,
     Dataset,
+    RowIssue,
     gen_drift_classification,
     gen_sine_regression,
     load_csv,
@@ -37,6 +42,102 @@ def csv_save(path, dataset):
         for sample_id, label, values in zip(dataset.ids, dataset.labels, dataset.values):
             writer.writerow([int(sample_id), label_cell(label)]
                             + [repr(float(v)) for v in values.reshape(-1)])
+
+
+# Whole-array references for the generators and the loader: each builds its
+# full intermediates the direct way, so the in-place builds must reproduce
+# them bit for bit.
+def sine_reference(n, T, noise_sd, rng, freq_range=(0.02, 0.08)):
+    gen = rng.derive("sine-regression").generator
+    freqs = gen.uniform(freq_range[0], freq_range[1], n)
+    phases = gen.uniform(0.0, 2.0 * math.pi, n)
+    amps = gen.uniform(*_SINE_AMP_RANGE, n)
+    t = np.arange(T + 1, dtype=np.float64)
+    clean = amps[:, None] * np.sin(2.0 * math.pi * freqs[:, None] * t[None, :] + phases[:, None])
+    noisy = clean + noise_sd * gen.standard_normal((n, T + 1))
+    return np.ascontiguousarray(noisy[:, :T]), noisy[:, T].copy()
+
+
+def drift_reference(n, T, drift_rate, label_noise, rng, class_sep=1.8):
+    gen = rng.derive("drift-classification").generator
+    true_labels = gen.integers(0, 2, n)
+    sign = 2.0 * true_labels.astype(np.float64) - 1.0
+    tt = np.arange(T, dtype=np.float64)
+    means = sign[:, None] * (class_sep / 2.0) + drift_rate * (tt[None, :] / (T - 1))
+    stat_sd = _DRIFT_AR_SD / math.sqrt(1.0 - _DRIFT_AR_COEFF * _DRIFT_AR_COEFF)
+    e = np.empty((n, T), dtype=np.float64)
+    e[:, 0] = stat_sd * gen.standard_normal(n)
+    shocks = _DRIFT_AR_SD * gen.standard_normal((n, T - 1))
+    for t in range(1, T):
+        e[:, t] = _DRIFT_AR_COEFF * e[:, t - 1] + shocks[:, t - 1]
+    values = means + e
+    n_flip = int(round(label_noise * n))
+    flip_idx = np.sort(gen.choice(n, size=n_flip, replace=False)) if n_flip else np.array([], dtype=int)
+    labels = true_labels.copy()
+    labels[flip_idx] ^= 1
+    return values, labels, tuple(int(i) for i in flip_idx)
+
+
+def load_reference(path):
+    """(ids, values, labels, rejected) through csv.reader and float per row."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    T = len(rows[0]) - 2
+
+    def int64(text):
+        value = int(text)
+        if not -2**63 <= value < 2**63:
+            raise ValueError(text)
+        return value
+
+    def real(text):
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(text)
+        return value
+
+    ids, labels, values, rejected = [], [], [], []
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) != T + 2:
+            rejected.append((line, f"row {line}: expected {T + 2} cells, got {len(row)}"))
+            continue
+        try:
+            sample_id = int64(row[0])
+        except ValueError:
+            rejected.append((line, f"row {line}: bad id {row[0]!r}"))
+            continue
+        try:
+            label = math.nan if row[1] == "" else int64(row[1])
+        except ValueError:
+            try:
+                label = real(row[1])
+            except ValueError:
+                rejected.append((line, f"row {line}: bad label {row[1]!r}"))
+                continue
+        try:
+            cells = [float(cell) for cell in row[2:]]
+        except ValueError:
+            rejected.append((line, f"row {line}: non-numeric value cell"))
+            continue
+        if not all(math.isfinite(v) for v in cells):
+            rejected.append((line, f"row {line}: non-finite value cell"))
+            continue
+        ids.append(sample_id)
+        labels.append(label)
+        values.append(cells)
+    label_dtype = np.int64 if all(type(x) is int for x in labels) else np.float64
+    return (np.array(ids, dtype=np.int64), np.array(values, dtype=np.float64).reshape(-1, T),
+            np.array(labels, dtype=label_dtype), rejected)
+
+
+def traced_peak(build):
+    """(result, peak traced bytes while build() ran)."""
+    tracemalloc.start()
+    try:
+        result = build()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestDataset:
@@ -122,6 +223,19 @@ class TestSineRegression:
         assert np.array_equal(a.values, b.values) and np.array_equal(a.labels, b.labels)
         assert not np.array_equal(a.values[0], c.values[0])
 
+    @pytest.mark.parametrize("n, T", [(1, 2), (7, 3), (1025, 200), (4096, 64)])
+    def test_bytes_match_the_whole_array_reference(self, n, T):
+        # 4096 rows of 65 steps span four row blocks, the last one partial
+        for noise_sd, freq_range in ((0.0, (0.02, 0.08)), (0.3, (0.1, 0.45))):
+            ds = gen_sine_regression(n, T, noise_sd, SeededRng(n + T), freq_range=freq_range)
+            values, labels = sine_reference(n, T, noise_sd, SeededRng(n + T), freq_range)
+            assert ds.values.tobytes() == values.tobytes()
+            assert ds.labels.tobytes() == labels.tobytes()
+
+    def test_working_memory_is_bounded(self):
+        ds, peak = traced_peak(lambda: gen_sine_regression(4096, 64, 0.3, SeededRng(2)))
+        assert peak <= 2.5 * ds.values.nbytes, peak / ds.values.nbytes
+
     def test_validation(self):
         with pytest.raises(ValueError):
             gen_sine_regression(0, 32, 0.1, SeededRng(0))
@@ -171,6 +285,29 @@ class TestDriftClassification:
                 assert a == 1 - b
             else:
                 assert a == b
+
+    @pytest.mark.parametrize("n, T", [(n, T) for n in (1, 7, 1025) for T in (2, 3, 64, 200)]
+                             + [(4096, 64)])
+    def test_bytes_match_the_whole_array_reference(self, n, T):
+        # 1025 rows of 199 shocks and 4096 rows of 63 span several row
+        # blocks, the last one partial
+        for drift_rate, label_noise, class_sep in ((0.0, 0.0, 1.8), (1.3, 0.3, 0.7)):
+            ds = gen_drift_classification(n, T, drift_rate, label_noise, SeededRng(n * T),
+                                          class_sep=class_sep)
+            values, labels, flipped = drift_reference(n, T, drift_rate, label_noise,
+                                                      SeededRng(n * T), class_sep)
+            assert ds.values.tobytes() == values.tobytes()
+            assert ds.labels.tobytes() == labels.tobytes() and ds.flipped_ids == flipped
+
+    def test_block_draws_continue_one_stream(self):
+        whole = SeededRng(4).generator.standard_normal((100, 7))
+        gen = SeededRng(4).generator
+        blocks = [gen.standard_normal((k, 7)) for k in (33, 33, 34)]
+        assert np.concatenate(blocks).tobytes() == whole.tobytes()
+
+    def test_working_memory_is_bounded(self):
+        ds, peak = traced_peak(lambda: gen_drift_classification(4096, 64, 1.0, 0.3, SeededRng(2)))
+        assert peak <= 1.75 * ds.values.nbytes, peak / ds.values.nbytes
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -310,6 +447,56 @@ class TestCsvContract:
         ]
         assert res.dataset.ids.tolist() == [0, 6]
         assert res.dataset.samples[1].label is None
+
+    def test_lines_count_from_the_file_across_multi_line_cells(self, tmp_path):
+        p = tmp_path / "q.csv"
+        p.write_bytes(b'id,label,v1,v2\r\n1,0,"1\r\n2",2\r\n2,1,x,4\r\n3,1,3,4\r\n')
+        res = load_csv(p)
+        assert res.rejected == [RowIssue(2, "row 2: non-numeric value cell"),
+                                RowIssue(4, "row 4: non-numeric value cell")]
+        assert res.dataset.ids.tolist() == [3]
+
+    @pytest.mark.parametrize("labels", ["integer", "real"])
+    def test_load_matches_the_csv_reader_reference(self, tmp_path, labels):
+        good = "7,1,0.5,-0.0,5e-324\r\n" if labels == "integer" else "7,,0.5,-0.0,5e-324\r\n"
+        p = tmp_path / "mixed.csv"
+        p.write_text(
+            "id,label,v1,v2,v3\r\n"
+            "0,1,0.25,1e308,-3\r\n"
+            "1,0,0.5\r\n"                            # arity
+            "\r\n"                                   # empty line: arity
+            + good +
+            "x,0,0.5,0.6,0.7\r\n"                    # bad id
+            "99999999999999999999,0,0.5,0.6,0.7\r\n"  # id outside int64
+            "3,maybe,0.5,0.6,0.7\r\n"                # bad label
+            "4,inf,0.5,0.6,0.7\r\n"                  # infinite label
+            "5,1,0.5,zzz,0.7\r\n"                    # non-numeric value
+            "6,1,0.5,0.6,nan\r\n"                    # non-finite value
+            "8,0,-inf,0.6,0.7\r\n"                   # non-finite value
+            "9,0,1.5,2.5,3.5,4.5\r\n"                # arity
+            "10,0,0.1,0.2,0.3\r\n",
+            encoding="utf-8")
+        res = load_csv(p)
+        ids, values, label_values, rejected = load_reference(p)
+        assert res.dataset.ids.dtype == ids.dtype and res.dataset.ids.tobytes() == ids.tobytes()
+        assert res.dataset.values.tobytes() == values.tobytes()
+        assert res.dataset.labels.dtype == label_values.dtype
+        assert res.dataset.labels.tobytes() == label_values.tobytes()
+        assert [(r.line, r.message) for r in res.rejected] == rejected
+        assert len(res.dataset) == 3 and len(rejected) == 10
+
+    def test_empty_load_keeps_the_header_shape(self, tmp_path):
+        p = tmp_path / "none.csv"
+        p.write_text("id,label,v1_d1,v1_d2,v2_d1,v2_d2\r\n0,1,0.5,x,0.5,0.5\r\n",
+                     encoding="utf-8")
+        assert load_csv(p).dataset.values.shape == (0, 2, 2)
+
+    def test_load_holds_one_copy(self, tmp_path):
+        p = tmp_path / "big.csv"
+        save_csv(p, gen_drift_classification(4096, 64, 1.0, 0.3, SeededRng(3)))
+        res, peak = traced_peak(lambda: load_csv(p))
+        assert res.rejected == [] and len(res.dataset) == 4096
+        assert peak <= 1.5 * res.dataset.values.nbytes, peak / res.dataset.values.nbytes
 
     @pytest.mark.parametrize("make", [
         lambda: gen_drift_classification(12, 40, 1.0, 0.2, SeededRng(5)),
