@@ -22,7 +22,9 @@ drawn exactly from the tilted law, on the same uniforms as U (common random
 numbers).  The draws are cut into fixed chunks with derived substreams and
 reduced in chunk order, so estimates do not depend on the worker count.
 Each worker thread (a lane) computes its chunks in place in one workspace of
-chunk-sized buffers, not in a new array per operation.
+chunk-sized buffers, not in a new array per operation.  Errors far wider or
+narrower than 1 are summed in units of an exact power of two near their
+width, so their fourth powers stay finite wherever the closed forms are.
 """
 
 from __future__ import annotations
@@ -260,6 +262,13 @@ _MC_CHUNKS = 16
 _U_MAX = float(np.nextafter(1.0, 0.0))
 _U_MIN = 2.2250738585072014e-308
 
+# Errors whose width has a binary exponent within this of 0 (every default
+# grid point) are summed unscaled: their fourth powers, at most (40 * 2^128)^4
+# each, stay finite and normal.  Wider ones are scaled by 2^-k, with k
+# at least _MIN_EXPONENT so that 2^-k stays a finite float.
+_PLAIN_EXPONENT = 128
+_MIN_EXPONENT = -1000
+
 
 def _chunk_sizes(n: int, n_chunks: int) -> list[int]:
     base, rem = divmod(n, n_chunks)
@@ -288,16 +297,38 @@ def _stratified_uniforms(start: int, n_total: int, generator: np.random.Generato
     return np.clip(out, _U_MIN, _U_MAX, out=out)
 
 
-def _square_sums(d: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """(sum of d^2, sum of d^4), with y as scratch."""
-    np.square(d, out=y)
+def _error_exponent(pop: LossPopulation, rate: float = 0.0) -> int:
+    """The binary exponent k by which errors are scaled (d / 2^k) before
+    they are squared: condition P's at rate, condition U's at rate 0.
+
+    Their magnitude is about sigma, or sigma * (1 + rate*sigma) for a
+    normal's P, whose draws shift by rate*sigma^2.  k is that width's
+    exponent, or 0 while the width is within 2^+-_PLAIN_EXPONENT, so that
+    sums of fourth powers neither overflow nor underflow where the closed
+    forms are finite.  Scaling by a power of two is exact.
+    """
+    width = pop.sigma
+    if pop.kind is PopulationKind.NORMAL:
+        width *= 1.0 + rate * pop.sigma
+    k = math.frexp(width)[1]
+    return max(k, _MIN_EXPONENT) if abs(k) > _PLAIN_EXPONENT else 0
+
+
+def _square_sums(d: np.ndarray, y: np.ndarray, exponent: int) -> tuple[float, float]:
+    """(sum of e^2, sum of e^4) for e = d / 2^exponent, with y as scratch."""
+    if exponent:
+        np.multiply(d, math.ldexp(1.0, -exponent), out=y)
+        np.square(y, out=y)
+    else:
+        np.square(d, out=y)
     s1 = float(np.sum(y))
     return s1, float(np.sum(np.multiply(y, y, out=y)))
 
 
 def _uniform_chunk(pop: LossPopulation, center: float, start: int, size: int,
                    n_total: int, rng: SeededRng, work: np.ndarray | None = None):
-    """Condition U's sums over one chunk of stratified draws.
+    """Condition U's sums over one chunk of stratified draws, in units of
+    2^_error_exponent(pop).
 
     Leaves the chunk's uniforms in work row 1 and its draws less center in
     row 0, where _tilted_chunk reads them.
@@ -308,12 +339,13 @@ def _uniform_chunk(pop: LossPopulation, center: float, start: int, size: int,
     u = _stratified_uniforms(start, n_total, rng.generator, work[1, :size], work)
     pop.quantile(u, out=d)
     d -= center
-    return _square_sums(d, work[2, :size])
+    return _square_sums(d, work[2, :size], _error_exponent(pop))
 
 
 def _tilted_chunk(pop: LossPopulation, center: float, rate: float, size: int,
                   work: np.ndarray):
-    """Condition P's sums over the chunk _uniform_chunk last left in work.
+    """Condition P's sums over the chunk _uniform_chunk last left in work,
+    in units of 2^_error_exponent(pop, rate).
 
     P's draws are the tilted quantile at U's uniforms.  Tilting a normal
     only shifts its mean by -rate*sigma^2, so there they are U's draws less
@@ -325,7 +357,7 @@ def _tilted_chunk(pop: LossPopulation, center: float, rate: float, size: int,
     else:
         pop.tilted_quantile(work[1, :size], rate, out=d)
         d -= center
-    return _square_sums(d, work[2, :size])
+    return _square_sums(d, work[2, :size], _error_exponent(pop, rate))
 
 
 def _run_chunks(tasks, workers: int, size: int):
@@ -349,12 +381,23 @@ def _run_chunks(tasks, workers: int, size: int):
     return results
 
 
-def _mean_and_stderr(s1: float, s2: float, n: int) -> tuple[float, float]:
+def _mean_and_stderr(s1: float, s2: float, n: int, exponent: int) -> tuple[float, float]:
+    """The mean and its standard error from the sums of e^2 and e^4 over n
+    errors e = d / 2^exponent, both scaled back to units of d^2."""
     est = s1 / n
     # Rounding can leave a variance sum just below zero; only that is
     # clamped, since max(0.0, nan) would turn a broken sum into 0.0.
     var = (s2 - n * est * est) / (n - 1)
-    return est, math.sqrt((0.0 if var < 0.0 else var) / n)
+    se = math.sqrt((0.0 if var < 0.0 else var) / n)
+    return _times_power_of_two(est, 2 * exponent), _times_power_of_two(se, 2 * exponent)
+
+
+def _times_power_of_two(x: float, exponent: int) -> float:
+    """x * 2^exponent, exact, and inf where that overflows."""
+    try:
+        return math.ldexp(x, exponent)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def _mc_pass(pop: LossPopulation, rate: float, n: int, rng: SeededRng, workers: int):
@@ -371,7 +414,8 @@ def _mc_pass(pop: LossPopulation, rate: float, n: int, rng: SeededRng, workers: 
         for i, (st, sz) in enumerate(zip(starts, sizes)) if sz > 0
     ]
     s1u, s2u, s1p, s2p = map(sum, zip(*_run_chunks(tasks, workers, sizes[0])))
-    return _mean_and_stderr(s1u, s2u, n), _mean_and_stderr(s1p, s2p, n)
+    return (_mean_and_stderr(s1u, s2u, n, _error_exponent(pop)),
+            _mean_and_stderr(s1p, s2p, n, _error_exponent(pop, rate)))
 
 
 def mc_expected_errors(pop: LossPopulation, cond: SelectionCondition, n: int,

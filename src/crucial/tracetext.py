@@ -3,17 +3,19 @@
 This module imports nothing but ``sys``, so that it also runs as a bare
 helper interpreter (``python -I -S tracetext.py``) that starts in about
 15 ms instead of importing numpy and scipy.  ``loss.LossTraceWriter``
-formats the first range of each block of a trace's rows itself and hands
-each further range to such a helper; both run ``encoded_chunks``, so the
-bytes do not depend on how many lanes ran.
+hands the leading ranges of each block of a trace's rows to such helpers
+and formats the block's last range itself as its rows arrive; both run
+``encoded_chunks``, so the bytes do not depend on how many lanes ran.
 
 A helper's stdin carries its range's rows as batches, each made by
 ``batch``: an 8-byte row count, then the rows' seven column buffers, one
 after the other in ``COLUMNS`` order, all in native byte order.  The writer
-sends a batch whenever training hands it rows of that range.  The helper
-drains stdin until it closes and writes the range's text to stdout only
-then, so neither side ever blocks on a full pipe while the other still
-writes.  A batch cut short makes the helper exit 1 with a message on stderr.
+sends a batch whenever training hands it rows of that range and closes
+stdin as soon as the range is complete.  The helper drains stdin until it
+closes and writes the range's text to stdout only then, so neither side
+ever blocks on a full pipe while the other still writes; the text waits
+in the helper until the writer reads it at the block's end.  A batch cut
+short makes the helper exit 1 with a message on stderr.
 """
 
 import sys
@@ -33,17 +35,18 @@ _COUNT_BYTES = 8
 _READ_BYTES = 1 << 20
 
 
-def encoded_chunks(cols, threshold_bits, start, stop):
+def encoded_chunks(cols, start, stop):
     """Yield the text of rows [start, stop) as UTF-8, CHUNK_ROWS rows at a time.
 
-    cols holds the seven COLUMNS in order and threshold_bits the threshold
-    column reinterpreted as int64.  numpy arrays and memoryviews of these
-    typecodes both serve: the formatter only slices them and calls tolist().
+    cols holds the seven COLUMNS in order, each C-contiguous.  numpy arrays
+    and memoryviews of these typecodes both serve: the formatter only slices
+    them, calls tolist() and views the threshold column's bytes as int64.
     Floats are written with repr so a reload round-trips bit-exactly.  The
     threshold holds at most two values per epoch, so it is repr'd once per
     distinct bit pattern in a chunk (bits, not values, keep -0.0 apart from
     0.0).  selected holds 0 or 1.  Every line ends in \\r\\n.
     """
+    threshold_bits = memoryview(cols[4]).cast("B").cast("q")
     for a in range(start, stop, CHUNK_ROWS):
         b = min(a + CHUNK_ROWS, stop)
         epoch, sample_id, loss, kappa, threshold, value, selected = (
@@ -91,7 +94,7 @@ def _helper_main():
                 print(f"tracetext: a batch of {n} rows is cut short", file=sys.stderr)
                 return 1
     cols = [memoryview(buf).cast(code) for buf, (_, code) in zip(buffers, COLUMNS)]
-    text = list(encoded_chunks(cols, memoryview(buffers[4]).cast("q"), 0, len(cols[0])))
+    text = list(encoded_chunks(cols, 0, len(cols[0])))
     sys.stdout.buffer.writelines(text)
     return 0
 

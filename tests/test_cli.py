@@ -176,6 +176,24 @@ class TestSimulate:
         assert len(base) == 6  # 4 reports + summary + resolved config
         capsys.readouterr()
 
+    def test_a_wide_normal_population_keeps_finite_standard_errors(self, tmp_path, capsys):
+        # P's squared errors are about 1e160, so their squares pass float max
+        # unless they are summed in scaled units.
+        code = run("simulate", "--output-dir", str(tmp_path), "--sigmas", "1e40", "--rates", "1",
+                   "--n", "20000", "--populations", "normal")
+        assert "Warning" not in capsys.readouterr().err
+        payload = json.loads(
+            (tmp_path / "report_normal_s1e+40_r1.json").read_text(encoding="utf-8"))
+        values = [*payload["mc"].values(), *payload["stderr"].values()]
+        assert all(math.isfinite(v) for v in values), payload
+        assert payload["checks"]["eu_within_tol"] is True
+        assert payload["mc"]["e_p"] == pytest.approx(payload["analytic"]["e_p"], rel=1e-15)
+        # P's draws all round to -rate * sigma^2, so their spread and standard
+        # error are exactly 0, and a closed form one rounding away fails the
+        # check within 3 standard errors.
+        assert payload["stderr"]["e_p"] == 0.0
+        assert code == 1
+
     def test_nan_sigma_is_a_config_error(self, tmp_path, capsys):
         assert run("simulate", "--output-dir", str(tmp_path), "--sigmas", "nan") == 2
         assert "config error: LossPopulation" in capsys.readouterr().err
@@ -418,16 +436,16 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("train: diverged:")
         assert not (tmp_path / "aggregate.csv").exists()
 
-    # A trace of 16,384 rows is split between this process and one helper,
-    # started with the first epoch; 20,000-row epochs in blocks of 16,384
-    # rows fill and write the first block during the first epoch and start
-    # the second block's helper.  The second epoch diverges in both.
+    # A trace of 16,384 rows is split between one helper, started with the
+    # first epoch, and this process's spool; 20,000-row epochs in blocks of
+    # 16,384 rows fill and write the first block during the first epoch and
+    # start the second block's helper.  The second epoch diverges in both.
     @pytest.mark.parametrize("argv, max_lane_rows, helpers", [
         (("--n", "512", "--epochs", "32"), None, 1),
         (("--n", "20000", "--epochs", "2"), loss_module._TRACE_MIN_LANE_ROWS, 2),
     ], ids=["helper_started", "block_written"])
     def test_a_diverging_run_leaves_only_its_config(self, tmp_path, capsys, monkeypatch, started,
-                                                    argv, max_lane_rows, helpers):
+                                                    spools, argv, max_lane_rows, helpers):
         monkeypatch.setattr(loss_module, "_usable_cpus", lambda: 2)
         if max_lane_rows is not None:
             monkeypatch.setattr(loss_module, "_TRACE_MAX_LANE_ROWS", max_lane_rows)
@@ -436,15 +454,17 @@ class TestTrain:
         assert code == 1
         assert capsys.readouterr().err.startswith("train: diverged: mean loss inf")
         assert [p.name for p in tmp_path.iterdir()] == ["config_resolved.txt"]
-        assert len(started) == helpers
-        assert started.all_reaped()
+        assert len(started) == helpers and len(spools) == helpers
+        assert started.all_reaped() and spools.all_closed()
 
-    def test_a_streamed_trace_keeps_one_lane_range_per_block(self, tmp_path, capsys,
-                                                             monkeypatch):
-        # 81,920 rows in 5 blocks of two 8,192-row lanes: this process holds
-        # one lane's columns at a time, a tenth of the trace's, where
-        # keeping every epoch's record would hold all of them at least once.
-        # Short chunks keep the formatter's working memory out of the way.
+    def test_a_streamed_trace_holds_no_lane_range(self, tmp_path, capsys, monkeypatch, started,
+                                                  spools):
+        # 81,920 rows in 5 blocks of two 8,192-row lanes: helpers format the
+        # leading lanes and this process spools the others as they arrive,
+        # so its whole run, training included, peaks below the columns of
+        # one lane (8,192 rows of 49 bytes), where keeping a lane's columns
+        # until its block ends would hold them on top of training.  Short
+        # chunks keep the formatter's working memory out of the way.
         monkeypatch.setattr(loss_module, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(loss_module, "_TRACE_MAX_LANE_ROWS", loss_module._TRACE_MIN_LANE_ROWS)
         monkeypatch.setattr(loss_module.tracetext, "CHUNK_ROWS", 256)
@@ -458,8 +478,11 @@ class TestTrain:
             tracemalloc.stop()
         assert code == 0
         capsys.readouterr()
-        column_bytes = n * epochs * sum(np.dtype(code).itemsize for _, code in COLUMNS)
-        assert peak < column_bytes / 4, (peak, column_bytes)
+        lane_bytes = loss_module._TRACE_MIN_LANE_ROWS * sum(
+            np.dtype(code).itemsize for _, code in COLUMNS)
+        assert peak < lane_bytes, (peak, lane_bytes)
+        assert len(started) == 5 and started.all_reaped()
+        assert len(spools) == 5 and spools.all_closed()
         with open(tmp_path / "loss_trace_run0.csv", "rb") as fh:
             assert sum(1 for _ in fh) == 1 + n * epochs
 

@@ -412,6 +412,51 @@ class TestInPlaceKernels:
             assert alias.tobytes() == want.tobytes()
 
 
+class TestWideScales:
+    """Errors far from unit scale are summed in units of an exact power of two."""
+
+    # sigma = 2^k with the rate scaled by 2^-k draws the unit population's
+    # errors times 2^k exactly, so both estimates and standard errors are the
+    # unit ones times 2^2k.  Unscaled, the fourth powers overflow at k = 300
+    # and underflow to zero at k = -400.
+    @pytest.mark.parametrize("kind", list(PopulationKind))
+    @pytest.mark.parametrize("k", [-400, 150, 300])
+    def test_power_of_two_populations_scale_the_unit_estimates(self, kind, k):
+        rate = 1.5
+        unit = LossPopulation(kind, mu=0.25, sigma=1.0)
+        wide = LossPopulation(kind, mu=math.ldexp(0.25, k), sigma=math.ldexp(1.0, k))
+        assert sampler._error_exponent(unit, rate) == 0
+        assert sampler._error_exponent(wide, math.ldexp(rate, -k)) != 0
+        for mode in SelectionMode:
+            want = mc_expected_errors(unit, SelectionCondition(mode, rate), 20_000, SeededRng(4))
+            got = mc_expected_errors(wide, SelectionCondition(mode, math.ldexp(rate, -k)),
+                                     20_000, SeededRng(4))
+            assert got == tuple(math.ldexp(x, 2 * k) for x in want), mode
+            assert got[1] > 0.0
+
+    def test_default_grid_errors_are_summed_unscaled(self):
+        for kind in PopulationKind:
+            for sigma in (0.1, 0.5, 1.0, 2.0):
+                pop = LossPopulation(kind, sigma=sigma)
+                assert sampler._error_exponent(pop) == 0
+                for rate in (0.5, 1.0, 2.0):
+                    assert sampler._error_exponent(pop, rate) == 0
+
+    def test_an_estimate_past_float_max_reads_inf(self):
+        # sigma^2 overflows: the scaled sums stay finite and only the
+        # estimate and its SE, scaled back, do not
+        pop = LossPopulation(PopulationKind.NORMAL, sigma=1e200)
+        est, se = mc_expected_errors(pop, SelectionCondition(SelectionMode.UNIFORM), 1_000,
+                                     SeededRng(5))
+        assert est == math.inf and se == math.inf
+
+    def test_extreme_widths_give_a_finite_scale(self):
+        for sigma in (5e-324, 1e-300, 1e300, 1.7976931348623157e308):
+            for kind in PopulationKind:
+                k = sampler._error_exponent(LossPopulation(kind, sigma=sigma), 1e-300)
+                assert math.isfinite(math.ldexp(1.0, -k)) and math.ldexp(1.0, -k) > 0.0
+
+
 class TestMonteCarlo:
     def test_normal_hits_both_closed_forms(self):
         pop = LossPopulation(PopulationKind.NORMAL, mu=0.0, sigma=0.5)
