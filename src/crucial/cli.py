@@ -277,7 +277,7 @@ def cmd_simulate(cfg: dict) -> int:
     if not (math.isfinite(tol) and tol > 0.0):
         raise ConfigError(f"key tolerance_se: must be finite and > 0, got {tol}")
     with _config_errors():
-        # the closed forms raise ValueError where E_U or E_P is not finite
+        # the closed forms raise ValueError where E_U or E_P is not finite or E_U underflows
         grid = [(pop, rate, ordering_check(pop, rate))
                 for pop in (LossPopulation(kind, cfg["mu"], sigma)
                             for kind in kinds for sigma in sigmas)
@@ -292,7 +292,8 @@ def cmd_simulate(cfg: dict) -> int:
             kind, sigma = pop.kind.value, pop.sigma
             point = master.derive(f"grid/{kind}/{sigma!r}/{rate!r}")
             report = compare_conditions(pop, rate, n, point, workers=workers)
-            mc_order = Ordering.U_BEATS_P if report.mc_eu < report.mc_ep else Ordering.P_BEATS_U
+            mc_order = (Ordering.INCONCLUSIVE if report.mc_eu == report.mc_ep else
+                        Ordering.U_BEATS_P if report.mc_eu < report.mc_ep else Ordering.P_BEATS_U)
             eu_ok = abs(report.mc_eu - report.analytic_eu) <= tol * report.mc_eu_stderr
             if pop.kind is PopulationKind.NORMAL:
                 ep_ok = abs(report.mc_ep - report.analytic_ep) <= tol * report.mc_ep_stderr

@@ -21,15 +21,17 @@ quantile for U and through the tilted population's quantile for P.  So P is
 drawn exactly from the tilted law, on the same uniforms as U (common random
 numbers).  The draws are cut into fixed chunks with derived substreams and
 reduced in chunk order, so estimates do not depend on the worker count.
-Each worker thread (a lane) computes its chunks in place in one workspace of
-chunk-sized buffers, not in a new array per operation.  Errors far wider or
-narrower than 1 are summed in units of an exact power of two near their
-width, so their fourth powers stay finite wherever the closed forms are.
+Every worker count runs its chunks on pool threads (lanes), each computing
+its chunks in place in one workspace of chunk-sized buffers, not in a new
+array per operation.  Errors are always summed in units of an exact power of
+two near their width, so their fourth powers stay finite wherever the closed
+forms are, and scaling the sums back keeps every bit.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -216,7 +218,10 @@ def analytic_expected_errors(pop: LossPopulation, rate: float):
     Monte Carlo estimator rather than silently corrected.
 
     Returns (E_U, E_P, diamond), diamond None for normal populations.
-    Raises ValueError where E_U or E_P is not a finite float.
+    Raises ValueError where E_U or E_P is not finite, or where E_U is not a
+    positive normal float (sigma^2 underflows, and every error would read
+    0).  A normal's E_P is at least its E_U; the half-normal's transcribed
+    E_P turns negative by cancellation past sigma ~ 1e8, and is reported.
     """
     if not math.isfinite(rate) or rate <= 0.0:
         raise ValueError("analytic_expected_errors: rate must be finite and > 0")
@@ -235,9 +240,9 @@ def analytic_expected_errors(pop: LossPopulation, rate: float):
         e_p = s * s * (2.0 / math.pi + 1.0) + (
             2.0 * s * (2.0 / math.pi) + rate * s * s
         ) * (rate * s * s - diamond)
-    if not (math.isfinite(e_u) and math.isfinite(e_p)):
-        raise ValueError(f"analytic_expected_errors: E_U or E_P is not finite at "
-                         f"sigma={s!r}, rate={rate!r}")
+    if not (sys.float_info.min <= e_u < math.inf and math.isfinite(e_p)):
+        raise ValueError(f"analytic_expected_errors: E_U or E_P is not finite, or E_U is not "
+                         f"a positive normal float, at sigma={s!r}, rate={rate!r}")
     return e_u, e_p, diamond
 
 
@@ -262,11 +267,8 @@ _MC_CHUNKS = 16
 _U_MAX = float(np.nextafter(1.0, 0.0))
 _U_MIN = 2.2250738585072014e-308
 
-# Errors whose width has a binary exponent within this of 0 (every default
-# grid point) are summed unscaled: their fourth powers, at most (40 * 2^128)^4
-# each, stay finite and normal.  Wider ones are scaled by 2^-k, with k
-# at least _MIN_EXPONENT so that 2^-k stays a finite float.
-_PLAIN_EXPONENT = 128
+# Errors are scaled by 2^-k before they are squared, with k at least this
+# so that 2^-k stays a finite float.
 _MIN_EXPONENT = -1000
 
 
@@ -302,39 +304,35 @@ def _error_exponent(pop: LossPopulation, rate: float = 0.0) -> int:
     they are squared: condition P's at rate, condition U's at rate 0.
 
     Their magnitude is about sigma, or sigma * (1 + rate*sigma) for a
-    normal's P, whose draws shift by rate*sigma^2.  k is that width's
-    exponent, or 0 while the width is within 2^+-_PLAIN_EXPONENT, so that
-    sums of fourth powers neither overflow nor underflow where the closed
-    forms are finite.  Scaling by a power of two is exact.
+    normal's P, whose draws shift by rate*sigma^2.  k is that width's binary
+    exponent, at least _MIN_EXPONENT, so that sums of fourth powers neither
+    overflow nor underflow where the closed forms are finite.  Scaling by a
+    power of two is exact.
     """
     width = pop.sigma
     if pop.kind is PopulationKind.NORMAL:
         width *= 1.0 + rate * pop.sigma
-    k = math.frexp(width)[1]
-    return max(k, _MIN_EXPONENT) if abs(k) > _PLAIN_EXPONENT else 0
+    return max(math.frexp(width)[1], _MIN_EXPONENT)
 
 
 def _square_sums(d: np.ndarray, y: np.ndarray, exponent: int) -> tuple[float, float]:
-    """(sum of e^2, sum of e^4) for e = d / 2^exponent, with y as scratch."""
-    if exponent:
-        np.multiply(d, math.ldexp(1.0, -exponent), out=y)
-        np.square(y, out=y)
-    else:
-        np.square(d, out=y)
+    """(sum of e^2, sum of e^4) for e = d / 2^exponent, with y as scratch;
+    scaled back, they are the sums of d^2 and d^4 bit for bit wherever both
+    are normal floats."""
+    np.multiply(d, math.ldexp(1.0, -exponent), out=y)
+    np.square(y, out=y)
     s1 = float(np.sum(y))
     return s1, float(np.sum(np.multiply(y, y, out=y)))
 
 
 def _uniform_chunk(pop: LossPopulation, center: float, start: int, size: int,
-                   n_total: int, rng: SeededRng, work: np.ndarray | None = None):
+                   n_total: int, rng: SeededRng, work: np.ndarray):
     """Condition U's sums over one chunk of stratified draws, in units of
-    2^_error_exponent(pop).
+    2^_error_exponent(pop), computed in the workspace work (see _workspace).
 
     Leaves the chunk's uniforms in work row 1 and its draws less center in
     row 0, where _tilted_chunk reads them.
     """
-    if work is None:
-        work = _workspace(size)
     d = work[0, :size]
     u = _stratified_uniforms(start, n_total, rng.generator, work[1, :size], work)
     pop.quantile(u, out=d)
@@ -363,8 +361,9 @@ def _tilted_chunk(pop: LossPopulation, center: float, rate: float, size: int,
 def _run_chunks(tasks, workers: int, size: int):
     """Call every task with a workspace for size draws; results in task order.
 
-    The tasks are dealt to min(workers, len(tasks)) lanes: lane k runs tasks
-    k, k + lanes, ... one after another in one workspace, allocated once.
+    The tasks are dealt to min(workers, len(tasks)) pool threads (lanes),
+    for every worker count: lane k runs tasks k, k + lanes, ... one after
+    another in one workspace, allocated once.
     """
     lanes = max(1, min(workers, len(tasks)))
 
@@ -372,8 +371,6 @@ def _run_chunks(tasks, workers: int, size: int):
         work = _workspace(size)
         return [task(work) for task in tasks[k::lanes]]
 
-    if lanes == 1:
-        return lane(0)
     results = [None] * len(tasks)
     with ThreadPoolExecutor(max_workers=lanes) as pool:
         for k, part in enumerate(pool.map(lane, range(lanes))):
@@ -446,10 +443,10 @@ def mc_expected_errors(pop: LossPopulation, cond: SelectionCondition, n: int,
 
 def compare_conditions(pop: LossPopulation, rate: float, n: int, rng: SeededRng,
                        workers: int = 1) -> ErrorReport:
-    """One grid point's report.  The closed forms come first, so where they
-    are not finite ValueError is raised before any draw; one pass of n draws
-    on the substream rng.derive("cond-u") then gives both conditions'
-    estimates, P's drawn exactly on U's uniforms."""
+    """One grid point's report.  The closed forms come first, so where
+    analytic_expected_errors refuses them ValueError is raised before any draw;
+    one pass of n draws on the substream rng.derive("cond-u") then gives
+    both conditions' estimates, P's drawn exactly on U's uniforms."""
     e_u, e_p, diamond = analytic_expected_errors(pop, rate)
     (mc_eu, mc_eu_stderr), (mc_ep, mc_ep_stderr) = _mc_pass(
         pop, rate, n, rng.derive("cond-u"), workers)

@@ -11,11 +11,11 @@ A helper's stdin carries its range's rows as batches, each made by
 ``batch``: an 8-byte row count, then the rows' seven column buffers, one
 after the other in ``COLUMNS`` order, all in native byte order.  The writer
 sends a batch whenever training hands it rows of that range and closes
-stdin as soon as the range is complete.  The helper drains stdin until it
-closes and writes the range's text to stdout only then, so neither side
-ever blocks on a full pipe while the other still writes; the text waits
-in the helper until the writer reads it at the block's end.  A batch cut
-short makes the helper exit 1 with a message on stderr.
+stdin as soon as the range is complete.  The helper reads its stdin to the
+end in one call and writes the range's text to stdout only then, so
+neither side ever blocks on a full pipe while the other still writes; the
+text waits in the helper until the writer reads it at the block's end.  A
+batch cut short makes the helper exit 1 with a message on stderr.
 """
 
 import sys
@@ -30,9 +30,6 @@ CHUNK_ROWS = 1024
 _SELECTED = ("false\r\n", "true\r\n")
 _WIDTHS = [1 if code == "B" else 8 for _, code in COLUMNS]
 _COUNT_BYTES = 8
-# A helper reads stdin at most this many bytes at a time, so a corrupt row
-# count costs no more memory than the bytes that really arrive.
-_READ_BYTES = 1 << 20
 
 
 def encoded_chunks(cols, start, stop):
@@ -66,35 +63,21 @@ def batch(cols, start, stop):
             *(c[start:stop] for c in cols)]
 
 
-def _read_into(stream, buf, size):
-    """Append size bytes of stream to buf; False if the stream ends first."""
-    while size:
-        piece = stream.read(min(size, _READ_BYTES))
-        if not piece:
-            return False
-        buf += piece
-        size -= len(piece)
-    return True
-
-
 def _helper_main():
     """Format the rows whose batches arrive on stdin; write their text to stdout."""
-    stdin = sys.stdin.buffer
-    buffers = [bytearray() for _ in COLUMNS]
-    while True:
-        count = bytearray()
-        if not _read_into(stdin, count, _COUNT_BYTES):
-            if not count:
-                break  # stdin closed between batches
-            print("tracetext: a batch's row count is cut short", file=sys.stderr)
+    data = memoryview(sys.stdin.buffer.read())
+    text, at = [], 0
+    while at < len(data):
+        n = int.from_bytes(data[at:at + _COUNT_BYTES], sys.byteorder)
+        at += _COUNT_BYTES
+        if at + n * sum(_WIDTHS) > len(data):  # also where the row count itself is cut
+            print("tracetext: a batch is cut short", file=sys.stderr)
             return 1
-        n = int.from_bytes(count, sys.byteorder)
-        for buf, width in zip(buffers, _WIDTHS):
-            if not _read_into(stdin, buf, n * width):
-                print(f"tracetext: a batch of {n} rows is cut short", file=sys.stderr)
-                return 1
-    cols = [memoryview(buf).cast(code) for buf, (_, code) in zip(buffers, COLUMNS)]
-    text = list(encoded_chunks(cols, 0, len(cols[0])))
+        cols = []
+        for width, (_, code) in zip(_WIDTHS, COLUMNS):
+            cols.append(data[at:at + n * width].cast(code))
+            at += n * width
+        text += encoded_chunks(cols, 0, n)
     sys.stdout.buffer.writelines(text)
     return 0
 

@@ -194,6 +194,21 @@ class TestSimulate:
         assert payload["stderr"]["e_p"] == 0.0
         assert code == 1
 
+    def test_a_monte_carlo_tie_is_inconclusive(self, tmp_path, capsys):
+        # rate*sigma^2 = 1e-200 vanishes against draws of about 1e-100, so
+        # both conditions' estimates are equal, as are the closed forms.
+        code = run("simulate", "--output-dir", str(tmp_path), "--sigmas", "1e-100",
+                   "--rates", "1", "--n", "20000", "--populations", "normal")
+        payload = json.loads(
+            (tmp_path / "report_normal_s1e-100_r1.json").read_text(encoding="utf-8"))
+        assert payload["mc"]["e_u"] == payload["mc"]["e_p"]
+        assert payload["ordering"] == {"analytic": "inconclusive", "mc": "inconclusive",
+                                       "agree": True}
+        # the normal gate still requires the closed forms to say u_beats_p
+        assert payload["checks"]["eu_within_tol"] is True
+        assert payload["checks"]["passed"] is False and code == 1
+        capsys.readouterr()
+
     def test_nan_sigma_is_a_config_error(self, tmp_path, capsys):
         assert run("simulate", "--output-dir", str(tmp_path), "--sigmas", "nan") == 2
         assert "config error: LossPopulation" in capsys.readouterr().err
@@ -588,6 +603,8 @@ _BAD_INPUTS = {
     "sin_omega_overflowing_angle": (("train", "--wrapper", "sin", "--omega", "1e308",
                                      "--epochs", "3"), None),
     "trace_loss_overflowing_decay": (("trace-loss", "--decay", "1e200", "--epochs", "3"), None),
+    "simulate_underflowing_population": (("simulate", "--sigmas", "1e-200", "--rates", "1",
+                                          "--n", "20000", "--populations", "normal"), None),
     "simulate_overflowing_later_point": (("simulate", "--sigmas", "0.5,1e200", "--rates", "1",
                                           "--n", "16"), None),
     "baseline_threshold_overflowing_value": (("train", "--wrapper", "baseline", "--threshold",

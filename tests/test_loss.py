@@ -3,6 +3,7 @@
 import csv
 import math
 import signal
+import subprocess
 import sys
 import tracemalloc
 from dataclasses import astuple, fields
@@ -572,6 +573,30 @@ def assert_left_clean(directory, started, spools, names=()):
     assert all(d == str(directory) for _, d in spools)
 
 
+# Feeds a bare helper (argv: tracetext.py, rows, rows per batch) and prints
+# its exit status, the lines it wrote and its ru_maxrss in KiB.
+HELPER_LAUNCHER = """
+import array, os, subprocess, sys
+path, n, batch_rows = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+sys.path.insert(0, os.path.dirname(path))
+import tracetext
+rows = range(n)
+cols = [array.array("q", (i // 512 for i in rows)), array.array("q", (i % 512 for i in rows)),
+        array.array("d", (i / 7.0 for i in rows)), array.array("d", (1.0 / (i + 1) for i in rows)),
+        array.array("d", (i // 512 * 0.1 for i in rows)), array.array("d", (i / 3.0 for i in rows)),
+        array.array("B", (i % 2 for i in rows))]
+proc = subprocess.Popen([sys.executable, "-I", "-S", path], stdin=subprocess.PIPE,
+                        stdout=subprocess.PIPE)
+for a in range(0, n, batch_rows):
+    proc.stdin.writelines(tracetext.batch(cols, a, min(a + batch_rows, n)))
+proc.stdin.close()
+lines = proc.stdout.read().count(b"\\n")
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, lines, usage.ru_maxrss)
+"""
+
+
 class TestTraceLanes:
     """Traces long enough to be split between this process and helper processes.
 
@@ -589,7 +614,9 @@ class TestTraceLanes:
         csv_loss_trace(tmp_path / "ref.csv", epochs, sample_ids, modulated)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
-    @pytest.mark.parametrize("epoch_rows", [None, 512])
+    # 1001-row appends send the helpers batches whose 8-byte columns sit at
+    # offsets that are not multiples of 8 in the helper's input.
+    @pytest.mark.parametrize("epoch_rows", [None, 512, 1001])
     @pytest.mark.parametrize("lanes, n, split_at_chunk_edge", [
         (2, 2 * MIN_LANE_ROWS, True),
         (2, 2 * MIN_LANE_ROWS + 1, True),            # odd total
@@ -745,6 +772,17 @@ class TestTraceLanes:
         assert len(started) == n // (2 * max_lane_rows)
         assert peak < TRACE_WRITER_PEAK_BYTES, peak
         assert_left_clean(tmp_path, started, spools, ["t.csv"])
+
+    def test_a_bare_helper_peaks_under_32_mb(self):
+        # 102,400 rows in 512-row batches: 5 MB of columns and about 9 MB of
+        # text.  The helper's peak RSS is read with os.wait4 in a launcher
+        # that imports only the stdlib, so no numpy parent's pages count.
+        launched = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", HELPER_LAUNCHER, loss_module.tracetext.__file__,
+             str(200 * 512), "512"], capture_output=True, text=True, check=True)
+        status, lines, maxrss_kb = map(int, launched.stdout.split())
+        assert (status, lines) == (0, 200 * 512)
+        assert maxrss_kb < 32 * 1024, maxrss_kb
 
     @pytest.mark.parametrize("column", ["epochs", "sample_ids"])
     @pytest.mark.parametrize("values", [[3.0, 3.0], [True, False],

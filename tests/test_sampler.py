@@ -1,5 +1,6 @@
 """Selection-condition error estimators and the distribution cycle loop."""
 
+import itertools
 import json
 import math
 import threading
@@ -93,6 +94,12 @@ def ref_tilted_chunk(pop, center, rate, start, size, n_total, rng):
         e = ref_tilted_quantile(pop, u, rate) - center
     y = e ** 2
     return float(np.sum(y)), float(np.sum(y * y))
+
+
+def scaled_back(sums, exponent):
+    """A kernel's (sum of e^2, sum of e^4), e = d / 2^exponent, in units of d."""
+    s1, s2 = sums
+    return math.ldexp(s1, 2 * exponent), math.ldexp(s2, 4 * exponent)
 
 
 def ref_mean_and_stderr(s1, s2, n):
@@ -357,8 +364,10 @@ class TestInPlaceKernels:
         pop = LossPopulation(kind, mu=0.2, sigma=sigma)
         center = pop.population_mean()
         # One workspace for every call, so values left by an earlier chunk
-        # would show; U's kernel also runs on its own fresh workspace.  P's
-        # kernel reads the uniforms and draws U's kernel left in the workspace.
+        # would show; U's kernel also runs on a fresh workspace of its own
+        # size.  P's kernel reads the uniforms and draws U's kernel left in
+        # the workspace.  The kernels' sums are in units of 2^k, scaled back.
+        k_u, k_p = sampler._error_exponent(pop), sampler._error_exponent(pop, rate)
         work = sampler._workspace(600)
         for n in (1, 2, 1001, 9000):
             for i, (start, size) in enumerate(chunk_blocks(n)):
@@ -368,11 +377,14 @@ class TestInPlaceKernels:
                 want_u = ref_uniform_chunk(pop, center, start, size, n, SeededRng(5).derive(name))
                 want_p = ref_tilted_chunk(pop, center, rate, start, size, n,
                                           SeededRng(5).derive(name))
-                assert sampler._uniform_chunk(pop, center, start, size, n,
-                                              SeededRng(5).derive(name)) == want_u
-                assert sampler._uniform_chunk(pop, center, start, size, n,
-                                              SeededRng(5).derive(name), work) == want_u
-                assert sampler._tilted_chunk(pop, center, rate, size, work) == want_p
+                fresh = sampler._uniform_chunk(pop, center, start, size, n,
+                                               SeededRng(5).derive(name), sampler._workspace(size))
+                assert scaled_back(fresh, k_u) == want_u
+                shared = sampler._uniform_chunk(pop, center, start, size, n,
+                                                SeededRng(5).derive(name), work)
+                assert scaled_back(shared, k_u) == want_u
+                assert scaled_back(sampler._tilted_chunk(pop, center, rate, size, work),
+                                   k_p) == want_p
 
     @pytest.mark.parametrize("kind,sigma,rate", KERNEL_POINTS)
     def test_p_draws_are_the_tilted_quantile_at_u_uniforms(self, kind, sigma, rate):
@@ -425,7 +437,6 @@ class TestWideScales:
         rate = 1.5
         unit = LossPopulation(kind, mu=0.25, sigma=1.0)
         wide = LossPopulation(kind, mu=math.ldexp(0.25, k), sigma=math.ldexp(1.0, k))
-        assert sampler._error_exponent(unit, rate) == 0
         assert sampler._error_exponent(wide, math.ldexp(rate, -k)) != 0
         for mode in SelectionMode:
             want = mc_expected_errors(unit, SelectionCondition(mode, rate), 20_000, SeededRng(4))
@@ -434,13 +445,25 @@ class TestWideScales:
             assert got == tuple(math.ldexp(x, 2 * k) for x in want), mode
             assert got[1] > 0.0
 
-    def test_default_grid_errors_are_summed_unscaled(self):
-        for kind in PopulationKind:
-            for sigma in (0.1, 0.5, 1.0, 2.0):
-                pop = LossPopulation(kind, sigma=sigma)
-                assert sampler._error_exponent(pop) == 0
-                for rate in (0.5, 1.0, 2.0):
-                    assert sampler._error_exponent(pop, rate) == 0
+    @pytest.mark.parametrize("kind", list(PopulationKind))
+    def test_default_grid_sums_scale_back_to_the_unscaled_sums(self, kind):
+        # Scaling by a power of two is exact, so at every default-grid point
+        # each chunk's scaled sums, scaled back, are the unscaled ones.
+        n = 1_000_000
+        work = sampler._workspace(n // sampler._MC_CHUNKS)
+        for sigma, rate in itertools.product((0.1, 0.5, 1.0, 2.0), (0.5, 1.0, 2.0)):
+            pop = LossPopulation(kind, sigma=sigma)
+            center = pop.population_mean()
+            k_u, k_p = sampler._error_exponent(pop), sampler._error_exponent(pop, rate)
+            for i, (start, size) in enumerate(chunk_blocks(n)):
+                name = f"u/chunk{i}"
+                u = sampler._uniform_chunk(pop, center, start, size, n, SeededRng(0).derive(name),
+                                           work)
+                p = sampler._tilted_chunk(pop, center, rate, size, work)
+                assert scaled_back(u, k_u) == ref_uniform_chunk(
+                    pop, center, start, size, n, SeededRng(0).derive(name)), (sigma, i)
+                assert scaled_back(p, k_p) == ref_tilted_chunk(
+                    pop, center, rate, start, size, n, SeededRng(0).derive(name)), (sigma, rate, i)
 
     def test_an_estimate_past_float_max_reads_inf(self):
         # sigma^2 overflows: the scaled sums stay finite and only the
