@@ -282,13 +282,21 @@ def cmd_simulate(cfg: dict) -> int:
                 for pop in (LossPopulation(kind, cfg["mu"], sigma)
                             for kind in kinds for sigma in sigmas)
                 for rate in rates]
+    names = {}  # each point's report file, to the point it was first given to
+    for pop, rate, _ in grid:
+        name = f"report_{pop.kind.value}_s{pop.sigma:g}_r{rate:g}.json"
+        label = f"{pop.kind.value} sigma={pop.sigma!r} rate={rate!r}"
+        if name in names:
+            raise ConfigError(f"grid points {names[name]} and {label} share the report "
+                              f"file {name}")
+        names[name] = label
 
     master = SeededRng(cfg["seed"])
     all_pass = True
     with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8") as summary:
         summary.write("population sigma rate analytic_eu analytic_ep mc_eu mc_ep "
                       "se_eu se_ep ordering_analytic ordering_mc pass\n")
-        for pop, rate, analytic_order in grid:
+        for (pop, rate, analytic_order), name in zip(grid, names):
             kind, sigma = pop.kind.value, pop.sigma
             point = master.derive(f"grid/{kind}/{sigma!r}/{rate!r}")
             report = compare_conditions(pop, rate, n, point, workers=workers)
@@ -329,7 +337,6 @@ def cmd_simulate(cfg: dict) -> int:
                     "passed": point_pass,
                 },
             }
-            name = f"report_{kind}_s{sigma:g}_r{rate:g}.json"
             with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
                 json.dump(payload, fh, indent=2, sort_keys=True)
                 fh.write("\n")
@@ -519,10 +526,13 @@ def cmd_trace_loss(cfg: dict) -> int:
 
 def cmd_gen_data(cfg: dict) -> int:
     kind, n, t, seed = cfg["kind"], cfg["n"], cfg["t"], cfg["seed"]
+    path = os.path.join(cfg["output_dir"], cfg["filename"])
+    if os.path.normpath(path) in (os.path.normpath(os.path.join(cfg["output_dir"], other))
+                                  for other in ("meta.json", "config_resolved.txt")):
+        raise ConfigError(f"key filename: {cfg['filename']!r} names another output of gen-data")
     with _config_errors():
         ds = _generate(cfg, kind, n, SeededRng(seed).derive("data/train"))
 
-    path = os.path.join(cfg["output_dir"], cfg["filename"])
     try:
         save_csv(path, ds)
     except OSError as exc:

@@ -27,10 +27,9 @@ LossTraceWriter records every sample's weight, threshold and value in every
 epoch as CSV, streamed while training hands it one epoch at a time;
 write_loss_trace is one append on it.  Long traces are formatted on every
 CPU the process may use: each block of rows is split into contiguous
-ranges, each leading one sent as it arrives to a bare helper interpreter
-running crucial.tracetext, which formats it as soon as it is complete, and
-the last one formatted here as it arrives into an unlinked temporary file,
-so this process holds no trace rows, and the file is byte-identical to a
+ranges, each sent as it arrives to a bare helper interpreter running
+crucial.tracetext, which formats it as soon as it is complete, so this
+process holds no trace rows, and the file is byte-identical to a
 one-process write.
 """
 
@@ -42,7 +41,6 @@ import os
 import shutil
 import subprocess
 import sys
-import tempfile
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -92,9 +90,7 @@ _F_EPS = 1e-12
 _TRACE_MIN_LANE_ROWS = 8192
 # A helper keeps its range's input and text until the writer reads it,
 # about 125 bytes a row, so a lane takes at most this many rows (about 33 MB
-# in a helper) at a time.  This process holds no trace rows: it formats its
-# range into a spool file, which holds at most one range of text (75-95
-# bytes a row, up to about 25 MB) on disk per block.
+# in a helper) at a time.
 _TRACE_MAX_LANE_ROWS = 1 << 18
 _TRACE_HELPER = (sys.executable, "-I", "-S", tracetext.__file__)
 
@@ -385,20 +381,17 @@ class LossTraceWriter:
     columns.  n_rows fixes the plan up front: blocks of up to _usable_cpus()
     * _TRACE_MAX_LANE_ROWS rows, each split into one contiguous range per
     lane of at least _TRACE_MIN_LANE_ROWS rows, so short traces never leave
-    the process.  A block's helpers start with its first row and take its
-    leading ranges: their rows go to them as they arrive, and a helper's
-    stdin is closed as soon as its range is complete, so it formats while
-    training goes on.  This process formats the block's last range as its
-    rows arrive, into an anonymous temporary file in the trace's directory
-    (the spool, never linked into the directory, at most one range of text
-    at a time); at the block's last row it copies each helper's text and
-    then the spool into the trace in row order.  A block with no helper is
-    formatted straight into the trace.  This process keeps no trace rows.
-    The file is created when its first row is written.  Appending more rows
-    than n_rows, or leaving the with block with fewer, raises ValueError; a
-    helper that fails raises RuntimeError.  On any exception in the with
-    block every helper is killed and reaped, the spool is closed and the
-    file, if made, is removed.
+    the process.  A block of more than one lane starts one helper per lane
+    with its first row: each range's rows go to its helper as they arrive,
+    and a helper's stdin is closed as soon as its range is complete, so it
+    formats while training goes on.  At the block's last row this process
+    copies each helper's text into the trace in row order.  A block of one
+    lane is formatted here, straight into the trace.  This process keeps no
+    trace rows.  The file is created when its first block begins.  Appending
+    more rows than n_rows, or leaving the with block with fewer, raises
+    ValueError; a helper that fails raises RuntimeError.  On any exception
+    in the with block every helper is killed and reaped and the file, if
+    made, is removed.
     """
 
     def __init__(self, path, n_rows: int):
@@ -406,10 +399,9 @@ class LossTraceWriter:
         self._n_rows = n_rows
         self._cpus = _usable_cpus()
         self._rows = 0        # rows appended so far
-        self._fh = None       # the file, once its first row is written
+        self._fh = None       # the file, once its first block begins
         self._bounds = None   # the current block's lane bounds
-        self._helpers = []    # the current block's helpers, one per leading lane
-        self._spool = None    # the current block's last range as text, while it has helpers
+        self._helpers = []    # the current block's helpers, one per lane if it has several
 
     def __enter__(self) -> "LossTraceWriter":
         return self
@@ -453,7 +445,7 @@ class LossTraceWriter:
                 lo, hi = max(a, self._rows), min(b, stop)
                 if lo >= hi:
                     continue
-                if lane < len(self._helpers):
+                if self._helpers:
                     stdin = self._helpers[lane].stdin
                     # a helper that has gone is caught by its exit status at the block's end
                     with contextlib.suppress(BrokenPipeError):
@@ -461,38 +453,32 @@ class LossTraceWriter:
                     if hi == b:
                         _close(stdin)  # its range is complete: the helper formats it now
                 else:
-                    sink = self._file() if self._spool is None else self._spool
-                    sink.writelines(tracetext.encoded_chunks(cols, lo - base, hi - base))
+                    self._fh.writelines(tracetext.encoded_chunks(cols, lo - base, hi - base))
             self._rows = min(stop, bounds[-1])
             if self._rows == bounds[-1]:
                 self._end_block()
 
     def _begin_block(self) -> None:
-        """Plan the lanes of the block starting at the next row; open its spool and helpers."""
+        """Plan the lanes of the block starting at the next row; open the file and helpers."""
         start = self._rows
         n = min(self._cpus * _TRACE_MAX_LANE_ROWS, self._n_rows - start)
         lanes = max(1, min(self._cpus, n // _TRACE_MIN_LANE_ROWS))
         self._bounds = [start + n * i // lanes for i in range(lanes + 1)]
+        self._file()  # a bad path fails before any helper starts
         if lanes > 1:
-            self._spool = tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(self._path)))
-        for _ in range(lanes - 1):
-            self._helpers.append(subprocess.Popen(_TRACE_HELPER, stdin=subprocess.PIPE,
-                                                  stdout=subprocess.PIPE))
+            for _ in range(lanes):
+                self._helpers.append(subprocess.Popen(_TRACE_HELPER, stdin=subprocess.PIPE,
+                                                      stdout=subprocess.PIPE))
 
     def _end_block(self) -> None:
-        """Write the finished block: each helper's text, then this process's range."""
-        fh = self._file()
+        """Write the finished block's helpers' text, in lane order."""
         for proc in self._helpers:
-            shutil.copyfileobj(proc.stdout, fh)
+            shutil.copyfileobj(proc.stdout, self._fh)
             if proc.wait() != 0:
                 raise RuntimeError(f"LossTraceWriter: a helper lane exited with "
                                    f"status {proc.returncode}")
-        if self._spool is not None:
-            self._spool.seek(0)
-            shutil.copyfileobj(self._spool, fh)
-            self._spool.close()
         self._reap()
-        self._bounds = self._spool = None
+        self._bounds = None
 
     def _file(self):
         """The trace file, created with its header on first use."""
@@ -511,11 +497,8 @@ class LossTraceWriter:
         self._helpers = []
 
     def _discard(self) -> None:
-        """Reap every helper, close the spool and remove the file if this writer made it."""
+        """Reap every helper and remove the file if this writer made it."""
         self._reap()
-        if self._spool is not None:
-            with contextlib.suppress(OSError):  # flushing text that is thrown away
-                self._spool.close()
         if self._fh is not None:
             try:
                 self._fh.close()
@@ -536,9 +519,9 @@ def write_loss_trace(path, epochs, sample_ids, modulated: ModulatedLoss) -> None
     modulated hold one entry per row.  Columns are (epoch, sample_id,
     input_loss, kappa, threshold, value, selected); floats are written with
     repr so a reload round-trips bit-exactly, and every line ends in \\r\\n.
-    This is one append on a LossTraceWriter, which documents the lanes,
-    blocks and spool; a helper that fails makes this raise RuntimeError, and
-    no helper, pipe or spool outlives the call.
+    This is one append on a LossTraceWriter, which documents the lanes and
+    blocks; a helper that fails makes this raise RuntimeError, and no helper
+    or pipe outlives the call.
     """
     with LossTraceWriter(path, np.size(epochs)) as trace:
         trace.append(epochs, sample_ids, modulated)

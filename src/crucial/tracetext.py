@@ -3,9 +3,9 @@
 This module imports nothing but ``sys``, so that it also runs as a bare
 helper interpreter (``python -I -S tracetext.py``) that starts in about
 15 ms instead of importing numpy and scipy.  ``loss.LossTraceWriter``
-hands the leading ranges of each block of a trace's rows to such helpers
-and formats the block's last range itself as its rows arrive; both run
-``encoded_chunks``, so the bytes do not depend on how many lanes ran.
+hands each range of a multi-lane block of a trace's rows to such a helper
+and formats a single-lane block itself; both run ``encoded_chunks``, so the
+bytes do not depend on how many lanes ran.
 
 A helper's stdin carries its range's rows as batches, each made by
 ``batch``: an 8-byte row count, then the rows' seven column buffers, one

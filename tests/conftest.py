@@ -1,14 +1,12 @@
 """Shared fixtures: a wrong confidence closed form, the negative control of
-the oracle suite, and records of the processes and spool files a test starts."""
+the oracle suite, and a record of the processes a test starts."""
 
 import subprocess
-import tempfile
-import types
 
 import numpy as np
 import pytest
 
-from crucial import loss, properties
+from crucial import properties
 from crucial.loss import shell_value
 from crucial.numerics import W_DOMAIN_MIN, lambert_w0_array
 
@@ -50,23 +48,3 @@ def started(monkeypatch):
     monkeypatch.setattr(subprocess, "Popen", recording_popen)
     return procs
 
-
-class Spools(list):
-    """The spool files loss-trace writers opened during a test, as (file, directory)."""
-
-    def all_closed(self) -> bool:
-        return all(spool.closed for spool, _ in self)
-
-
-@pytest.fixture
-def spools(monkeypatch):
-    """Every temporary file crucial.loss opens during the test, in order."""
-    made = Spools()
-
-    def recording_temporary_file(*args, **kwargs):
-        made.append((tempfile.TemporaryFile(*args, **kwargs), kwargs.get("dir")))
-        return made[-1][0]
-
-    monkeypatch.setattr(loss, "tempfile",
-                        types.SimpleNamespace(TemporaryFile=recording_temporary_file))
-    return made

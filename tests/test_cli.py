@@ -451,16 +451,16 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("train: diverged:")
         assert not (tmp_path / "aggregate.csv").exists()
 
-    # A trace of 16,384 rows is split between one helper, started with the
-    # first epoch, and this process's spool; 20,000-row epochs in blocks of
-    # 16,384 rows fill and write the first block during the first epoch and
-    # start the second block's helper.  The second epoch diverges in both.
+    # A trace of 16,384 rows is split between two helpers, started with the
+    # first epoch; 20,000-row epochs in blocks of 16,384 rows fill and write
+    # the first block during the first epoch and start the second block's
+    # helpers.  The second epoch diverges in both.
     @pytest.mark.parametrize("argv, max_lane_rows, helpers", [
-        (("--n", "512", "--epochs", "32"), None, 1),
-        (("--n", "20000", "--epochs", "2"), loss_module._TRACE_MIN_LANE_ROWS, 2),
+        (("--n", "512", "--epochs", "32"), None, 2),
+        (("--n", "20000", "--epochs", "2"), loss_module._TRACE_MIN_LANE_ROWS, 4),
     ], ids=["helper_started", "block_written"])
     def test_a_diverging_run_leaves_only_its_config(self, tmp_path, capsys, monkeypatch, started,
-                                                    spools, argv, max_lane_rows, helpers):
+                                                    argv, max_lane_rows, helpers):
         monkeypatch.setattr(loss_module, "_usable_cpus", lambda: 2)
         if max_lane_rows is not None:
             monkeypatch.setattr(loss_module, "_TRACE_MAX_LANE_ROWS", max_lane_rows)
@@ -469,20 +469,16 @@ class TestTrain:
         assert code == 1
         assert capsys.readouterr().err.startswith("train: diverged: mean loss inf")
         assert [p.name for p in tmp_path.iterdir()] == ["config_resolved.txt"]
-        assert len(started) == helpers and len(spools) == helpers
-        assert started.all_reaped() and spools.all_closed()
+        assert len(started) == helpers and started.all_reaped()
 
-    def test_a_streamed_trace_holds_no_lane_range(self, tmp_path, capsys, monkeypatch, started,
-                                                  spools):
-        # 81,920 rows in 5 blocks of two 8,192-row lanes: helpers format the
-        # leading lanes and this process spools the others as they arrive,
-        # so its whole run, training included, peaks below the columns of
-        # one lane (8,192 rows of 49 bytes), where keeping a lane's columns
-        # until its block ends would hold them on top of training.  Short
-        # chunks keep the formatter's working memory out of the way.
+    def test_a_streamed_trace_holds_no_lane_range(self, tmp_path, capsys, monkeypatch, started):
+        # 81,920 rows in 5 blocks of two 8,192-row lanes: each lane's rows go
+        # to its helper as they arrive, so this process's whole run, training
+        # included, peaks below the columns of one lane (8,192 rows of 49
+        # bytes), where keeping a lane's columns until its block ends would
+        # hold them on top of training.
         monkeypatch.setattr(loss_module, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(loss_module, "_TRACE_MAX_LANE_ROWS", loss_module._TRACE_MIN_LANE_ROWS)
-        monkeypatch.setattr(loss_module.tracetext, "CHUNK_ROWS", 256)
         n, epochs = 512, 160
         tracemalloc.start()
         try:
@@ -496,10 +492,33 @@ class TestTrain:
         lane_bytes = loss_module._TRACE_MIN_LANE_ROWS * sum(
             np.dtype(code).itemsize for _, code in COLUMNS)
         assert peak < lane_bytes, (peak, lane_bytes)
-        assert len(started) == 5 and started.all_reaped()
-        assert len(spools) == 5 and spools.all_closed()
+        assert len(started) == 10 and started.all_reaped()
         with open(tmp_path / "loss_trace_run0.csv", "rb") as fh:
             assert sum(1 for _ in fh) == 1 + n * epochs
+
+    def test_a_streamed_trace_is_the_only_file_beside_the_config(self, tmp_path, capsys,
+                                                                monkeypatch, started):
+        # 32,768 rows in 2 blocks of two 8,192-row lanes: once each epoch's
+        # rows reach the writer, the output directory holds the echoed config
+        # and the trace, and nothing else.
+        monkeypatch.setattr(loss_module, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(loss_module, "_TRACE_MAX_LANE_ROWS", loss_module._TRACE_MIN_LANE_ROWS)
+        listings = []
+        train_model = cli.train_model
+
+        def spying_train_model(*args, on_epoch, **kwargs):
+            def spy(epoch, mod):
+                on_epoch(epoch, mod)
+                listings.append(sorted(p.name for p in tmp_path.iterdir()))
+            return train_model(*args, on_epoch=spy, **kwargs)
+
+        monkeypatch.setattr(cli, "train_model", spying_train_model)
+        code = run("train", "--output-dir", str(tmp_path), "--wrapper", "adp", "--n", "512",
+                   "--t", "16", "--window", "8", "--test-n", "16", "--epochs", "64")
+        assert code == 0
+        capsys.readouterr()
+        assert listings == [["config_resolved.txt", "loss_trace_run0.csv"]] * 64
+        assert len(started) == 4 and started.all_reaped()
 
     @pytest.mark.parametrize("argv", [("--wrapper", "sin", "--omega", "1e-320", "--epochs", "2"),
                                       ("--wrapper", "adp", "--lam", "1e-320", "--epochs", "3"),
@@ -592,6 +611,8 @@ _BAD_INPUTS = {
     "csv_real_labels": (_CSV + _SINGLE, _HEADER + "0,0.5,0.1,0.2,0.3\r\n1,1.7,0.1,0.2,0.3\r\n"
                                         "2,1,0.4,0.5,0.6\r\n"),
     "gen_data_empty_filename": (("gen-data", "--filename", ""), None),
+    "gen_data_filename_is_meta": (("gen-data", "--filename", "meta.json"), None),
+    "gen_data_filename_is_config": (("gen-data", "--filename", "config_resolved.txt"), None),
     "train_negative_seed": (("train", "--seed", "-1"), None),
     "simulate_seed_2_64": (("simulate", "--seed", "18446744073709551616"), None),
     "properties_negative_seed": (("properties", "--seed", "-1"), None),
@@ -607,6 +628,9 @@ _BAD_INPUTS = {
                                           "--n", "20000", "--populations", "normal"), None),
     "simulate_overflowing_later_point": (("simulate", "--sigmas", "0.5,1e200", "--rates", "1",
                                           "--n", "16"), None),
+    "simulate_sigmas_share_a_report": (("simulate", "--sigmas", "0.1,0.10000001", "--rates", "1",
+                                        "--n", "2000"), None),
+    "simulate_rates_repeat": (("simulate", "--rates", "1,1"), None),
     "baseline_threshold_overflowing_value": (("train", "--wrapper", "baseline", "--threshold",
                                               "1e308", "--epochs", "2", "--n", "16"), None),
     "trace_loss_overflowing_value": (("trace-loss", "--easy-start", "-1e308", "--epochs", "2"),

@@ -534,7 +534,7 @@ class TestTraceMatchesCsvReference:
 MIN_LANE_ROWS = loss_module._TRACE_MIN_LANE_ROWS
 # The streaming writer's traced peak over 512-row appends, whatever its lane
 # size: 256 KiB, under two thirds of one minimum lane's columns (49 bytes a
-# row).  It reads about 165 kB with 256-row chunks, on Python 3.11.
+# row).  It reads about 160 kB on Python 3.11.
 TRACE_WRITER_PEAK_BYTES = 1 << 18
 SPECIAL = np.array([math.nan, math.inf, -math.inf, 5e-324, -0.0, 0.0, 1e16, 0.1])
 
@@ -565,12 +565,10 @@ def append_in_pieces(path, epochs, sample_ids, modulated, rows, declared=None):
                          ModulatedLoss(*(c[piece] for c in columns)))
 
 
-def assert_left_clean(directory, started, spools, names=()):
-    """The trace's directory holds only names, and no helper, pipe or spool is left open."""
+def assert_left_clean(directory, started, names=()):
+    """The trace's directory holds only names, and no helper or pipe is left open."""
     assert sorted(p.name for p in directory.iterdir()) == sorted(names)
     assert started.all_reaped()
-    assert spools.all_closed()
-    assert all(d == str(directory) for _, d in spools)
 
 
 # Feeds a bare helper (argv: tracetext.py, rows, rows per batch) and prints
@@ -598,12 +596,12 @@ print(proc.returncode, lines, usage.ru_maxrss)
 
 
 class TestTraceLanes:
-    """Traces long enough to be split between this process and helper processes.
+    """Traces long enough to be split between helper processes.
 
     epoch_rows None writes a trace in one write_loss_trace call; 512 streams
     it one 512-row epoch at a time, so lane and block bounds fall inside an
-    epoch.  A block's helpers take its leading ranges and this process its
-    last one, spooled to an unlinked file in the trace's directory.
+    epoch.  A block of more than one lane gives each of its ranges to a
+    helper of its own; a block of one lane is formatted in this process.
     """
 
     def assert_same_bytes(self, tmp_path, epochs, sample_ids, modulated, epoch_rows):
@@ -623,8 +621,8 @@ class TestTraceLanes:
         (2, 2 * MIN_LANE_ROWS + 1001, False),         # odd total, split inside a chunk
         (3, 3 * MIN_LANE_ROWS + 7, False),
     ])
-    def test_lanes_write_the_csv_reference_bytes(self, tmp_path, monkeypatch, started, spools,
-                                                 lanes, n, split_at_chunk_edge, epoch_rows):
+    def test_lanes_write_the_csv_reference_bytes(self, tmp_path, monkeypatch, started, lanes, n,
+                                                 split_at_chunk_edge, epoch_rows):
         monkeypatch.setattr(loss_module, "_usable_cpus", lambda: lanes)
         splits = lane_splits(n, lanes)
         assert all((s % CHUNK_ROWS == 0) == split_at_chunk_edge for s in splits)
@@ -634,13 +632,13 @@ class TestTraceLanes:
         self.assert_same_bytes(tmp_path, np.arange(n) // 512, sample_ids, m, epoch_rows)
         text = (tmp_path / "new.csv").read_text(encoding="utf-8")
         assert ",-0.0," in text and ",0.0," in text and ",5e-324," in text
-        assert len(started) == lanes - 1 and len(spools) == 1
+        assert len(started) == lanes
         assert all(proc.returncode == 0 for proc in started)
-        assert_left_clean(tmp_path, started, spools, ["new.csv", "ref.csv"])
+        assert_left_clean(tmp_path, started, ["new.csv", "ref.csv"])
 
     @pytest.mark.parametrize("epoch_rows", [None, 512])
     def test_a_long_trace_is_written_in_blocks_of_bounded_lanes(self, tmp_path, monkeypatch,
-                                                                 started, spools, epoch_rows):
+                                                                 started, epoch_rows):
         monkeypatch.setattr(loss_module, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(loss_module, "_TRACE_MAX_LANE_ROWS", MIN_LANE_ROWS + 100)
         # Blocks of 2 * (MIN_LANE_ROWS + 100) rows: two of two lanes, then a
@@ -649,40 +647,40 @@ class TestTraceLanes:
         assert (MIN_LANE_ROWS + 100) % 512 and 2 * (MIN_LANE_ROWS + 100) % 512
         m = record_with_specials_at_splits(n, 5)
         self.assert_same_bytes(tmp_path, np.arange(n) // 512, np.arange(n) % 512, m, epoch_rows)
-        assert len(started) == 2 and len(spools) == 2
+        assert len(started) == 4
         assert all(proc.returncode == 0 for proc in started)
-        assert_left_clean(tmp_path, started, spools, ["new.csv", "ref.csv"])
+        assert_left_clean(tmp_path, started, ["new.csv", "ref.csv"])
 
     @pytest.mark.parametrize("epoch_rows", [None, 512])
     def test_a_trace_below_the_lane_minimum_starts_no_process(self, tmp_path, monkeypatch,
-                                                               started, spools, epoch_rows):
+                                                               started, epoch_rows):
         monkeypatch.setattr(loss_module, "_usable_cpus", lambda: 2)
         n = 2 * MIN_LANE_ROWS - 1
         self.assert_same_bytes(tmp_path, np.zeros(n, dtype=int), np.arange(n),
                                random_record(n, 5), epoch_rows)
-        assert started == [] and spools == []
+        assert started == []
 
     @pytest.mark.parametrize("script", [
         "import sys; sys.stdin.buffer.read(); sys.exit(3)",
         "import sys; sys.exit(3)",  # gone before its rows are sent
     ])
     def test_a_failing_helper_raises_and_leaves_no_process(self, tmp_path, monkeypatch,
-                                                           started, spools, script):
+                                                           started, script):
         monkeypatch.setattr(loss_module, "_usable_cpus", lambda: 3)
         monkeypatch.setattr(loss_module, "_TRACE_HELPER", (sys.executable, "-c", script))
         n = 3 * MIN_LANE_ROWS
         with pytest.raises(RuntimeError, match="status 3"):
             write_loss_trace(tmp_path / "t.csv", np.zeros(n, dtype=int), np.arange(n),
                              random_record(n, 6))
-        assert len(started) == 2 and len(spools) == 1
-        assert_left_clean(tmp_path, started, spools)
+        assert len(started) == 3
+        assert_left_clean(tmp_path, started)
 
     @pytest.mark.parametrize("cut", [
         lambda parts: [*parts[:-1], parts[-1][:-1]],  # the last column a byte short
         lambda parts: [parts[0][:5]],                 # the row count itself
     ], ids=["column", "row_count"])
-    def test_a_batch_cut_short_fails_its_helper(self, tmp_path, monkeypatch, started, spools,
-                                                capfd, cut):
+    def test_a_batch_cut_short_fails_its_helper(self, tmp_path, monkeypatch, started, capfd,
+                                                cut):
         batch = loss_module.tracetext.batch
         monkeypatch.setattr(loss_module.tracetext, "batch", lambda *args: cut(batch(*args)))
         monkeypatch.setattr(loss_module, "_usable_cpus", lambda: 2)
@@ -691,46 +689,57 @@ class TestTraceLanes:
             write_loss_trace(tmp_path / "t.csv", np.zeros(n, dtype=int), np.arange(n),
                              random_record(n, 9))
         assert "cut short" in capfd.readouterr().err
-        assert len(started) == 1 and len(spools) == 1
-        assert_left_clean(tmp_path, started, spools)
+        assert len(started) == 2
+        assert_left_clean(tmp_path, started)
 
     # 6 * MIN_LANE_ROWS rows in blocks of 2 * MIN_LANE_ROWS: one row fewer
-    # declared leaves the third block too short for a helper, and the error
+    # declared leaves the third block too short for helpers, and the error
     # comes on the last append; one more is missed when the writer closes.
-    @pytest.mark.parametrize("declared_extra, helpers", [(-1, 2), (1, 3)])
+    @pytest.mark.parametrize("declared_extra, helpers", [(-1, 4), (1, 6)])
     def test_rows_other_than_declared_raise_and_leave_no_file(self, tmp_path, monkeypatch,
-                                                              started, spools, declared_extra,
-                                                              helpers):
+                                                              started, declared_extra, helpers):
         monkeypatch.setattr(loss_module, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(loss_module, "_TRACE_MAX_LANE_ROWS", MIN_LANE_ROWS)
         n = 6 * MIN_LANE_ROWS
         with pytest.raises(ValueError, match="declared"):
             append_in_pieces(tmp_path / "t.csv", np.arange(n) // 512, np.arange(n) % 512,
                              random_record(n, 10), 512, declared=n + declared_extra)
-        assert len(started) == helpers and len(spools) == helpers
-        assert_left_clean(tmp_path, started, spools)
+        assert len(started) == helpers
+        assert_left_clean(tmp_path, started)
 
-    def test_an_error_in_this_process_kills_the_helpers(self, tmp_path, monkeypatch, started,
-                                                        spools):
-        def failing_chunks(*args):
-            raise OSError("no space left")
-            yield
+    def test_an_error_in_this_process_kills_the_helpers(self, tmp_path, monkeypatch, started):
+        class Interrupted(Exception):
+            pass
 
         monkeypatch.setattr(loss_module, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(loss_module.tracetext, "encoded_chunks", failing_chunks)
         n = 2 * MIN_LANE_ROWS
-        with pytest.raises(OSError, match="no space left"):
-            write_loss_trace(tmp_path / "t.csv", np.zeros(n, dtype=int), np.arange(n),
-                             random_record(n, 7))
-        # Nothing reads the helper's text, which overflows its pipe, so the
-        # helper cannot have finished on its own.
-        assert [proc.returncode for proc in started] == [-signal.SIGKILL]
-        assert len(spools) == 1
-        assert_left_clean(tmp_path, started, spools)
+        columns = astuple(random_record(n, 7))
+        with pytest.raises(Interrupted):
+            with LossTraceWriter(tmp_path / "t.csv", n) as trace:
+                first = slice(0, MIN_LANE_ROWS)
+                trace.append(np.zeros(MIN_LANE_ROWS, dtype=int), np.arange(MIN_LANE_ROWS),
+                             ModulatedLoss(*(c[first] for c in columns)))
+                assert started[0].stdin.closed and not started[1].stdin.closed
+                raise Interrupted
+        # Nothing reads the first helper's text, which overflows its pipe,
+        # and the second never gets the end of its input, so neither can
+        # have finished on its own.
+        assert [proc.returncode for proc in started] == [-signal.SIGKILL] * 2
+        assert_left_clean(tmp_path, started)
 
-    def test_a_helper_gets_eof_once_its_range_is_complete(self, tmp_path, monkeypatch, started,
-                                                          spools):
-        # Two 8,192-row lanes appended one 512-row epoch at a time: the
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_a_missing_directory_fails_before_any_helper_starts(self, tmp_path, monkeypatch,
+                                                                 started, lanes):
+        monkeypatch.setattr(loss_module, "_usable_cpus", lambda: lanes)
+        n = 2 * MIN_LANE_ROWS
+        with pytest.raises(FileNotFoundError):
+            write_loss_trace(tmp_path / "missing" / "t.csv", np.zeros(n, dtype=int),
+                             np.arange(n), random_record(n, 11))
+        assert started == []
+        assert_left_clean(tmp_path, started)
+
+    def test_a_helper_gets_eof_once_its_range_is_complete(self, tmp_path, monkeypatch, started):
+        # Two 8,192-row lanes appended one 512-row epoch at a time: the first
         # helper's stdin closes with the 16th epoch, so it formats its range
         # while the other 16 arrive.
         monkeypatch.setattr(loss_module, "_usable_cpus", lambda: 2)
@@ -746,20 +755,17 @@ class TestTraceLanes:
                 if a + epoch_rows < n:
                     assert started[0].returncode is None  # not reaped before the block's end
         assert closed == [a + epoch_rows >= MIN_LANE_ROWS for a in range(0, n, epoch_rows)]
-        assert started[0].returncode == 0
-        assert_left_clean(tmp_path, started, spools, ["t.csv"])
+        assert [proc.returncode for proc in started] == [0, 0]
+        assert_left_clean(tmp_path, started, ["t.csv"])
 
     # A 2-lane trace appended one epoch at a time, in blocks of two lanes of
     # 8,192 or 32,768 rows: this process keeps no lane's columns (49 bytes a
-    # row, 401 kB at the smaller lane), only an epoch's rows and a chunk of
-    # text at a time.  Short chunks keep the formatter's working memory out
-    # of the way.
+    # row, 401 kB at the smaller lane), only an epoch's rows at a time.
     @pytest.mark.parametrize("max_lane_rows", [MIN_LANE_ROWS, 4 * MIN_LANE_ROWS])
-    def test_the_writer_holds_no_lane_of_rows(self, tmp_path, monkeypatch, started, spools,
+    def test_the_writer_holds_no_lane_of_rows(self, tmp_path, monkeypatch, started,
                                               max_lane_rows):
         monkeypatch.setattr(loss_module, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(loss_module, "_TRACE_MAX_LANE_ROWS", max_lane_rows)
-        monkeypatch.setattr(loss_module.tracetext, "CHUNK_ROWS", 256)
         n = 8 * MIN_LANE_ROWS
         m = random_record(n, 13)
         epochs, sample_ids = np.arange(n) // 512, np.arange(n) % 512
@@ -769,9 +775,9 @@ class TestTraceLanes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(started) == n // (2 * max_lane_rows)
+        assert len(started) == n // max_lane_rows
         assert peak < TRACE_WRITER_PEAK_BYTES, peak
-        assert_left_clean(tmp_path, started, spools, ["t.csv"])
+        assert_left_clean(tmp_path, started, ["t.csv"])
 
     def test_a_bare_helper_peaks_under_32_mb(self):
         # 102,400 rows in 512-row batches: 5 MB of columns and about 9 MB of
