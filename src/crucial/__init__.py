@@ -22,73 +22,11 @@ The package has four layers:
 everything as subcommands.
 """
 
-from .numerics import (
-    LossStats,
-    SeededRng,
-    derive_seed,
-    lambert_w0,
-    lambert_w0_array,
-    loss_stats,
-)
-from .loss import (
-    CrucialConfig,
-    EpochState,
-    LossTraceWriter,
-    ModulatedLoss,
-    Variant,
-    advance_epoch_adp,
-    baseline_confidence_loss,
-    crucial_adp,
-    crucial_sin,
-    initial_epoch_state,
-    kappa_star,
-    modulate_epoch,
-    modulated_value,
-    write_loss_trace,
-)
-from .sampler import (
-    ErrorReport,
-    LossPopulation,
-    Ordering,
-    PopulationKind,
-    SelectionCondition,
-    SelectionMode,
-    analytic_expected_errors,
-    compare_conditions,
-    distribution_cycle_sim,
-    mc_expected_errors,
-    ordering_check,
-)
-from .data import (
-    CsvLoadResult,
-    Dataset,
-    TimeSeriesSample,
-    gen_drift_classification,
-    gen_sine_regression,
-    load_csv,
-    make_prefixes,
-    save_csv,
-)
-from .trainer import (
-    ElmanRNN,
-    LinearModel,
-    MLPModel,
-    Model,
-    TaskSpec,
-    TrainResult,
-    TrainingDiverged,
-    TransferMatrix,
-    auc_roc,
-    bwt,
-    evaluate,
-    forward_backward,
-    fwt,
-    make_model,
-    run_continuous,
-    train_epoch,
-    train_model,
-    write_metrics_csv,
-    write_transfer_json,
-)
+# Each module's ``__all__`` is its public API; the root re-exports them all.
+from .numerics import *
+from .loss import *
+from .sampler import *
+from .data import *
+from .trainer import *
 
 __version__ = "0.1.0"

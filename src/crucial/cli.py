@@ -192,9 +192,7 @@ def parse_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _coerce(key: str, value, default):
-    if not isinstance(value, str):
-        return value
+def _coerce(key: str, value: str, default):
     if isinstance(default, int):
         try:
             return int(value)
@@ -263,6 +261,12 @@ def _config_errors():
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _write_json(path: str, payload) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def cmd_simulate(cfg: dict) -> int:
@@ -337,9 +341,7 @@ def cmd_simulate(cfg: dict) -> int:
                     "passed": point_pass,
                 },
             }
-            with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _write_json(os.path.join(out_dir, name), payload)
             summary.write(
                 f"{kind} {sigma:g} {rate:g} {_fmt(report.analytic_eu)} "
                 f"{_fmt(report.analytic_ep)} {_fmt(report.mc_eu)} {_fmt(report.mc_ep)} "
@@ -485,9 +487,7 @@ def cmd_properties(cfg: dict) -> int:
         "suites": report,
         "all_passed": all(entry["passed"] for entry in report.values()),
     }
-    with open(os.path.join(cfg["output_dir"], "properties.json"), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(cfg["output_dir"], "properties.json"), payload)
     for name, entry in report.items():
         print(f"{'PASS' if entry['passed'] else 'FAIL'} {name}: {entry['detail']}")
     return 0 if payload["all_passed"] else 1
@@ -538,9 +538,7 @@ def cmd_gen_data(cfg: dict) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from None
     meta = {"kind": kind, "n": n, "t": t, "flipped_ids": list(ds.flipped_ids), "seed": seed}
-    with open(os.path.join(cfg["output_dir"], "meta.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(cfg["output_dir"], "meta.json"), meta)
     print(f"gen-data: wrote {len(ds)} samples to {path}")
     return 0
 
@@ -569,8 +567,11 @@ def main(argv: list[str] | None = None) -> int:
         if "config" in flags:
             file_values = parse_config_file(flags["config"])
         cfg = resolve_config(command, file_values, flags)
-        os.makedirs(cfg["output_dir"], exist_ok=True)
-        _echo_config(cfg, cfg["output_dir"])
+        try:
+            os.makedirs(cfg["output_dir"], exist_ok=True)
+            _echo_config(cfg, cfg["output_dir"])
+        except OSError as exc:
+            raise ConfigError(f"cannot use output directory {cfg['output_dir']}: {exc}") from None
         return _COMMANDS[command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -189,8 +189,8 @@ def gen_drift_classification(n: int, T: int, drift_rate: float, label_noise: flo
     if not 0.0 <= label_noise < 0.5:
         raise ValueError("gen_drift_classification: label_noise must be in [0, 0.5)")
     gen = rng.derive("drift-classification").generator
-    true_labels = gen.integers(0, 2, n)
-    sign = 2.0 * true_labels.astype(np.float64) - 1.0
+    labels = gen.integers(0, 2, n)
+    sign = 2.0 * labels.astype(np.float64) - 1.0
     # Stationary AR(1) noise: column 0 from the stationary law, then each
     # block's shocks scaled into columns 1..T-1 and the recursion run over
     # whole columns in place.
@@ -212,8 +212,7 @@ def gen_drift_classification(n: int, T: int, drift_rate: float, label_noise: flo
             values[:, t] += np.add(level, drift[t], out=column)
 
     n_flip = int(round(label_noise * n))
-    flip_idx = np.sort(gen.choice(n, size=n_flip, replace=False)) if n_flip else np.array([], dtype=int)
-    labels = true_labels.copy()
+    flip_idx = np.sort(gen.choice(n, size=n_flip, replace=False))
     labels[flip_idx] ^= 1
 
     return _check_finite(Dataset(ids=np.arange(n), values=values, labels=labels,

@@ -126,9 +126,7 @@ def loss_stats(values) -> LossStats:
     values is bit-identical.  Empty input or non-finite entries raise
     ValueError.
     """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        arr = arr.reshape(-1)
+    arr = np.asarray(values, dtype=np.float64).reshape(-1)
     if arr.size == 0:
         raise ValueError("loss_stats: empty input")
     if not np.all(np.isfinite(arr)):

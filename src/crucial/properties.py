@@ -31,20 +31,21 @@ from .trainer import forward_backward, make_model
 __all__ = ["SUITES", "golden_section_min", "run_suites"]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_TOL = 1e-11  # golden_section_min stops once its bracket is this narrow
 
 
-def golden_section_min(f, lo: float, hi: float, tol: float = 1e-11) -> float:
+def golden_section_min(f, lo: float, hi: float) -> float:
     """Golden-section minimum of a unimodal f on [lo, hi].
 
     Converges to boundary points as well, so it doubles as the oracle for
     the capped region where the constrained minimizer sits at the upper
-    bound.  Interval is shrunk until narrower than tol.
+    bound.  Interval is shrunk until narrower than _GOLDEN_TOL.
     """
     a, b = float(lo), float(hi)
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > tol:
+    while (b - a) > _GOLDEN_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)

@@ -512,11 +512,8 @@ def distribution_cycle_sim(n_samples: int, epochs: int, rng: SeededRng, *,
             w = np.exp(-_CYCLE_RATE * losses)
             prob = np.clip(_CYCLE_EXP_FRAC * n_samples * w / np.sum(w), 0.0, 1.0)
             selected = gen.random(n_samples) < prob
-        losses = losses.copy()
         losses[selected] *= _CYCLE_DECAY
-        n_out = int(np.sum(~selected))
-        if n_out:
-            losses[~selected] += _CYCLE_NOISE_SD * np.abs(gen.standard_normal(n_out))
+        losses[~selected] += _CYCLE_NOISE_SD * np.abs(gen.standard_normal(int(np.sum(~selected))))
         losses = np.clip(losses, 0.0, None)
         out.append(loss_stats(losses))
     return out

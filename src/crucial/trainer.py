@@ -196,7 +196,10 @@ class ElmanRNN(Model):
 
     def __init__(self, window: int, n_outputs: int, rng: SeededRng, hidden=8):
         super().__init__(window, n_outputs)
-        self.hidden = int(hidden[0] if isinstance(hidden, (tuple, list)) else hidden)
+        sizes = tuple(hidden) if isinstance(hidden, (tuple, list)) else (hidden,)
+        if len(sizes) != 1:
+            raise ValueError(f"ElmanRNN: needs exactly one hidden size, got {len(sizes)}")
+        self.hidden = int(sizes[0])
         if self.hidden < 1:
             raise ValueError("ElmanRNN: hidden size must be positive")
         gen = rng.derive(f"init/{self.kind}").generator
@@ -247,8 +250,9 @@ _MODELS = {cls.kind: cls for cls in (LinearModel, MLPModel, ElmanRNN)}
 
 def make_model(kind: str, window: int, n_outputs: int, rng: SeededRng,
                hidden=(8,)) -> Model:
-    """Factory over the model zoo; hidden is the mlp's layer sizes and the
-    rnn's state size (each class reads it its own way) and linear ignores it."""
+    """Factory over the model zoo.  hidden is the mlp's layer sizes (one or
+    more) and the rnn's state size (exactly one; more raise ValueError);
+    linear ignores it."""
     if kind not in _MODELS:
         raise ValueError(f"make_model: unknown kind {kind!r}")
     return _MODELS[kind](window, n_outputs, rng, hidden)

@@ -637,6 +637,7 @@ _BAD_INPUTS = {
                                      None),
     "gen_data_overflowing_drift_level": (("gen-data", "--kind", "drift", *_MAX_LEVEL), None),
     "train_overflowing_drift_level": (("train", "--dataset", "drift", *_MAX_LEVEL), None),
+    "elman_rnn_two_hidden_sizes": (("train", "--model", "elman_rnn", "--hidden", "8,16"), None),
 }
 
 
@@ -655,6 +656,21 @@ def test_bad_input_exits_two_without_a_traceback(tmp_path, capsys, case):
     # refused before any work: at most the echoed configuration was written
     # (a bad seed is refused before the directory is made)
     assert [p.name for p in (tmp_path / "out").glob("*")] in ([], ["config_resolved.txt"])
+
+
+@pytest.mark.parametrize("command", ["train", "simulate"])
+@pytest.mark.parametrize("below", [False, True], ids=["is_a_file", "under_a_file"])
+def test_an_output_dir_that_cannot_be_made_exits_two(tmp_path, capsys, command, below):
+    # The harness above appends its own --output-dir, so these cases live here.
+    blocker = tmp_path / "F"
+    blocker.write_bytes(b"kept\n")
+    out = blocker / "sub" if below else blocker
+    assert run(command, "--output-dir", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(out) in err
+    assert "Traceback" not in err
+    assert blocker.read_bytes() == b"kept\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["F"]
 
 
 # Every float key of each command, set to each non-finite and each extreme

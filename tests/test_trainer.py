@@ -280,6 +280,11 @@ class TestLayout:
         expect = np.concatenate([(X.T @ dout).reshape(-1), dout.sum(axis=0)])
         assert model.backward(cache, dout).tobytes() == expect.tobytes()
 
+    @pytest.mark.parametrize("hidden", [(8, 16), ()], ids=["two_sizes", "no_size"])
+    def test_the_rnn_refuses_any_other_count_of_hidden_sizes(self, hidden):
+        with pytest.raises(ValueError, match="exactly one hidden size"):
+            make_model("elman_rnn", 4, 1, SeededRng(55), hidden=hidden)
+
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_blocks_are_views_of_params(self, kind):
         model = _small_model(kind, 2, SeededRng(54))
