@@ -12,7 +12,9 @@ resolve_config types every value as its default, and each command runs in
 two phases.  The first builds every object it needs (grid points, wrapper,
 datasets, model, prefixes, losses) from that typed config; a ValueError
 raised there is a config error, and nothing but config_resolved.txt has been
-written.  The second runs and writes with no error mapping.
+written.  The second runs and writes.  main alone maps an OSError from either
+phase to exit 2, as a ConfigError, and a diverged training run to exit 1; a
+write that fails stops the command there, and the outputs before it stay.
 """
 
 from __future__ import annotations
@@ -187,23 +189,17 @@ def parse_config_file(path: str) -> dict[str, str]:
                     raise ConfigError(f"{path}:{line_no}: expected key=value")
                 key, value = line.split("=", 1)
                 out[key.strip().replace("-", "_")] = value.strip()
-    except OSError as exc:
+    except UnicodeDecodeError as exc:  # named by path here, unlike an OSError
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     return out
 
 
 def _coerce(key: str, value: str, default):
-    if isinstance(default, int):
-        try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(f"key {key}: cannot parse {value!r} as integer") from None
-    if isinstance(default, float):
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"key {key}: cannot parse {value!r} as number") from None
-    return value
+    try:
+        return type(default)(value)
+    except ValueError:
+        kind = "integer" if isinstance(default, int) else "number"
+        raise ConfigError(f"key {key}: cannot parse {value!r} as {kind}") from None
 
 
 def resolve_config(command: str, file_values: dict, flag_values: dict) -> dict:
@@ -385,7 +381,7 @@ def _load_csv_dataset(cfg: dict):
         raise ConfigError("dataset=csv requires csv_path")
     try:
         result = load_csv(path)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:  # a bad header or undecodable bytes, named by path here
         raise ConfigError(f"cannot load csv {path}: {exc}") from None
     if result.rejected:
         msgs = "; ".join(issue.message for issue in result.rejected[:5])
@@ -452,13 +448,9 @@ def cmd_train(cfg: dict) -> int:
     with _config_errors():
         csv_set = _load_csv_dataset(cfg) if cfg["dataset"] == "csv" else None
     finals: list[dict] = []
-    try:
-        for i in range(sweep):
-            run_seed = master_seed if sweep == 1 else derive_seed(master_seed, f"sweep/{i}")
-            finals.append(_train_one(cfg, csv_set, run_seed, f"run{i}", out_dir))
-    except TrainingDiverged as exc:
-        print(f"train: diverged: {exc}", file=sys.stderr)
-        return 1
+    for i in range(sweep):
+        run_seed = master_seed if sweep == 1 else derive_seed(master_seed, f"sweep/{i}")
+        finals.append(_train_one(cfg, csv_set, run_seed, f"run{i}", out_dir))
 
     names = sorted({k for f in finals for k in f})
     with open(os.path.join(out_dir, "aggregate.csv"), "w", encoding="utf-8") as fh:
@@ -533,10 +525,7 @@ def cmd_gen_data(cfg: dict) -> int:
     with _config_errors():
         ds = _generate(cfg, kind, n, SeededRng(seed).derive("data/train"))
 
-    try:
-        save_csv(path, ds)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from None
+    save_csv(path, ds)
     meta = {"kind": kind, "n": n, "t": t, "flipped_ids": list(ds.flipped_ids), "seed": seed}
     _write_json(os.path.join(cfg["output_dir"], "meta.json"), meta)
     print(f"gen-data: wrote {len(ds)} samples to {path}")
@@ -563,19 +552,17 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         flags = _parse_flags(argv[1:])
-        file_values = {}
-        if "config" in flags:
-            file_values = parse_config_file(flags["config"])
+        file_values = parse_config_file(flags["config"]) if "config" in flags else {}
         cfg = resolve_config(command, file_values, flags)
-        try:
-            os.makedirs(cfg["output_dir"], exist_ok=True)
-            _echo_config(cfg, cfg["output_dir"])
-        except OSError as exc:
-            raise ConfigError(f"cannot use output directory {cfg['output_dir']}: {exc}") from None
+        os.makedirs(cfg["output_dir"], exist_ok=True)
+        _echo_config(cfg, cfg["output_dir"])
         return _COMMANDS[command](cfg)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # an OSError from open() names its path
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except TrainingDiverged as exc:
+        print(f"{command}: diverged: {exc}", file=sys.stderr)
+        return 1
 
 
 def console_main() -> None:

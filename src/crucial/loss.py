@@ -387,11 +387,11 @@ class LossTraceWriter:
     formats while training goes on.  At the block's last row this process
     copies each helper's text into the trace in row order.  A block of one
     lane is formatted here, straight into the trace.  This process keeps no
-    trace rows.  The file is created when its first block begins.  Appending
-    more rows than n_rows, or leaving the with block with fewer, raises
-    ValueError; a helper that fails raises RuntimeError.  On any exception
-    in the with block every helper is killed and reaped and the file, if
-    made, is removed.
+    trace rows.  Entering the with block creates the file and writes its
+    header, so a bad path fails there.  Appending more rows than n_rows, or
+    leaving the with block with fewer, raises ValueError; a helper that fails
+    raises RuntimeError.  On any exception in the with block every helper is
+    killed and reaped and the file is removed.
     """
 
     def __init__(self, path, n_rows: int):
@@ -399,25 +399,27 @@ class LossTraceWriter:
         self._n_rows = n_rows
         self._cpus = _usable_cpus()
         self._rows = 0        # rows appended so far
-        self._fh = None       # the file, once its first block begins
+        self._fh = None       # the file, once the with block is entered
         self._bounds = None   # the current block's lane bounds
         self._helpers = []    # the current block's helpers, one per lane if it has several
 
     def __enter__(self) -> "LossTraceWriter":
+        self._fh = open(self._path, "wb")
+        self._fh.write(tracetext.HEADER)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        done = False
         try:
             if exc_type is None:
                 if self._rows != self._n_rows:
                     raise ValueError(f"LossTraceWriter: {self._rows} rows appended, "
                                      f"{self._n_rows} declared")
-                self._file().close()  # an empty trace is its header alone
-                done = True
-        finally:
-            if not done:
-                self._discard()
+                self._fh.close()  # an empty trace is its header alone
+                return
+        except BaseException:
+            self._discard()
+            raise
+        self._discard()
 
     def append(self, epochs, sample_ids, modulated: ModulatedLoss) -> None:
         """Write rows of the trace: the next ones in file order."""
@@ -459,12 +461,11 @@ class LossTraceWriter:
                 self._end_block()
 
     def _begin_block(self) -> None:
-        """Plan the lanes of the block starting at the next row; open the file and helpers."""
+        """Plan the lanes of the block starting at the next row; start its helpers."""
         start = self._rows
         n = min(self._cpus * _TRACE_MAX_LANE_ROWS, self._n_rows - start)
         lanes = max(1, min(self._cpus, n // _TRACE_MIN_LANE_ROWS))
         self._bounds = [start + n * i // lanes for i in range(lanes + 1)]
-        self._file()  # a bad path fails before any helper starts
         if lanes > 1:
             for _ in range(lanes):
                 self._helpers.append(subprocess.Popen(_TRACE_HELPER, stdin=subprocess.PIPE,
@@ -480,13 +481,6 @@ class LossTraceWriter:
         self._reap()
         self._bounds = None
 
-    def _file(self):
-        """The trace file, created with its header on first use."""
-        if self._fh is None:
-            self._fh = open(self._path, "wb")
-            self._fh.write(tracetext.HEADER)
-        return self._fh
-
     def _reap(self) -> None:
         """Kill (a no-op once waited for) and reap every helper; close its pipes."""
         for proc in self._helpers:
@@ -497,13 +491,12 @@ class LossTraceWriter:
         self._helpers = []
 
     def _discard(self) -> None:
-        """Reap every helper and remove the file if this writer made it."""
+        """Reap every helper and remove the file."""
         self._reap()
-        if self._fh is not None:
-            try:
-                self._fh.close()
-            finally:
-                os.remove(self._path)
+        try:
+            self._fh.close()
+        finally:
+            os.remove(self._path)
 
 
 def _close(pipe) -> None:
@@ -515,10 +508,11 @@ def write_loss_trace(path, epochs, sample_ids, modulated: ModulatedLoss) -> None
     """Write one CSV row per sample-epoch, formatting on every usable CPU.
 
     epochs and sample_ids hold integers (anything else raises ValueError
-    naming the column, before any file exists), and they and every field of
-    modulated hold one entry per row.  Columns are (epoch, sample_id,
-    input_loss, kappa, threshold, value, selected); floats are written with
-    repr so a reload round-trips bit-exactly, and every line ends in \\r\\n.
+    naming the column, and the file, made on entering the writer, is
+    removed), and they and every field of modulated hold one entry per row.
+    Columns are (epoch, sample_id, input_loss, kappa, threshold, value,
+    selected); floats are written with repr so a reload round-trips
+    bit-exactly, and every line ends in \\r\\n.
     This is one append on a LossTraceWriter, which documents the lanes and
     blocks; a helper that fails makes this raise RuntimeError, and no helper
     or pipe outlives the call.

@@ -3,7 +3,10 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -18,6 +21,7 @@ from crucial.data import load_csv
 from crucial.loss import KAPPA_CAP
 from crucial.tracetext import COLUMNS
 
+ROOT = Path(__file__).resolve().parent.parent
 
 def run(*argv):
     return main(list(argv))
@@ -671,6 +675,66 @@ def test_an_output_dir_that_cannot_be_made_exits_two(tmp_path, capsys, command, 
     assert "Traceback" not in err
     assert blocker.read_bytes() == b"kept\n"
     assert [p.name for p in tmp_path.iterdir()] == ["F"]
+
+
+# case -> (argv, the output file that a directory stands in place of)
+_UNWRITABLE_OUTPUTS = {
+    "train_aggregate": (("train", "--epochs", "2"), "aggregate.csv"),
+    "train_metrics": (("train", "--epochs", "2"), "metrics_run0.csv"),
+    "train_loss_trace": (("train", "--epochs", "2"), "loss_trace_run0.csv"),
+    "train_transfer": (("train", "--task", "continuous", "--dataset", "drift", "--epochs", "2"),
+                       "transfer_run0.json"),
+    "simulate_summary": (("simulate", "--n", "100", "--sigmas", "0.5", "--rates", "1"),
+                         "summary.txt"),
+    "simulate_report": (("simulate", "--n", "100", "--sigmas", "0.5", "--rates", "1"),
+                        "report_normal_s0.5_r1.json"),
+    "properties": (("properties",), "properties.json"),
+    "trace_loss": (("trace-loss",), "trace.csv"),
+    "gen_data_meta": (("gen-data", "--n", "8"), "meta.json"),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNWRITABLE_OUTPUTS))
+def test_an_output_that_cannot_be_written_exits_two(tmp_path, capsys, case):
+    # The command stops at the write that fails; outputs written before it stay.
+    argv, name = _UNWRITABLE_OUTPUTS[case]
+    planted = tmp_path / name
+    planted.mkdir()
+    assert run(*argv, "--output-dir", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(planted) in err
+    assert "Traceback" not in err
+    assert planted.is_dir() and list(planted.iterdir()) == []
+
+
+@pytest.mark.parametrize("text", [b"epochs=2\n\xff\xfe\n", None], ids=["not_utf8", "missing"])
+def test_a_config_file_that_cannot_be_read_exits_two(tmp_path, capsys, text):
+    config = tmp_path / "run.cfg"
+    if text is not None:
+        config.write_bytes(text)
+    assert run("train", "--config", str(config), "--output-dir", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(config) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, planted, code", [
+    (("trace-loss", "--epochs", "2"), None, 0),
+    (("trace-loss", "--epochs", "2"), "trace.csv", 2),
+    ((), None, 2),
+], ids=["trace_loss", "trace_loss_unwritable", "no_arguments"])
+def test_the_module_exits_with_the_code_main_returns(tmp_path, argv, planted, code):
+    # python -m crucial.cli, as a process: sys.exit carries main's code out.
+    if planted is not None:
+        (tmp_path / planted).mkdir()
+    if argv:
+        argv += ("--output-dir", str(tmp_path))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "crucial.cli", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # Every float key of each command, set to each non-finite and each extreme
