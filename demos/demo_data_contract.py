@@ -23,9 +23,10 @@ from crucial.numerics import SeededRng
 #    next value of the same process one step past the window.
 ds = gen_sine_regression(6, 12, 0.05, SeededRng(0))
 print("sine regression samples (T=12, label = value at t=12):")
-for s in ds.samples[:3]:  # row views of the (n, T) values block
-    head = " ".join(f"{v:+.2f}" for v in s.values[:6])
-    print(f"  id {s.id}: [{head} ...]  label {s.label:+.3f}")
+# each sample is one row of the (n, T) values block, with its id and label
+for sample_id, series, label in zip(ds.ids[:3], ds.values, ds.labels):
+    head = " ".join(f"{v:+.2f}" for v in series[:6])
+    print(f"  id {sample_id}: [{head} ...]  label {label:+.3f}")
 print()
 
 # 2. Drifting classification: two AR(1) classes around levels that drift

@@ -12,50 +12,53 @@ import numpy as np
 
 from crucial.loss import (
     CrucialConfig,
+    EpochState,
     Variant,
     advance_epoch_adp,
-    baseline_confidence_loss,
-    crucial_sin,
     initial_epoch_state,
-    kappa_star,
     modulate_epoch,
 )
 
 # 1. The closed form.  Confidence kappa minimizes kappa*(l - eps) +
 #    lam*(ln kappa)^2, so easy samples (l < eps) get kappa > 1 and hard
-#    ones get kappa < 1, capped at e on the easy side.
+#    ones get kappa < 1, capped at e on the easy side.  modulate_epoch
+#    weighs a whole epoch's losses at once and returns one record of arrays.
 print("confidence weight vs loss  (threshold 0.69, lam 0.01)")
 print(f"{'loss':>6} {'kappa':>10} {'weighted':>10}")
-for l in (0.1, 0.3, 0.5, 0.69, 1.0, 1.5, 2.5, 5.0):
-    m = baseline_confidence_loss(l, math.log(2.0), 0.01)
-    print(f"{l:6.2f} {m.kappa:10.4f} {m.value:10.4f}")
+losses = [0.1, 0.3, 0.5, 0.69, 1.0, 1.5, 2.5, 5.0]
+cfg_base = CrucialConfig(Variant.BASELINE, lam=0.01, threshold=math.log(2.0))
+m = modulate_epoch(losses, initial_epoch_state(), cfg_base)
+for l, kappa, value in zip(losses, m.kappa, m.value):
+    print(f"{l:6.2f} {kappa:10.4f} {value:10.4f}")
+at_threshold = modulate_epoch([0.7], initial_epoch_state(),
+                              CrucialConfig(Variant.BASELINE, lam=0.01, threshold=0.7))
 print(f"cap: kappa never exceeds e = {math.e:.4f}; "
-      f"kappa(loss=threshold) = {kappa_star(0.7, 0.7, 0.01):.1f} exactly\n")
+      f"kappa(loss=threshold) = {at_threshold.kappa[0]:.1f} exactly\n")
 
 # 2. The cycled variant.  A squared sine with omega = pi/4 gives an exact
 #    period of 4 epochs: full pass-through, half cycle, zero cycle, half
-#    cycle, then the pattern repeats bit for bit.
-cfg_sin = CrucialConfig(Variant.SIN, lam=0.01, omega=math.pi / 4.0)
+#    cycle, then the pattern repeats bit for bit.  mu_fixed pins the
+#    population mean the cycle measures losses against.
+cfg_sin = CrucialConfig(Variant.SIN, lam=0.01, omega=math.pi / 4.0, mu_fixed=1.0)
 print("cycled schedule, one sample with loss 0.9, epoch-mean loss 1.0")
 print(f"{'epoch':>5} {'kappa':>9} {'value':>9} {'selected':>9}")
 for t in range(8):
-    m = crucial_sin(0.9, t, 1.0, cfg_sin)
-    print(f"{t:5d} {m.kappa:9.4f} {m.value:9.4f} {str(m.selected):>9}")
+    m = modulate_epoch([0.9], EpochState(epoch_index=t, threshold=0.0), cfg_sin)
+    print(f"{t:5d} {m.kappa[0]:9.4f} {m.value[0]:9.4f} {str(m.selected[0]):>9}")
 print("epochs 0-3 and 4-7 are identical: the cycle length is 4\n")
 
 # 3. The gate.  At quarter phase the cycled variant drops samples whose
 #    loss falls below half the modulation F times the epoch mean.
 F = math.sin(cfg_sin.omega * 1 + cfg_sin.phase) ** 2
-for l in (0.2, 0.3):
-    m = crucial_sin(l, 1, 1.0, cfg_sin)
-    print(f"quarter-phase sample with loss {l}: selected={m.selected} "
+m = modulate_epoch([0.2, 0.3], EpochState(epoch_index=1, threshold=0.0), cfg_sin)
+for l, selected in zip(m.input_loss, m.selected):
+    print(f"quarter-phase sample with loss {l}: selected={selected} "
           f"(gate at {0.5 * F * 1.0})")
 print()
 
 # 4. The adaptive variant.  The threshold is last epoch's skewness times
 #    its mean loss, so a long right tail raises the bar and a symmetric
-#    epoch drops it back to zero.  modulate_epoch weighs a whole epoch's
-#    losses at once and returns one record of arrays.
+#    epoch drops it back to zero.
 cfg_adp = CrucialConfig(Variant.ADP, lam=0.01)
 state = initial_epoch_state()
 gen = np.random.default_rng(7)

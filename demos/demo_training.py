@@ -40,7 +40,7 @@ for i in range(3):
         model = make_model("linear", 16, 1, rng.derive("model"))
         task = TaskSpec("regression", 400, 0.1, wrapper=wrapper)
         res = train_model(model, train, task)
-        mses[name] = evaluate(res.model, test, task)["mse"]
+        mses[name] = evaluate(res.model, test)["mse"]
     print(f"  seed {i}: plain {mses['plain']:.5f}  adaptive {mses['adaptive']:.5f}  "
           f"cycled {mses['cycled']:.5f}")
     ratios["adaptive"].append(mses["adaptive"] / mses["plain"])

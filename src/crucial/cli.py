@@ -15,6 +15,7 @@ raised there is a config error, and nothing but config_resolved.txt has been
 written.  The second runs and writes.  main alone maps an OSError from either
 phase to exit 2, as a ConfigError, and a diverged training run to exit 1; a
 write that fails stops the command there, and the outputs before it stay.
+A stdout closed by its reader is no config error: console_main exits 1.
 """
 
 from __future__ import annotations
@@ -433,7 +434,7 @@ def _train_one(cfg: dict, csv_set, run_seed: int, run_id: str, out_dir: str) -> 
         ):
             rows += [(epoch, "train", "mean_raw_loss", mean_loss),
                      (epoch, "train", "kappa_ge1_count", k_count)]
-        final_metrics = evaluate(result.model, test_ds, task)
+        final_metrics = evaluate(result.model, test_ds)
         last, split = task.epochs - 1, "test"
     rows += [(last, split, name, value) for name, value in final_metrics.items()]
     write_metrics_csv(os.path.join(out_dir, f"metrics_{run_id}.csv"),
@@ -557,6 +558,8 @@ def main(argv: list[str] | None = None) -> int:
         os.makedirs(cfg["output_dir"], exist_ok=True)
         _echo_config(cfg, cfg["output_dir"])
         return _COMMANDS[command](cfg)
+    except BrokenPipeError:  # a closed stdout is the reader's doing, not a config error
+        raise
     except (ConfigError, OSError) as exc:  # an OSError from open() names its path
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -566,7 +569,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python's EPIPE idiom: stdout goes to devnull so the exit-time flush
+        # cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -59,7 +59,6 @@ __all__ = [
     "ModulatedLoss",
     "Variant",
     "advance_epoch_adp",
-    "baseline_confidence_loss",
     "crucial_adp",
     "crucial_sin",
     "initial_epoch_state",
@@ -276,7 +275,8 @@ def _sin_losses(losses: np.ndarray, epoch: int, mu_l: float, cfg: CrucialConfig)
     n = losses.shape[0]
     selected = ~(losses < 0.5 * f * mu_l)
     if f <= _F_EPS:
-        # lam_t -> inf limit: unit weight, plain centered loss.
+        # Unit weight against +mu_l: the plain centered loss.  The general
+        # branch tends to threshold -mu_l and value l + mu_l as f -> 0 instead.
         kappa, threshold, value = np.ones(n), mu_l, losses - mu_l
     elif f >= 1.0 - _F_EPS:
         # lam_t -> 0 limit: survivors contribute nothing this epoch.
@@ -343,8 +343,10 @@ def crucial_sin(loss: float, epoch: int, mu_l: float, cfg: CrucialConfig) -> Mod
     * otherwise the threshold is (F - 1)*mu_l and the regularization weight
       is lam_t = -ln F, so hard epochs (F near 1) gate aggressively while
       easy epochs relax;
-    * at F == 0 the limit lam_t -> inf pins kappa to 1 and the value
-      degenerates to the plain centered loss l - mu_l;
+    * at F == 0 (within 1e-12) every sample gets kappa 1 against the
+      threshold +mu_l, so the value is the plain centered loss l - mu_l.
+      This is not the limit of the rule above as F -> 0, whose threshold
+      (F - 1)*mu_l tends to -mu_l and whose value tends to l + mu_l;
     * at F == 1 the limit lam_t -> 0 zeroes the value of every sample that
       survives the gate (kappa 0 is the explicit zero-weight flag, selected
       stays True).
@@ -357,12 +359,6 @@ def crucial_sin(loss: float, epoch: int, mu_l: float, cfg: CrucialConfig) -> Mod
     if cfg.variant is not Variant.SIN:
         raise ValueError("crucial_sin: config variant must be SIN")
     return _single(_sin_losses(np.array([loss], dtype=np.float64), epoch, mu_l, cfg))
-
-
-def baseline_confidence_loss(loss: float, threshold: float, lam: float) -> ModulatedLoss:
-    """Confidence weighting against a fixed, caller-supplied threshold."""
-    cfg = CrucialConfig(Variant.BASELINE, lam=lam, threshold=threshold)
-    return _single(modulate_epoch([loss], initial_epoch_state(), cfg))
 
 
 def _usable_cpus() -> int:

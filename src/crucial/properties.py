@@ -231,9 +231,7 @@ def suite_gradient_finite_difference(rng: SeededRng):
     n) agrees with the centered difference to 1e-4 relative, over 100 draws.
     """
     h = 1e-6
-    for kind, base_loss, n_out in (("linear", "mse", 1),
-                                   ("mlp", "cross_entropy", 2),
-                                   ("elman_rnn", "mse", 1)):
+    for kind, n_out in (("linear", 1), ("mlp", 2), ("elman_rnn", 1)):
         sub = rng.derive(f"fd/{kind}")
         gen = sub.derive("draws").generator
         worst = 0.0
@@ -241,18 +239,18 @@ def suite_gradient_finite_difference(rng: SeededRng):
             model = make_model(kind, 6, n_out, sub.derive(f"model{i}"), hidden=(5,) if kind == "mlp" else 4)
             n = 3
             X = gen.normal(0.0, 1.0, (n, 6))
-            if base_loss == "mse":
+            if n_out == 1:
                 y = gen.normal(0.0, 1.0, n)
             else:
                 y = gen.integers(0, n_out, n)
-            g = forward_backward(model, X, y, base_loss)[1] / n
+            g = forward_backward(model, X, y)[1] / n
             d = gen.normal(0.0, 1.0, model.n_params)
             d /= np.linalg.norm(d)
             saved = model.params.copy()
             model.params = saved + h * d
-            lp = float(np.mean(forward_backward(model, X, y, base_loss)[0]))
+            lp = float(np.mean(forward_backward(model, X, y)[0]))
             model.params = saved - h * d
-            lm = float(np.mean(forward_backward(model, X, y, base_loss)[0]))
+            lm = float(np.mean(forward_backward(model, X, y)[0]))
             model.params = saved
             fd = (lp - lm) / (2.0 * h)
             an = float(g @ d)

@@ -262,11 +262,12 @@ def make_model(kind: str, window: int, n_outputs: int, rng: SeededRng,
 class TaskSpec:
     """One training job: task shape, budget, optional wrapper.
 
-    The task picks the base loss and the model's output count: regression
-    trains one output under MSE, both classification shapes train two under
-    cross-entropy.  The wrapper, when present, scales each sample's row of
-    dl/dout by its confidence factor before the one backward pass.  A cycled
-    wrapper's angle omega*epoch + phase must stay finite up to the last epoch.
+    The task picks the model's output count, and the output count picks the
+    loss: regression trains one output under MSE, both classification shapes
+    train two under cross-entropy.  The wrapper, when present, scales each
+    sample's row of dl/dout by its confidence factor before the one backward
+    pass.  A cycled wrapper's angle omega*epoch + phase must stay finite up to
+    the last epoch.
     """
 
     task: str                        # regression | single_shot | continuous
@@ -286,10 +287,6 @@ class TaskSpec:
                 and not math.isfinite(cfg.omega * (self.epochs - 1) + cfg.phase)):
             raise ValueError("TaskSpec: the cycled wrapper's last angle "
                              "omega*(epochs - 1) + phase is not finite")
-
-    @property
-    def base_loss(self) -> str:
-        return "mse" if self.task == "regression" else "cross_entropy"
 
     @property
     def n_outputs(self) -> int:
@@ -326,20 +323,19 @@ def featurize(dataset: Dataset, model: Model):
     return X, labels.astype(np.int64)
 
 
-def _losses_and_dout(model: Model, X: np.ndarray, y: np.ndarray, base_loss: str):
-    """Forward pass: per-sample losses l_i, dl_i/dout_i rows, and the cache."""
+def _losses_and_dout(model: Model, X: np.ndarray, y: np.ndarray):
+    """Forward pass: per-sample losses l_i, dl_i/dout_i rows, and the cache.
+    A one-output model is scored by MSE, any other by cross-entropy."""
     if X.shape[0] == 0:
         raise ValueError("forward_backward: empty batch")
     if X.shape[0] != y.shape[0]:
         raise ValueError("forward_backward: X and y disagree on batch size")
     out, cache = model.forward_with_cache(X)
-    if base_loss == "mse":
-        if model.n_outputs != 1:
-            raise ValueError("forward_backward: mse expects a single output")
+    if model.n_outputs == 1:
         r = out[:, 0] - y
         losses = r * r
         dout = (2.0 * r)[:, None]
-    elif base_loss == "cross_entropy":
+    else:
         z = out - np.max(out, axis=1, keepdims=True)
         ez = np.exp(z)
         p = ez / np.sum(ez, axis=1, keepdims=True)
@@ -348,19 +344,18 @@ def _losses_and_dout(model: Model, X: np.ndarray, y: np.ndarray, base_loss: str)
         losses = -np.log(np.maximum(p[idx, cls], 1e-300))
         dout = p
         dout[idx, cls] -= 1.0
-    else:
-        raise ValueError(f"forward_backward: unknown base_loss {base_loss!r}")
     return losses, dout, cache
 
 
-def forward_backward(model: Model, X: np.ndarray, y: np.ndarray, base_loss: str):
+def forward_backward(model: Model, X: np.ndarray, y: np.ndarray):
     """Per-sample losses l_i and the gradient of their sum, sum_i dl_i/dw.
 
-    MSE uses l = (yhat - y)^2 (so the linear single-sample gradient is
-    2*(yhat - y)*x); cross-entropy is softmax negative log-likelihood.
+    A one-output model's MSE uses l = (yhat - y)^2 (so the linear
+    single-sample gradient is 2*(yhat - y)*x); any other model's
+    cross-entropy is softmax negative log-likelihood.
     Returns (losses shaped (n,), gradient shaped (n_params,)).
     """
-    losses, dout, cache = _losses_and_dout(model, X, y, base_loss)
+    losses, dout, cache = _losses_and_dout(model, X, y)
     return losses, model.backward(cache, dout)
 
 
@@ -385,7 +380,7 @@ def train_epoch(model: Model, data, task: TaskSpec, state: EpochState):
     """
     X, y = data
     with np.errstate(over="ignore", invalid="ignore"):
-        losses, dout, cache = _losses_and_dout(model, X, y, task.base_loss)
+        losses, dout, cache = _losses_and_dout(model, X, y)
     _guard(losses, f"at epoch {state.epoch_index}")
     mod = modulate_epoch(losses, state, task.wrapper)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -434,8 +429,7 @@ def train_model(model: Model, dataset: Dataset, task: TaskSpec, *,
         if on_epoch is not None:
             on_epoch(epoch, mod)
     with np.errstate(over="ignore", invalid="ignore"):
-        _guard(_losses_and_dout(model, *data, task.base_loss)[0],
-               f"after epoch {task.epochs - 1}")
+        _guard(_losses_and_dout(model, *data)[0], f"after epoch {task.epochs - 1}")
     return TrainResult(model=model, epoch_mean_losses=mean_losses, kappa_ge1_counts=counts)
 
 
@@ -455,12 +449,12 @@ def auc_roc(scores: np.ndarray, labels: np.ndarray) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def evaluate(model: Model, dataset: Dataset, task: TaskSpec) -> dict:
-    """Fixed evaluation metrics on a dataset: mse for regression; accuracy
-    (+ auc when binary) for classification."""
+def evaluate(model: Model, dataset: Dataset) -> dict:
+    """Fixed evaluation metrics on a dataset: mse for a one-output model;
+    accuracy (+ auc when binary) for any other."""
     X, y = featurize(dataset, model)
     out = model.forward(X)
-    if task.base_loss == "mse":
+    if model.n_outputs == 1:
         r = out[:, 0] - y
         return {"mse": float(np.mean(r * r))}
     pred = np.argmax(out, axis=1)
@@ -471,7 +465,7 @@ def evaluate(model: Model, dataset: Dataset, task: TaskSpec) -> dict:
     return metrics
 
 
-def _continuous_score(model: Model, dataset: Dataset, task: TaskSpec) -> float:
+def _continuous_score(model: Model, dataset: Dataset) -> float:
     """Transfer-matrix entry: AUC for binary labels, accuracy otherwise.
 
     Overflow while scoring is silenced as in a training step: the model has
@@ -479,7 +473,7 @@ def _continuous_score(model: Model, dataset: Dataset, task: TaskSpec) -> float:
     is reported by a later stage's guard.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        m = evaluate(model, dataset, task)
+        m = evaluate(model, dataset)
     return m["auc"] if "auc" in m else m["accuracy"]
 
 
@@ -549,12 +543,12 @@ def run_continuous(model: Model, prefixes: list[Dataset], task: TaskSpec,
     k = len(prefixes)
     baseline_rng = rng.derive("baseline-model")
     fresh = model.fresh(baseline_rng)
-    baseline = np.array([_continuous_score(fresh, p, task) for p in prefixes])
+    baseline = np.array([_continuous_score(fresh, p) for p in prefixes])
     R = np.zeros((k, k))
     for i, prefix in enumerate(prefixes):
         model = train_model(model, prefix, task).model
         for j, other in enumerate(prefixes):
-            R[i, j] = _continuous_score(model, other, task)
+            R[i, j] = _continuous_score(model, other)
     return TransferMatrix(R=R, baseline=baseline, baseline_seed=baseline_rng.seed)
 
 

@@ -642,6 +642,22 @@ _BAD_INPUTS = {
     "gen_data_overflowing_drift_level": (("gen-data", "--kind", "drift", *_MAX_LEVEL), None),
     "train_overflowing_drift_level": (("train", "--dataset", "drift", *_MAX_LEVEL), None),
     "elman_rnn_two_hidden_sizes": (("train", "--model", "elman_rnn", "--hidden", "8,16"), None),
+    "sweep_seeds_zero": (("train", "--sweep-seeds", "0"), None),
+    "window_zero": (("train", "--window", "0"), None),
+    "mlp_hidden_zero": (("train", "--model", "mlp", "--hidden", "0"), None),
+    "elman_rnn_hidden_zero": (("train", "--model", "elman_rnn", "--hidden", "0"), None),
+    "empty_flag_name": (("train", "--=x"), None),
+    "csv_bad_rows": (_CSV, _HEADER + "0,1,0.1,0.2,0.3\r\n1,1,0.1,x,0.3\r\n2,1,0.1,0.2\r\n"),
+}
+# case -> the text its config error must hold, where the cause is not plain from the case
+_BAD_MESSAGES = {
+    "sweep_seeds_zero": "sweep_seeds must be >= 1",
+    "window_zero": "window and n_outputs must be positive",
+    "mlp_hidden_zero": "hidden sizes must be positive",
+    "elman_rnn_hidden_zero": "hidden size must be positive",
+    "empty_flag_name": "empty flag name",
+    "csv_bad_rows": "csv rejected 2 rows: row 3: non-numeric value cell; "
+                    "row 4: expected 5 cells, got 4",
 }
 
 
@@ -656,6 +672,7 @@ def test_bad_input_exits_two_without_a_traceback(tmp_path, capsys, case):
     assert run(*argv, "--output-dir", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:")
+    assert _BAD_MESSAGES.get(case, "") in err
     assert "Traceback" not in err and "RuntimeWarning" not in err
     # refused before any work: at most the echoed configuration was written
     # (a bad seed is refused before the directory is made)
@@ -719,22 +736,34 @@ def test_a_config_file_that_cannot_be_read_exits_two(tmp_path, capsys, text):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("argv, planted, code", [
-    (("trace-loss", "--epochs", "2"), None, 0),
-    (("trace-loss", "--epochs", "2"), "trace.csv", 2),
-    ((), None, 2),
-], ids=["trace_loss", "trace_loss_unwritable", "no_arguments"])
-def test_the_module_exits_with_the_code_main_returns(tmp_path, argv, planted, code):
-    # python -m crucial.cli, as a process: sys.exit carries main's code out.
+@pytest.mark.parametrize("argv, planted, stdout_closed, code", [
+    (("trace-loss", "--epochs", "2"), None, False, 0),
+    (("trace-loss", "--epochs", "2"), "trace.csv", False, 2),
+    (("trace-loss", "--epochs", "2"), None, True, 1),
+    ((), None, False, 2),
+], ids=["trace_loss", "trace_loss_unwritable", "trace_loss_stdout_closed", "no_arguments"])
+def test_the_module_exits_with_the_code_main_returns(tmp_path, argv, planted, stdout_closed,
+                                                     code):
+    # python -m crucial.cli, as a process: sys.exit carries main's code out,
+    # and a reader that closes stdout early gets exit 1 with complete outputs.
+    out_dir = tmp_path / "out"
     if planted is not None:
-        (tmp_path / planted).mkdir()
+        (out_dir / planted).mkdir(parents=True)
     if argv:
-        argv += ("--output-dir", str(tmp_path))
+        argv += ("--output-dir", str(out_dir))
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-m", "crucial.cli", *argv], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == code, proc.stderr
-    assert "Traceback" not in proc.stderr
+    proc = subprocess.Popen([sys.executable, "-m", "crucial.cli", *argv], cwd=tmp_path, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    if stdout_closed:
+        proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == code, err
+    assert "Traceback" not in err
+    if stdout_closed:
+        assert "config error" not in err
+        assert run(*argv[:-1], str(tmp_path / "ref")) == 0
+        for name in ("config_resolved.txt", "trace.csv"):
+            assert (out_dir / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
 
 
 # Every float key of each command, set to each non-finite and each extreme

@@ -418,6 +418,17 @@ class TestCsvContract:
             p.write_text(text, encoding="utf-8")
             with pytest.raises(ValueError):
                 load_csv(p)
+        multivariate = {
+            "v1_d1,v2": "mixed column styles",
+            "v1_d1,v1_d2,v2_d1": "not a multiple of dimension",
+            "v1_d1,v2_d1,v1_d2,v2_d2": "must be grouped",
+        }
+        for i, (columns, message) in enumerate(multivariate.items()):
+            p = tmp_path / f"m{i}.csv"
+            cells = ",".join(["0.0"] * len(columns.split(",")))
+            p.write_text(f"id,label,{columns}\n0,1,{cells}\n", encoding="utf-8")
+            with pytest.raises(ValueError, match=message):
+                load_csv(p)
 
     def test_bad_rows_rejected_with_line_numbers(self, tmp_path):
         p = tmp_path / "r.csv"

@@ -21,7 +21,6 @@ from crucial.loss import (
     ModulatedLoss,
     Variant,
     advance_epoch_adp,
-    baseline_confidence_loss,
     crucial_adp,
     crucial_sin,
     initial_epoch_state,
@@ -219,19 +218,23 @@ class TestSin:
                 crucial_sin(0.5, 1, mu, self.CFG)
 
 
+def baseline(losses, threshold, lam):
+    """One epoch wrapped against a fixed, caller-supplied threshold."""
+    cfg = CrucialConfig(Variant.BASELINE, lam=lam, threshold=threshold)
+    return modulate_epoch(losses, initial_epoch_state(), cfg)
+
+
 class TestBaseline:
     def test_two_class_threshold_examples(self):
         ln2 = math.log(2.0)
-        m = baseline_confidence_loss(ln2, ln2, 0.01)
-        assert m.kappa == 1.0 and m.value == 0.0
-        hard = baseline_confidence_loss(5.0, ln2, 0.01)
-        easy = baseline_confidence_loss(0.05, ln2, 0.01)
-        assert hard.kappa < 1.0 < easy.kappa
+        m = baseline([ln2, 5.0, 0.05], ln2, 0.01)
+        assert m.kappa[0] == 1.0 and m.value[0] == 0.0
+        assert m.kappa[1] < 1.0 < m.kappa[2]
 
     def test_matches_shell_minimum(self):
-        m = baseline_confidence_loss(1.3, 0.4, 0.05)
+        m = baseline([1.3], 0.4, 0.05)
         oracle = golden_min(shell(1.3, 0.4, 0.05), 1e-8, math.e)
-        assert m.kappa == pytest.approx(oracle, abs=1e-7)
+        assert m.kappa[0] == pytest.approx(oracle, abs=1e-7)
 
 
 class TestGradientFactor:
@@ -241,8 +244,7 @@ class TestGradientFactor:
         assert m.selected is False and m.kappa == 0.0
 
     def test_unit_at_threshold(self):
-        m = baseline_confidence_loss(0.9, 0.9, 0.01)
-        assert m.kappa == 1.0
+        assert baseline([0.9], 0.9, 0.01).kappa[0] == 1.0
 
     def test_envelope_matches_finite_difference(self):
         # d/dl of the modulated value equals kappa at the inner minimum
@@ -306,10 +308,8 @@ class TestModulateEpoch:
         m = modulate_epoch(self.LOSSES, state, cfg)
         assert _rows(m) == [astuple(crucial_adp(float(l), state, cfg)) for l in self.LOSSES]
         assert m.threshold.tolist() == [state.threshold] * self.LOSSES.size
-        base = CrucialConfig(Variant.BASELINE, lam=0.05, threshold=0.9)
-        m = modulate_epoch(self.LOSSES, state, base)
-        assert _rows(m) == [astuple(baseline_confidence_loss(float(l), 0.9, 0.05))
-                            for l in self.LOSSES]
+        m = baseline(self.LOSSES, 0.9, 0.05)
+        assert _rows(m) == [_rows(baseline([l], 0.9, 0.05))[0] for l in self.LOSSES]
 
     def test_sin_matches_the_per_sample_wrapper(self):
         cfg = CrucialConfig(Variant.SIN, lam=0.01, omega=math.pi / 4.0)

@@ -46,21 +46,21 @@ def local_maxima(counts):
     return peaks
 
 
-def directional_fd(model, X, y, base_loss, direction, h=1e-6):
+def directional_fd(model, X, y, direction, h=1e-6):
     """Central difference of the summed loss along one parameter direction."""
     saved = model.params.copy()
     model.params = saved + h * direction
-    up = float(np.sum(forward_backward(model, X, y, base_loss)[0]))
+    up = float(np.sum(forward_backward(model, X, y)[0]))
     model.params = saved - h * direction
-    dn = float(np.sum(forward_backward(model, X, y, base_loss)[0]))
+    dn = float(np.sum(forward_backward(model, X, y)[0]))
     model.params = saved
     return (up - dn) / (2.0 * h)
 
 
-def per_sample_rows(model, X, y, base_loss):
+def per_sample_rows(model, X, y):
     """Model.per_sample_grads on the batch's own dl/dout rows."""
     out, cache = model.forward_with_cache(X)
-    if base_loss == "mse":
+    if model.n_outputs == 1:
         dout = 2.0 * (out - y[:, None])
     else:
         p = np.exp(out - out.max(axis=1, keepdims=True))
@@ -135,7 +135,7 @@ class TestGradients:
         model = make_model("linear", 3, 1, SeededRng(7))
         X = np.array([[1.0, -2.0, 0.5]])
         y = np.array([0.3])
-        losses, grad = forward_backward(model, X, y, "mse")
+        losses, grad = forward_backward(model, X, y)
         r = float(model.forward(X)[0, 0] - 0.3)
         assert losses[0] == pytest.approx(r * r, rel=1e-14)
         expect = np.concatenate([2.0 * r * X[0], [2.0 * r]])
@@ -145,11 +145,11 @@ class TestGradients:
         model = make_model("linear", 3, 1, SeededRng(7))
         X = np.array([[0.4, 1.0, -0.2]])
         y = model.forward(X)[:, 0]
-        losses, grad = forward_backward(model, X, y, "mse")
+        losses, grad = forward_backward(model, X, y)
         assert losses[0] == 0.0
         assert np.all(grad == 0.0)
 
-    @pytest.mark.parametrize("kind,base_loss,n_out", [
+    @pytest.mark.parametrize("kind,loss,n_out", [
         ("linear", "mse", 1),
         ("linear", "cross_entropy", 2),
         ("mlp", "mse", 1),
@@ -157,44 +157,42 @@ class TestGradients:
         ("elman_rnn", "mse", 1),
         ("elman_rnn", "cross_entropy", 2),
     ])
-    def test_per_sample_grads_match_finite_differences(self, kind, base_loss, n_out):
+    def test_per_sample_grads_match_finite_differences(self, kind, loss, n_out):
         rng = SeededRng(21)
         model = make_model(kind, 5, n_out, rng, hidden=(4,) if kind == "mlp" else 4)
         gen = rng.derive("fd").generator
         X = gen.standard_normal((6, 5))
-        if base_loss == "mse":
+        if loss == "mse":
             y = gen.standard_normal(6)
         else:
             y = gen.integers(0, n_out, 6).astype(np.int64)
-        _, total_grad = forward_backward(model, X, y, base_loss)
+        _, total_grad = forward_backward(model, X, y)
         for _ in range(25):
             d = gen.standard_normal(model.n_params)
             d /= np.linalg.norm(d)
-            fd = directional_fd(model, X, y, base_loss, d)
+            fd = directional_fd(model, X, y, d)
             an = float(total_grad @ d)
             assert fd == pytest.approx(an, rel=1e-4, abs=1e-7)
         # each one-hot row of the reference probes one sample's loss alone
-        rows = per_sample_rows(model, X, y, base_loss)
+        rows = per_sample_rows(model, X, y)
         for i in range(X.shape[0]):
             d = gen.standard_normal(model.n_params)
             d /= np.linalg.norm(d)
-            fd = directional_fd(model, X[i:i + 1], y[i:i + 1], base_loss, d)
+            fd = directional_fd(model, X[i:i + 1], y[i:i + 1], d)
             assert fd == pytest.approx(float(rows[i] @ d), rel=1e-4, abs=1e-7)
 
     def test_cross_entropy_accepts_float_coded_labels(self):
         model = make_model("linear", 4, 2, SeededRng(3))
         X = np.ones((2, 4))
-        losses, _ = forward_backward(model, X, np.array([0.0, 1.0]), "cross_entropy")
+        losses, _ = forward_backward(model, X, np.array([0.0, 1.0]))
         assert losses.shape == (2,) and np.all(losses > 0.0)
 
     def test_batch_validation(self):
         model = make_model("linear", 4, 1, SeededRng(3))
         with pytest.raises(ValueError):
-            forward_backward(model, np.zeros((0, 4)), np.zeros(0), "mse")
+            forward_backward(model, np.zeros((0, 4)), np.zeros(0))
         with pytest.raises(ValueError):
-            forward_backward(model, np.zeros((2, 4)), np.zeros(3), "mse")
-        with pytest.raises(ValueError):
-            forward_backward(model, np.zeros((2, 4)), np.zeros(2), "huber")
+            forward_backward(model, np.zeros((2, 4)), np.zeros(3))
 
 
 MODEL_KINDS = ("linear", "mlp", "elman_rnn")
@@ -234,14 +232,14 @@ class TestBackward:
         gen = rng.derive("batch").generator
         X = gen.standard_normal((16, 5))
         y = gen.standard_normal(16)
-        losses, _ = forward_backward(model, X, y, "mse")
+        losses, _ = forward_backward(model, X, y)
         if variant is Variant.ADP:
             cfg = CrucialConfig(Variant.ADP, lam=0.05)
             state = EpochState(epoch_index=3, threshold=float(np.median(losses)))
         else:
             cfg = CrucialConfig(Variant.SIN, lam=0.01, omega=0.37, phase=0.4)
             state = EpochState(epoch_index=2, threshold=0.0)
-        rows = per_sample_rows(model, X, y, "mse")
+        rows = per_sample_rows(model, X, y)
         before = model.params.copy()
         task = TaskSpec("regression", 1, 0.1, wrapper=cfg)
         _, mod = train_epoch(model, (X, y), task, state)
@@ -313,14 +311,13 @@ class TestTaskSpec:
                      wrapper=CrucialConfig(Variant.SIN, omega=-1e308, phase=-1e308))
         TaskSpec("regression", 3, 0.1, wrapper=CrucialConfig(Variant.ADP, omega=1e308))
 
-    @pytest.mark.parametrize("task,base_loss,n_outputs", [
-        ("regression", "mse", 1),
-        ("single_shot", "cross_entropy", 2),
-        ("continuous", "cross_entropy", 2),
+    @pytest.mark.parametrize("task,n_outputs", [
+        ("regression", 1),
+        ("single_shot", 2),
+        ("continuous", 2),
     ])
-    def test_task_derives_base_loss_and_outputs(self, task, base_loss, n_outputs):
-        spec = TaskSpec(task, 1, 0.1)
-        assert (spec.base_loss, spec.n_outputs) == (base_loss, n_outputs)
+    def test_task_derives_the_output_count(self, task, n_outputs):
+        assert TaskSpec(task, 1, 0.1).n_outputs == n_outputs
 
 
 class TestTrainLoop:
@@ -446,7 +443,7 @@ class TestEvaluate:
     def test_regression_reports_mse(self):
         ds = gen_sine_regression(32, 16, 0.1, SeededRng(2))
         model = make_model("linear", 8, 1, SeededRng(2))
-        m = evaluate(model, ds, TaskSpec("regression", 1, 0.1))
+        m = evaluate(model, ds)
         X, y = featurize(ds, model)
         manual = float(np.mean((model.forward(X)[:, 0] - y) ** 2))
         assert m == {"mse": pytest.approx(manual, rel=1e-14)}
@@ -454,7 +451,7 @@ class TestEvaluate:
     def test_binary_classification_reports_accuracy_and_auc(self):
         ds = gen_drift_classification(64, 16, 0.0, 0.0, SeededRng(2))
         model = make_model("linear", 8, 2, SeededRng(2))
-        m = evaluate(model, ds, TaskSpec("single_shot", 1, 0.1))
+        m = evaluate(model, ds)
         assert set(m) == {"accuracy", "auc"}
         assert 0.0 <= m["accuracy"] <= 1.0 and 0.0 <= m["auc"] <= 1.0
 
