@@ -16,8 +16,15 @@ import pytest
 
 from crucial.cli import main as cli_main
 from crucial.data import gen_drift_classification, gen_sine_regression, make_prefixes
-from crucial.loss import KAPPA_CAP, CrucialConfig, Variant, kappa_star, modulated_value
-from crucial.numerics import SeededRng, derive_seed, lambert_w0
+from crucial.loss import (
+    KAPPA_CAP,
+    CrucialConfig,
+    Variant,
+    kappa_and_value,
+    kappa_star,
+    modulated_value,
+)
+from crucial.numerics import SeededRng, derive_seed, lambert_w0, lambert_w0_array
 from crucial.properties import golden_section_min, run_suites
 from crucial.sampler import (
     LossPopulation,
@@ -74,13 +81,16 @@ def test_criterion_01_lambert_w_residual():
     w = np.array([lambert_w0(float(x)) for x in grid])
     elapsed = time.perf_counter() - t0
     worst = float(np.max(np.abs(w * np.exp(w) - grid)))
-    ok = worst <= 1e-12 and elapsed < 1.0
-    assert verdict(1, ok, f"max|w*e^w - x| = {worst:.3e} (tol 1e-12), "
-                          f"runtime {elapsed * 1e3:.1f} ms (limit 1000 ms)")
+    w_array = lambert_w0_array(grid)
+    worst_array = float(np.max(np.abs(w_array * np.exp(w_array) - grid)))
+    ok = worst <= 1e-12 and worst_array <= 1e-12 and elapsed < 1.0
+    assert verdict(1, ok, f"max|w*e^w - x| = {worst:.3e} scalar, {worst_array:.3e} array "
+                          f"(tol 1e-12), runtime {elapsed * 1e3:.1f} ms (limit 1000 ms)")
 
 
 def test_criterion_02_kappa_argmin_oracle():
     gen = SeededRng(2024).generator
+    triples, oracles = [], []
     worst = 0.0
     for _ in range(1000):
         l = float(gen.uniform(0.0, 2.0))
@@ -90,14 +100,22 @@ def test_criterion_02_kappa_argmin_oracle():
         oracle = golden_section_min(
             lambda k: modulated_value(l, eps, lam, k), 1e-9, math.e)
         worst = max(worst, abs(got - oracle))
-    exact_unit = kappa_star(0.8, 0.8, 0.01) == 1.0
+        triples.append((l, eps, lam))
+        oracles.append(oracle)
+    l, eps, lam = np.array(triples).T
+    worst_array = float(np.max(np.abs(kappa_and_value(l, eps, lam)[0] - oracles)))
     lam = 0.01
-    capped = kappa_star(1.0 - 2.0 * lam / math.e, 1.0, lam) == KAPPA_CAP
-    capped_below = kappa_star(0.2, 1.0, lam) == KAPPA_CAP
-    ok = worst <= 1e-6 and exact_unit and capped and capped_below
-    assert verdict(2, ok, f"max |kappa - oracle| = {worst:.3e} over 1000 triples "
-                          f"(tol 1e-6); unit-at-threshold exact: {exact_unit}; "
-                          f"cap==e at and below the boundary: {capped and capped_below}")
+    edge_losses = np.array([0.8, 1.0 - 2.0 * lam / math.e, 0.2])
+    edge_kappa = kappa_and_value(edge_losses, np.array([0.8, 1.0, 1.0]), lam)[0]
+    exact_unit = kappa_star(0.8, 0.8, lam) == 1.0 and edge_kappa[0] == 1.0
+    capped = (kappa_star(1.0 - 2.0 * lam / math.e, 1.0, lam) == KAPPA_CAP
+              and edge_kappa[1] == KAPPA_CAP)
+    capped_below = kappa_star(0.2, 1.0, lam) == KAPPA_CAP and edge_kappa[2] == KAPPA_CAP
+    ok = worst <= 1e-6 and worst_array <= 1e-6 and exact_unit and capped and capped_below
+    assert verdict(2, ok, f"max |kappa - oracle| = {worst:.3e} scalar, {worst_array:.3e} "
+                          f"array over 1000 triples (tol 1e-6); unit-at-threshold exact: "
+                          f"{exact_unit}; cap==e at and below the boundary: "
+                          f"{capped and capped_below}")
 
 
 def test_criterion_03_invariant_suites():

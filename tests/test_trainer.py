@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
+import reference
 from crucial.data import Dataset, gen_drift_classification, gen_sine_regression, make_prefixes
 from crucial.loss import CrucialConfig, EpochState, Variant
-from crucial.numerics import SeededRng
+from crucial.numerics import SeededRng, derive_seed
 from crucial.trainer import (
     TaskSpec,
     TrainingDiverged,
@@ -252,6 +253,45 @@ class TestBackward:
         expect = 0.1 * np.mean(mod.kappa[:, None] * rows, axis=0)
         step = before - model.params
         assert np.max(np.abs(step - expect)) <= 1e-12 * max(1.0, float(np.max(np.abs(expect))))
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestElmanInPlace:
+    # Odd n is where a strided and a contiguous gemv give different bits.
+    @pytest.mark.parametrize("n", [1, 7, 512, 599])
+    @pytest.mark.parametrize("T", [1, 16, 33, 64])
+    def test_same_bits_as_the_per_step_reference(self, n, T):
+        for hidden in (1, 4, 8):
+            for n_out in (1, 2):
+                rng = SeededRng(derive_seed(0, f"elman/{n}/{T}/{hidden}/{n_out}"))
+                model = make_model("elman_rnn", T, n_out, rng.derive("model"), hidden=hidden)
+                model.params[:] = rng.derive("params").generator.uniform(-1.0, 1.0, model.n_params)
+                gen = rng.derive("batch").generator
+                X = gen.standard_normal((n, T))
+                dout = gen.standard_normal((n, n_out))
+                out, cache = model.forward_with_cache(X)
+                ref_out, ref_cache = reference.elman_forward_with_cache(model, X)
+                case = f"hidden={hidden}, outputs={n_out}"
+                assert np.array_equal(bits(out), bits(ref_out)), case
+                assert np.array_equal(bits(cache[1]), bits(ref_cache[1])), case
+                assert np.array_equal(bits(model.backward(cache, dout)),
+                                      bits(reference.elman_backward(model, ref_cache, dout))), case
+
+    def test_backward_leaves_its_cache_untouched(self):
+        rng = SeededRng(53)
+        model = make_model("elman_rnn", 16, 2, rng.derive("model"), hidden=8)
+        gen = rng.derive("batch").generator
+        X = gen.standard_normal((33, 16))
+        dout = gen.standard_normal((33, 2))
+        _, cache = model.forward_with_cache(X)
+        before = [a.tobytes() for a in cache]
+        first = model.backward(cache, dout)
+        assert [a.tobytes() for a in cache] == before
+        assert np.array_equal(bits(model.backward(cache, dout)), bits(first))
+        assert [a.tobytes() for a in cache] == before
 
 
 class TestLayout:
