@@ -15,9 +15,11 @@ datasets and fills the transfer matrix R (R[i, j] = score on prefix j after
 stage i) from which backward and forward transfer are computed.
 
 Batch forward/backward is vectorized across samples.  The weight gradients
-reduce over samples by matrix products and the bias gradients by numpy row
-sums (``sum(axis=0)``, which adds the rows in sequence), so a given seed
-gives the same bits on the same machine and BLAS build.
+reduce over samples by matrix products and the bias gradients by
+``_column_sums``, which gives ``sum(axis=0)``'s bits: numpy adds the rows of
+a row-major array with two or more columns in sequence, and sums a single
+column pairwise.  So a given seed gives the same bits on the same machine,
+numpy and BLAS build.
 """
 
 from __future__ import annotations
@@ -71,6 +73,21 @@ DIVERGENCE_LIMIT = 1e6
 
 class TrainingDiverged(RuntimeError):
     """Raised when the mean raw loss exceeds the divergence guard."""
+
+
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=0) of a 2-D array, bit for bit, without one call per row.
+
+    When a has two or more columns and its rows lie farther apart in memory
+    than its columns (any row-major array), sum(axis=0) runs one inner-loop
+    call per row and adds the rows in sequence; einsum adds them in the same
+    sequence in one call (2.4 against 6.2 us at 512 x 2 on a 2-core VM).
+    Otherwise sum runs down each column and adds it pairwise, which einsum
+    does not.
+    """
+    if a.shape[1] > 1 and abs(a.strides[1]) < abs(a.strides[0]):
+        return np.einsum("ij->j", a)
+    return a.sum(axis=0)
 
 
 class Model:
@@ -167,7 +184,7 @@ class MLPModel(Model):
         grads = []
         delta = dout
         for layer in range(len(acts) - 1, -1, -1):
-            grads += [delta.sum(axis=0), acts[layer].T @ delta]
+            grads += [_column_sums(delta), acts[layer].T @ delta]
             if layer > 0:
                 delta = (delta @ blocks[2 * layer].T) * (1.0 - acts[layer] ** 2)
         return self._flatten(grads[::-1])
@@ -253,17 +270,17 @@ class ElmanRNN(Model):
         # (0.494 s against 0.440 s for the continual-plain bench workload on
         # a 2-core VM) and adds a (T, n, h) array of peak memory.  X[:, t]
         # stays a strided column: a contiguous copy of X.T gives gemv other
-        # last bits on odd n.  dpre.sum(axis=0) adds the rows in sequence; a
-        # reduce over a transposed copy adds them pairwise, with other bits.
+        # last bits on odd n.  _column_sums(dpre) keeps sum(axis=0)'s order; a
+        # reduce over a transposed copy adds the rows pairwise, with other bits.
         for t in range(T - 1, -1, -1):
             np.square(hs[t + 1], out=dpre)
             np.subtract(1.0, dpre, out=dpre)
             dpre *= dh
             g_xh += X[:, t] @ dpre
-            g_bh += dpre.sum(axis=0)
+            g_bh += _column_sums(dpre)
             g_hh += hs[t].T @ dpre
             np.matmul(dpre, w_hh.T, out=dh)
-        return self._flatten([g_xh, g_hh, g_bh, hs[T].T @ dout, dout.sum(axis=0)])
+        return self._flatten([g_xh, g_hh, g_bh, hs[T].T @ dout, _column_sums(dout)])
 
 
 _MODELS = {cls.kind: cls for cls in (LinearModel, MLPModel, ElmanRNN)}
@@ -357,7 +374,13 @@ def _losses_and_dout(model: Model, X: np.ndarray, y: np.ndarray):
         losses = r * r
         dout = (2.0 * r)[:, None]
     else:
-        z = out - np.max(out, axis=1, keepdims=True)
+        # The row max as np.maximum over the columns: np.max(axis=1) makes
+        # one call per row (15 us at n = 512).  Max does not round; a tie of
+        # -0.0 and 0.0 changes only the sign of a zero in z, which exp drops.
+        top = out[:, 0]
+        for column in out.T[1:]:
+            top = np.maximum(top, column)
+        z = out - top[:, None]
         ez = np.exp(z)
         p = ez / np.sum(ez, axis=1, keepdims=True)
         idx = np.arange(X.shape[0])

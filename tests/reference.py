@@ -37,3 +37,34 @@ def elman_backward(model, cache, dout: np.ndarray) -> np.ndarray:
         g_hh += hs[t].T @ dpre
         dh = dpre @ w_hh.T
     return model._flatten([g_xh, g_hh, g_bh, hs[T].T @ dout, dout.sum(axis=0)])
+
+
+def mlp_backward(model, cache, dout: np.ndarray) -> np.ndarray:
+    """MLPModel.backward (and so LinearModel's) with numpy's sum(axis=0)."""
+    blocks, acts = cache
+    grads = []
+    delta = dout
+    for layer in range(len(acts) - 1, -1, -1):
+        grads += [delta.sum(axis=0), acts[layer].T @ delta]
+        if layer > 0:
+            delta = (delta @ blocks[2 * layer].T) * (1.0 - acts[layer] ** 2)
+    return model._flatten(grads[::-1])
+
+
+def losses_and_dout(model, X: np.ndarray, y: np.ndarray):
+    """trainer._losses_and_dout with the softmax max taken by np.max."""
+    out, cache = model.forward_with_cache(X)
+    if model.n_outputs == 1:
+        r = out[:, 0] - y
+        losses = r * r
+        dout = (2.0 * r)[:, None]
+    else:
+        z = out - np.max(out, axis=1, keepdims=True)
+        ez = np.exp(z)
+        p = ez / np.sum(ez, axis=1, keepdims=True)
+        idx = np.arange(X.shape[0])
+        cls = y.astype(np.intp)
+        losses = -np.log(np.maximum(p[idx, cls], 1e-300))
+        dout = p
+        dout[idx, cls] -= 1.0
+    return losses, dout, cache

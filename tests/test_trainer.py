@@ -27,6 +27,7 @@ from crucial.trainer import (
     write_metrics_csv,
     write_transfer_json,
 )
+from crucial.trainer import _column_sums, _losses_and_dout
 
 
 def local_maxima(counts):
@@ -292,6 +293,90 @@ class TestElmanInPlace:
         assert [a.tobytes() for a in cache] == before
         assert np.array_equal(bits(model.backward(cache, dout)), bits(first))
         assert [a.tobytes() for a in cache] == before
+
+
+def _column_sum_values(gen, n, cols):
+    """(label, array) pairs: magnitudes 1e-13 to 1e13 of both signs, alone
+    and with -0.0, subnormals and infinities mixed in."""
+    wide = gen.choice([-1.0, 1.0], (n, cols)) * 10.0 ** gen.uniform(-13.0, 13.0, (n, cols))
+    specials = np.array([-0.0, 0.0, 5e-324, -2.5e-310, 1e-308, np.inf, -np.inf])
+    mixed = wide.copy()
+    mask = gen.random((n, cols)) < 0.2
+    mixed[mask] = gen.choice(specials, int(mask.sum()))
+    tiny = gen.choice(specials[:5], (n, cols)) * gen.integers(1, 4, (n, cols))
+    return [("wide", wide), ("specials", mixed), ("zeros_and_subnormals", tiny)]
+
+
+class TestColumnSums:
+    # Bias gradients go through _column_sums, and every output's last bits
+    # depend on it summing exactly as sum(axis=0) does.  Unlike the golden
+    # manifest this runs under every numpy version, so it names an einsum
+    # whose summation order has changed.
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 63, 512, 599, 4096])
+    @pytest.mark.parametrize("cols", [1, 2, 3, 8, 16])
+    def test_same_bits_as_sum_over_axis_0(self, n, cols):
+        gen = SeededRng(derive_seed(0, f"column-sums/{n}/{cols}")).generator
+        for label, values in _column_sum_values(gen, n, cols):
+            strided = np.empty((2 * n, 2 * cols))
+            strided[::2, ::2] = values
+            layouts = {
+                "contiguous": values,
+                "strided_view": strided[::2, ::2],
+                "column_major": np.asfortranarray(values),
+            }
+            for layout, a in layouts.items():
+                with np.errstate(invalid="ignore"):
+                    got, want = _column_sums(a), a.sum(axis=0)
+                assert np.array_equal(bits(got), bits(want)), f"{label}, {layout}"
+
+
+class _FixedLogits:
+    """Stands in for a model whose forward pass returns the given logits."""
+
+    def __init__(self, out):
+        self.out = out
+        self.n_outputs = out.shape[1]
+
+    def forward_with_cache(self, X):
+        return self.out.copy(), None
+
+
+class TestMlpAndCrossEntropyBits:
+    @pytest.mark.parametrize("n", [1, 7, 512, 599])
+    @pytest.mark.parametrize("hidden", [(), (8,), (4, 3)], ids=["linear", "h8", "h4_3"])
+    @pytest.mark.parametrize("n_out", [1, 2, 3])
+    def test_same_bits_as_the_reference(self, n, hidden, n_out):
+        kind = "mlp" if hidden else "linear"
+        rng = SeededRng(derive_seed(0, f"mlp/{n}/{hidden}/{n_out}"))
+        model = make_model(kind, 5, n_out, rng.derive("model"), hidden=hidden)
+        model.params[:] = rng.derive("params").generator.uniform(-2.0, 2.0, model.n_params)
+        gen = rng.derive("batch").generator
+        X = gen.standard_normal((n, 5))
+        y = gen.standard_normal(n) if n_out == 1 else gen.integers(0, n_out, n)
+        losses, dout, cache = _losses_and_dout(model, X, y)
+        ref_losses, ref_dout, ref_cache = reference.losses_and_dout(model, X, y)
+        assert np.array_equal(bits(losses), bits(ref_losses))
+        assert np.array_equal(bits(dout), bits(ref_dout))
+        assert np.array_equal(bits(model.backward(cache, dout)),
+                              bits(reference.mlp_backward(model, ref_cache, ref_dout)))
+
+    @pytest.mark.parametrize("rows", [
+        [[1.5, 1.5], [0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [1e300, -1e300],
+         [-1e300, 1e300], [-1e300, -1e300], [1e300, 1e300], [0.25, -3.0]],
+        [[2.0, 2.0, 1.0], [1.0, 2.0, 2.0], [-0.0, 0.0, -0.0], [0.0, -0.0, -1.0],
+         [1e300, -1e300, 1e300], [-1e300, -1e300, -1e300], [-1e300, 0.0, 1e300],
+         [3.0, 3.0, 3.0]],
+    ], ids=["two_outputs", "three_outputs"])
+    def test_ties_signed_zeros_and_huge_logits(self, rows):
+        out = np.array(rows)
+        n, k = out.shape
+        model = _FixedLogits(out)
+        X = np.zeros((n, 1))
+        for y in (np.zeros(n), np.arange(n) % k, np.full(n, k - 1)):
+            losses, dout, _ = _losses_and_dout(model, X, y)
+            ref_losses, ref_dout, _ = reference.losses_and_dout(model, X, y)
+            assert np.array_equal(bits(losses), bits(ref_losses))
+            assert np.array_equal(bits(dout), bits(ref_dout))
 
 
 class TestLayout:
