@@ -40,13 +40,7 @@ from .loss import (
 )
 from .numerics import SeededRng, derive_seed
 from .properties import SUITES, run_suites
-from .sampler import (
-    LossPopulation,
-    Ordering,
-    PopulationKind,
-    compare_conditions,
-    ordering_check,
-)
+from .sampler import LossPopulation, PopulationKind, analytic_expected_errors, compare_conditions
 from .trainer import (
     TaskSpec,
     TrainingDiverged,
@@ -278,13 +272,15 @@ def cmd_simulate(cfg: dict) -> int:
     if not (math.isfinite(tol) and tol > 0.0):
         raise ConfigError(f"key tolerance_se: must be finite and > 0, got {tol}")
     with _config_errors():
-        # the closed forms raise ValueError where E_U or E_P is not finite or E_U underflows
-        grid = [(pop, rate, ordering_check(pop, rate))
-                for pop in (LossPopulation(kind, cfg["mu"], sigma)
-                            for kind in kinds for sigma in sigmas)
-                for rate in rates]
+        # each point's closed forms, evaluated as it is built, raise ValueError
+        # where E_U or E_P is not finite or E_U underflows
+        grid = []
+        for pop in (LossPopulation(kind, cfg["mu"], sigma) for kind in kinds for sigma in sigmas):
+            for rate in rates:
+                analytic_expected_errors(pop, rate)
+                grid.append((pop, rate))
     names = {}  # each point's report file, to the point it was first given to
-    for pop, rate, _ in grid:
+    for pop, rate in grid:
         name = f"report_{pop.kind.value}_s{pop.sigma:g}_r{rate:g}.json"
         label = f"{pop.kind.value} sigma={pop.sigma!r} rate={rate!r}"
         if name in names:
@@ -297,24 +293,13 @@ def cmd_simulate(cfg: dict) -> int:
     with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8") as summary:
         summary.write("population sigma rate analytic_eu analytic_ep mc_eu mc_ep "
                       "se_eu se_ep ordering_analytic ordering_mc pass\n")
-        for (pop, rate, analytic_order), name in zip(grid, names):
+        for (pop, rate), name in zip(grid, names):
             kind, sigma = pop.kind.value, pop.sigma
             point = master.derive(f"grid/{kind}/{sigma!r}/{rate!r}")
             report = compare_conditions(pop, rate, n, point, workers=workers)
-            mc_order = (Ordering.INCONCLUSIVE if report.mc_eu == report.mc_ep else
-                        Ordering.U_BEATS_P if report.mc_eu < report.mc_ep else Ordering.P_BEATS_U)
-            eu_ok = abs(report.mc_eu - report.analytic_eu) <= tol * report.mc_eu_stderr
-            if pop.kind is PopulationKind.NORMAL:
-                ep_ok = abs(report.mc_ep - report.analytic_ep) <= tol * report.mc_ep_stderr
-                order_ok = analytic_order is Ordering.U_BEATS_P
-                point_pass = eu_ok and ep_ok and order_ok
-            else:
-                # The half-normal E_P closed form is a verbatim transcription
-                # under adjudication; it is reported and compared but never
-                # gates the exit code.
-                ep_ok = None
-                point_pass = eu_ok
-            all_pass = all_pass and point_pass
+            checks = report.checks(tol)
+            analytic_order, mc_order = report.analytic_order.value, report.mc_order.value
+            all_pass = all_pass and checks["passed"]
             payload = {
                 "population": {"kind": kind, "mu": pop.mu, "sigma": sigma},
                 "lambda": rate,
@@ -326,24 +311,20 @@ def cmd_simulate(cfg: dict) -> int:
                 "mc": {"e_u": report.mc_eu, "e_p": report.mc_ep},
                 "stderr": {"e_u": report.mc_eu_stderr, "e_p": report.mc_ep_stderr},
                 "ordering": {
-                    "analytic": analytic_order.value,
-                    "mc": mc_order.value,
-                    "agree": analytic_order.value == mc_order.value,
+                    "analytic": analytic_order,
+                    "mc": mc_order,
+                    "agree": analytic_order == mc_order,
                 },
                 "n": n,
                 "seed": report.seed,
-                "checks": {
-                    "eu_within_tol": eu_ok,
-                    "ep_within_tol": ep_ok,
-                    "passed": point_pass,
-                },
+                "checks": checks,
             }
             _write_json(os.path.join(out_dir, name), payload)
             summary.write(
                 f"{kind} {sigma:g} {rate:g} {_fmt(report.analytic_eu)} "
                 f"{_fmt(report.analytic_ep)} {_fmt(report.mc_eu)} {_fmt(report.mc_ep)} "
                 f"{_fmt(report.mc_eu_stderr)} {_fmt(report.mc_ep_stderr)} "
-                f"{analytic_order.value} {mc_order.value} {str(point_pass).lower()}\n"
+                f"{analytic_order} {mc_order} {str(checks['passed']).lower()}\n"
             )
 
     print(f"simulate: {len(grid)} grid points, all checks passed: {all_pass}")

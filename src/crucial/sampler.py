@@ -11,9 +11,8 @@ For normal and folded half-normal loss populations the module provides the
 closed-form expectations (transcribed verbatim, including the half-normal
 coefficients whose bookkeeping is suspect; the Monte Carlo estimator is the
 ground truth and any disagreement is reported, not hidden), a seeded Monte
-Carlo estimate with its standard error, an ordering check, and a toy
-population simulator showing the skewness cycle that alternating U/P
-selection induces.
+Carlo estimate with its standard error, and a toy population simulator
+showing the skewness cycle that alternating U/P selection induces.
 
 A grid point's Monte Carlo estimate is one stratified pass: one jittered
 uniform per equal-probability stratum, inverted through the population's
@@ -52,7 +51,6 @@ __all__ = [
     "compare_conditions",
     "distribution_cycle_sim",
     "mc_expected_errors",
-    "ordering_check",
 ]
 
 
@@ -170,6 +168,15 @@ class Ordering(str, Enum):
     INCONCLUSIVE = "inconclusive"
 
 
+def _order(e_u: float, e_p: float, rel: float) -> Ordering:
+    """Which condition's expected error is lower; inconclusive where the two
+    are equal or within rel relative.  At rel 0.0 only equal values tie, inf
+    and NaN included, since abs(d) < 0 * x never holds."""
+    if e_u == e_p or abs(e_u - e_p) < rel * max(abs(e_u), abs(e_p), 1e-300):
+        return Ordering.INCONCLUSIVE
+    return Ordering.U_BEATS_P if e_u < e_p else Ordering.P_BEATS_U
+
+
 @dataclass
 class ErrorReport:
     """Analytic and Monte Carlo expected squared errors for one population.
@@ -177,8 +184,8 @@ class ErrorReport:
     Analytic values are deterministic closed forms; mc values are both
     conditions' estimates and standard errors, from one pass of n_samples
     draws that the two conditions share.
-    diamond is the erfc-based correction term of the half-normal closed
-    form (None for normal populations).
+    diamond is the half-normal's tilted mean shift: the tilted population's
+    mean is mu - rate*sigma^2 + diamond (None for normal populations).
     """
 
     population: LossPopulation
@@ -192,6 +199,31 @@ class ErrorReport:
     mc_ep_stderr: float
     n_samples: int
     seed: int
+
+    @property
+    def analytic_order(self) -> Ordering:
+        """The closed forms' ordering, inconclusive within 1e-12 relative."""
+        return _order(self.analytic_eu, self.analytic_ep, 1e-12)
+
+    @property
+    def mc_order(self) -> Ordering:
+        """The Monte Carlo ordering, inconclusive only on equal estimates."""
+        return _order(self.mc_eu, self.mc_ep, 0.0)
+
+    def checks(self, tol: float) -> dict:
+        """The point's gate: each estimate within tol standard errors of its
+        closed form, and for a normal the closed forms ordered U_BEATS_P.
+
+        The half-normal E_P closed form is a verbatim transcription under
+        adjudication; it is reported and compared but never gates, so there
+        ep_within_tol is None and the point passes on E_U alone.
+        """
+        eu_ok = abs(self.mc_eu - self.analytic_eu) <= tol * self.mc_eu_stderr
+        if self.population.kind is PopulationKind.HALF_NORMAL:
+            return {"eu_within_tol": eu_ok, "ep_within_tol": None, "passed": eu_ok}
+        ep_ok = abs(self.mc_ep - self.analytic_ep) <= tol * self.mc_ep_stderr
+        return {"eu_within_tol": eu_ok, "ep_within_tol": ep_ok,
+                "passed": eu_ok and ep_ok and self.analytic_order is Ordering.U_BEATS_P}
 
 
 def analytic_expected_errors(pop: LossPopulation, rate: float):
@@ -244,17 +276,6 @@ def analytic_expected_errors(pop: LossPopulation, rate: float):
         raise ValueError(f"analytic_expected_errors: E_U or E_P is not finite, or E_U is not "
                          f"a positive normal float, at sigma={s!r}, rate={rate!r}")
     return e_u, e_p, diamond
-
-
-def ordering_check(pop: LossPopulation, rate: float) -> Ordering:
-    """Which condition's analytic expected error is lower.
-
-    Inconclusive when the two sides agree to within 1e-12 relative.
-    """
-    e_u, e_p, _ = analytic_expected_errors(pop, rate)
-    if abs(e_u - e_p) < 1e-12 * max(abs(e_u), abs(e_p), 1e-300):
-        return Ordering.INCONCLUSIVE
-    return Ordering.U_BEATS_P if e_u < e_p else Ordering.P_BEATS_U
 
 
 # MC draws are split into this many fixed chunks with independent derived

@@ -1,10 +1,13 @@
 """Reference implementations the library's fast paths must match bit for bit.
 
 Each function here is an earlier, plainer form of a library kernel, kept so a
-test can compare the kernel against it with ``view(np.uint64)``.
+test can compare the kernel against it with ``view(np.uint64)``, or, for the
+two orderings, value for value.
 """
 
 import numpy as np
+
+from crucial.sampler import Ordering
 
 
 def elman_forward_with_cache(model, X: np.ndarray):
@@ -68,3 +71,18 @@ def losses_and_dout(model, X: np.ndarray, y: np.ndarray):
         dout = p
         dout[idx, cls] -= 1.0
     return losses, dout, cache
+
+
+def analytic_ordering(e_u: float, e_p: float) -> Ordering:
+    """The closed forms' ordering as the sampler wrote it inline: inconclusive
+    within 1e-12 relative (finite inputs)."""
+    if abs(e_u - e_p) < 1e-12 * max(abs(e_u), abs(e_p), 1e-300):
+        return Ordering.INCONCLUSIVE
+    return Ordering.U_BEATS_P if e_u < e_p else Ordering.P_BEATS_U
+
+
+def mc_ordering(e_u: float, e_p: float) -> Ordering:
+    """The Monte Carlo ordering as simulate wrote it: inconclusive only on
+    equal estimates."""
+    return (Ordering.INCONCLUSIVE if e_u == e_p else
+            Ordering.U_BEATS_P if e_u < e_p else Ordering.P_BEATS_U)

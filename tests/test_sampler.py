@@ -11,6 +11,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erfcx, log_ndtr, ndtr, ndtri, ndtri_exp
 
+import reference
 from crucial import sampler
 from crucial.cli import main
 from crucial.numerics import SeededRng
@@ -25,7 +26,6 @@ from crucial.sampler import (
     compare_conditions,
     distribution_cycle_sim,
     mc_expected_errors,
-    ordering_check,
 )
 
 
@@ -263,11 +263,12 @@ class TestAnalytic:
         for sigma in (0.1, 0.5, 1.0, 2.0):
             for rate in (0.5, 1.0, 2.0):
                 pop = LossPopulation(PopulationKind.NORMAL, mu=0.0, sigma=sigma)
-                assert ordering_check(pop, rate) is Ordering.U_BEATS_P
+                assert (compare_conditions(pop, rate, 2, SeededRng(0)).analytic_order
+                        is Ordering.U_BEATS_P)
 
     def test_ordering_half_normal_transcribed_direction(self):
         pop = LossPopulation(PopulationKind.HALF_NORMAL, mu=0.0, sigma=0.5)
-        assert ordering_check(pop, 1.0) is Ordering.U_BEATS_P
+        assert compare_conditions(pop, 1.0, 2, SeededRng(0)).analytic_order is Ordering.U_BEATS_P
 
     def test_rate_validation(self):
         pop = LossPopulation(PopulationKind.NORMAL, mu=0.0, sigma=1.0)
@@ -277,6 +278,93 @@ class TestAnalytic:
             SelectionCondition(SelectionMode.EXPONENTIAL, rate=-1.0)
         with pytest.raises(ValueError):
             SelectionCondition(SelectionMode.UNIFORM, rate=0.0)
+
+
+def hand_report(kind=PopulationKind.NORMAL, analytic=(1.0, 2.0), mc=(1.0, 2.0),
+                se=(1e-3, 1e-3)) -> ErrorReport:
+    """A report built by hand, with no draw: closed forms, estimates and SEs."""
+    pop = LossPopulation(kind, mu=0.0, sigma=1.0)
+    return ErrorReport(pop, 1.0, analytic[0], analytic[1], None, mc[0], se[0], mc[1], se[1],
+                       2, 0)
+
+
+class TestChecks:
+    """ErrorReport.checks(tol), the one gate of simulate, on hand-built reports."""
+
+    def test_normal_point_within_tol_passes(self):
+        rep = hand_report(mc=(1.002, 1.997), se=(1e-3, 2e-3))
+        assert rep.checks(3.0) == {"eu_within_tol": True, "ep_within_tol": True,
+                                   "passed": True}
+
+    def test_normal_ep_outside_tol_fails(self):
+        rep = hand_report(mc=(1.0, 2.1), se=(1e-3, 2e-3))
+        assert rep.checks(3.0) == {"eu_within_tol": True, "ep_within_tol": False,
+                                   "passed": False}
+
+    def test_tied_closed_forms_fail_with_both_estimates_within_tol(self):
+        # simulate --sigmas 1e-100: rate^2 sigma^4 vanishes against sigma^2, so
+        # the closed forms tie and the normal gate, which asks for u_beats_p, fails.
+        e_u, e_p, _ = analytic_expected_errors(
+            LossPopulation(PopulationKind.NORMAL, 0.0, 1e-100), 1.0)
+        rep = hand_report(analytic=(e_u, e_p), mc=(e_u, e_p), se=(1e-202, 1e-202))
+        assert rep.analytic_order is Ordering.INCONCLUSIVE
+        assert rep.checks(3.0) == {"eu_within_tol": True, "ep_within_tol": True,
+                                   "passed": False}
+
+    def test_zero_stderr_passes_only_an_exact_match(self):
+        # simulate --sigmas 1e40 gives se_ep exactly 0.0 and an estimate one ulp
+        # off its closed form, so it exits 1.  This pins that rule; whether a
+        # zero SE should get an ulp of slack is left open (ROADMAP item 11).
+        e_p = 1.0000000000000002e160
+        assert hand_report(analytic=(1.0, e_p), mc=(1.0, e_p), se=(0.0, 0.0)).checks(3.0)["passed"]
+        off = hand_report(analytic=(1.0, e_p), mc=(1.0, math.nextafter(e_p, 0.0)), se=(0.0, 0.0))
+        assert off.checks(3.0) == {"eu_within_tol": True, "ep_within_tol": False,
+                                   "passed": False}
+
+    def test_nan_stderr_is_not_within_tol(self):
+        rep = hand_report(se=(math.nan, 1e-3))
+        assert rep.checks(3.0) == {"eu_within_tol": False, "ep_within_tol": True,
+                                   "passed": False}
+
+    def test_half_normal_ep_never_gates(self):
+        rep = hand_report(PopulationKind.HALF_NORMAL, analytic=(0.09, 0.12), mc=(0.09, 0.07))
+        assert rep.checks(3.0) == {"eu_within_tol": True, "ep_within_tol": None,
+                                   "passed": True}
+        off = hand_report(PopulationKind.HALF_NORMAL, analytic=(0.09, 0.12), mc=(0.1, 0.12))
+        assert off.checks(3.0)["passed"] is False
+
+
+def order_pairs(extra=()):
+    """(e_u, e_p) pairs: every pair of edge values, both ways round, and gaps
+    just under, at and over 1e-12 relative at magnitudes up to 1e300 (at
+    subnormal magnitudes 1e-12 of the 1e-300 floor, which a gap can equal)."""
+    values = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 0.5,
+              1.0, -1.0, 3.0, 1e160, 1e300, -1e300, *extra]
+    pairs = list(itertools.product(values, repeat=2))
+    for x in (0.0, 5e-324, 1e-310, 1e-300, 1e-12, 1.0, 3.0, 1e160, 1e300, -1.0, -1e300):
+        gap = 1e-12 * max(abs(x), 1e-300)
+        for g in (math.nextafter(gap, 0.0), gap, math.nextafter(gap, math.inf)):
+            pairs += [(x, x + g), (x + g, x), (x, x - g), (x - g, x)]
+        pairs += [(x, math.nextafter(x, math.inf)), (x, math.nextafter(x, -math.inf))]
+    return pairs
+
+
+class TestOrderRule:
+    """sampler._order with rel 1e-12 is the closed forms' old rule and with
+    rel 0.0 the Monte Carlo one, value for value."""
+
+    def test_rel_1e_12_is_the_analytic_rule(self):
+        for e_u, e_p in order_pairs():
+            assert sampler._order(e_u, e_p, 1e-12) is reference.analytic_ordering(e_u, e_p), (
+                e_u, e_p)
+
+    def test_rel_0_is_the_mc_rule(self):
+        for e_u, e_p in order_pairs(extra=(math.inf, -math.inf, math.nan)):
+            assert sampler._order(e_u, e_p, 0.0) is reference.mc_ordering(e_u, e_p), (e_u, e_p)
+
+    def test_grid_meets_every_outcome(self):
+        analytic = {reference.analytic_ordering(*p) for p in order_pairs()}
+        assert analytic == set(Ordering)
 
 
 class TestFarTail:
