@@ -10,6 +10,8 @@ and forward transfer.
 import math
 from statistics import median
 
+import numpy as np
+
 from crucial.data import gen_drift_classification, gen_sine_regression, make_prefixes
 from crucial.loss import CrucialConfig, Variant
 from crucial.numerics import SeededRng, derive_seed
@@ -39,8 +41,8 @@ for i in range(3):
     ):
         model = make_model("linear", 16, 1, rng.derive("model"))
         task = TaskSpec("regression", 400, 0.1, wrapper=wrapper)
-        res = train_model(model, train, task)
-        mses[name] = evaluate(res.model, test)["mse"]
+        train_model(model, train, task)
+        mses[name] = evaluate(model, test)["mse"]
     print(f"  seed {i}: plain {mses['plain']:.5f}  adaptive {mses['adaptive']:.5f}  "
           f"cycled {mses['cycled']:.5f}")
     ratios["adaptive"].append(mses["adaptive"] / mses["plain"])
@@ -56,9 +58,10 @@ train = gen_sine_regression(512, 64, 0.2, rng.derive("data/train"))
 model = make_model("linear", 16, 1, rng.derive("model"))
 task = TaskSpec("regression", 40, 0.15,
                 wrapper=CrucialConfig(Variant.ADP, lam=0.001))
-res = train_model(model, train, task)
+counts = []
+train_model(model, train, task, on_epoch=lambda epoch, mod: counts.append(
+    int(np.count_nonzero(mod.selected & (mod.kappa >= 1.0)))))
 print("confident-set size per epoch (of 512 samples):")
-counts = res.kappa_ge1_counts
 for row in range(0, 40, 10):
     print("  " + " ".join(f"{c:4d}" for c in counts[row:row + 10]))
 print()

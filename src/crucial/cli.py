@@ -408,14 +408,14 @@ def _train_one(cfg: dict, csv_set, run_seed: int, run_id: str, out_dir: str) -> 
         ids = train_ds.ids
         with LossTraceWriter(os.path.join(out_dir, f"loss_trace_{run_id}.csv"),
                              task.epochs * ids.size) as trace:
-            result = train_model(model, train_ds, task, on_epoch=lambda epoch, mod:
-                                 trace.append(np.full(ids.size, epoch), ids, mod))
-        for epoch, (mean_loss, k_count) in enumerate(
-            zip(result.epoch_mean_losses, result.kappa_ge1_counts)
-        ):
-            rows += [(epoch, "train", "mean_raw_loss", mean_loss),
-                     (epoch, "train", "kappa_ge1_count", k_count)]
-        final_metrics = evaluate(result.model, test_ds)
+            def on_epoch(epoch, mod):
+                trace.append(np.full(ids.size, epoch), ids, mod)
+                rows.extend([
+                    (epoch, "train", "mean_raw_loss", float(np.mean(mod.input_loss))),
+                    (epoch, "train", "kappa_ge1_count",
+                     int(np.count_nonzero(mod.selected & (mod.kappa >= 1.0))))])
+            train_model(model, train_ds, task, on_epoch=on_epoch)
+        final_metrics = evaluate(model, test_ds)
         last, split = task.epochs - 1, "test"
     rows += [(last, split, name, value) for name, value in final_metrics.items()]
     write_metrics_csv(os.path.join(out_dir, f"metrics_{run_id}.csv"),

@@ -51,7 +51,6 @@ __all__ = [
     "MLPModel",
     "Model",
     "TaskSpec",
-    "TrainResult",
     "TrainingDiverged",
     "TransferMatrix",
     "auc_roc",
@@ -412,8 +411,9 @@ def _guard(losses: np.ndarray, when: str) -> None:
             f"mean loss {mean_loss:.3e} beyond guard {DIVERGENCE_LIMIT:.0e} {when}")
 
 
-def train_epoch(model: Model, data, task: TaskSpec, state: EpochState):
-    """One full-batch epoch; returns (model, the epoch's ModulatedLoss record).
+def train_epoch(model: Model, data, task: TaskSpec, state: EpochState) -> ModulatedLoss:
+    """One full-batch epoch, in place on model.params; returns the epoch's
+    ModulatedLoss record (input_loss: the raw losses before the step).
 
     data is the (X, y) pair from featurize.  The step is one backward pass
     with each sample's dl/dout row scaled by kappa_i / n, i.e. the mean of
@@ -430,7 +430,7 @@ def train_epoch(model: Model, data, task: TaskSpec, state: EpochState):
     with np.errstate(over="ignore", invalid="ignore"):
         grad = model.backward(cache, dout * (mod.kappa / X.shape[0])[:, None])
         model.params -= task.learning_rate * grad
-    return model, mod
+    return mod
 
 
 def _advance_state(state: EpochState, raw_losses: np.ndarray, task: TaskSpec) -> EpochState:
@@ -440,41 +440,24 @@ def _advance_state(state: EpochState, raw_losses: np.ndarray, task: TaskSpec) ->
     return EpochState(epoch_index=nxt, threshold=0.0)
 
 
-@dataclass
-class TrainResult:
-    """Outcome of train_model: final model plus per-epoch diagnostics.
-
-    kappa_ge1_counts are the confident-set sizes (selected samples with
-    kappa >= 1).
-    """
-
-    model: Model
-    epoch_mean_losses: list[float]
-    kappa_ge1_counts: list[int]
-
-
 def train_model(model: Model, dataset: Dataset, task: TaskSpec, *,
-                on_epoch: Callable[[int, ModulatedLoss], None] | None = None) -> TrainResult:
-    """Train for task.epochs full-batch epochs on one dataset (featurized once),
-    starting from initial_epoch_state(); the trained model's mean raw loss
-    must pass the divergence guard too.  on_epoch, when given, is called as
-    on_epoch(epoch, record) after each epoch with that epoch's ModulatedLoss
-    record, which is how a loss trace is streamed while training."""
+                on_epoch: Callable[[int, ModulatedLoss], None] | None = None) -> None:
+    """Train model in place for task.epochs full-batch epochs on one dataset
+    (featurized once) from initial_epoch_state(); returns None.  The trained
+    model's mean raw loss must pass the divergence guard too.  on_epoch, when
+    given, is the only view of an epoch: on_epoch(epoch, record) after each
+    step, with the record train_epoch returned (an epoch that diverges raises
+    first, and the final guard makes no call)."""
     data = featurize(dataset, model)
     state = initial_epoch_state()
-    mean_losses: list[float] = []
-    counts: list[int] = []
     for epoch in range(task.epochs):
         if epoch:
             state = _advance_state(state, mod.input_loss, task)
-        model, mod = train_epoch(model, data, task, state)
-        mean_losses.append(float(np.mean(mod.input_loss)))
-        counts.append(int(np.count_nonzero(mod.selected & (mod.kappa >= 1.0))))
+        mod = train_epoch(model, data, task, state)
         if on_epoch is not None:
             on_epoch(epoch, mod)
     with np.errstate(over="ignore", invalid="ignore"):
         _guard(_losses_and_dout(model, *data)[0], f"after epoch {task.epochs - 1}")
-    return TrainResult(model=model, epoch_mean_losses=mean_losses, kappa_ge1_counts=counts)
 
 
 def auc_roc(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -575,9 +558,10 @@ def run_continuous(model: Model, prefixes: list[Dataset], task: TaskSpec,
     make_prefixes returns them.  After each stage the model is scored on
     every prefix (row i of R).  The untrained baseline row comes from a
     fresh model drawn with one extra derived seed, recorded on the result.
-    Each stage is one train_model call, so it starts from
-    initial_epoch_state(): the adaptive threshold and the cycle's epoch
-    index restart at every stage.
+    Each stage is one train_model call, which updates model in place and
+    starts from initial_epoch_state(): the adaptive threshold and the
+    cycle's epoch index restart at every stage.  Returns the filled
+    TransferMatrix; model ends as the last stage left it.
     """
     if not prefixes:
         raise ValueError("run_continuous: no prefixes")
@@ -590,7 +574,7 @@ def run_continuous(model: Model, prefixes: list[Dataset], task: TaskSpec,
     baseline = np.array([_continuous_score(fresh, p) for p in prefixes])
     R = np.zeros((k, k))
     for i, prefix in enumerate(prefixes):
-        model = train_model(model, prefix, task).model
+        train_model(model, prefix, task)
         for j, other in enumerate(prefixes):
             R[i, j] = _continuous_score(model, other)
     return TransferMatrix(R=R, baseline=baseline, baseline_seed=baseline_rng.seed)

@@ -367,13 +367,35 @@ class TestTrain:
         assert agg.startswith("metric_name,median,mean,min,max\nmse,")
         capsys.readouterr()
 
-    def test_wrapped_run_logs_confident_set_sizes(self, tmp_path, capsys):
+    @pytest.mark.parametrize("wrapper", ["none", "adp", "sin"])
+    def test_wrapped_run_logs_confident_set_sizes(self, tmp_path, capsys, monkeypatch, wrapper):
+        # Each epoch's train rows are its record's mean raw loss and its
+        # confident-set size (selected samples with kappa >= 1), in order.
+        expected = []
+        train_model = cli.train_model
+
+        def spying_train_model(*args, on_epoch, **kwargs):
+            def spy(epoch, mod):
+                on_epoch(epoch, mod)
+                confident = np.count_nonzero(mod.selected & (mod.kappa >= 1.0))
+                expected.extend([
+                    ["run0", "7", str(epoch), "train", "mean_raw_loss",
+                     repr(float(np.mean(mod.input_loss)))],
+                    ["run0", "7", str(epoch), "train", "kappa_ge1_count",
+                     repr(float(confident))]])
+            return train_model(*args, on_epoch=spy, **kwargs)
+
+        monkeypatch.setattr(cli, "train_model", spying_train_model)
         out = tmp_path / "out"
-        assert run("train", "--output-dir", str(out), "--wrapper", "adp",
+        assert run("train", "--output-dir", str(out), "--wrapper", wrapper, "--seed", "7",
                    *self.FAST) == 0
-        metrics = (out / "metrics_run0.csv").read_text(encoding="utf-8")
-        assert "kappa_ge1_count" in metrics
         capsys.readouterr()
+        with open(out / "metrics_run0.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["run_id", "seed", "epoch", "split", "metric_name", "value"]
+        assert len(expected) == 2 * 5
+        assert rows[1:1 + len(expected)] == expected
+        assert [row[2:5] for row in rows[1 + len(expected):]] == [["4", "test", "mse"]]
 
     def test_seed_sweep_aggregates_medians(self, tmp_path, capsys):
         out = tmp_path / "out"

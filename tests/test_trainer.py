@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import reference
+from crucial import trainer
 from crucial.data import Dataset, gen_drift_classification, gen_sine_regression, make_prefixes
 from crucial.loss import CrucialConfig, EpochState, Variant
 from crucial.numerics import SeededRng, derive_seed
@@ -244,7 +245,7 @@ class TestBackward:
         rows = per_sample_rows(model, X, y)
         before = model.params.copy()
         task = TaskSpec("regression", 1, 0.1, wrapper=cfg)
-        _, mod = train_epoch(model, (X, y), task, state)
+        mod = train_epoch(model, (X, y), task, state)
         if variant is Variant.SIN:
             gated = ~mod.selected
             assert 0 < np.count_nonzero(gated) < 16
@@ -445,6 +446,21 @@ class TestTaskSpec:
         assert TaskSpec(task, 1, 0.1).n_outputs == n_outputs
 
 
+def train_collecting(model, ds, task):
+    """Run train_model with an on_epoch collector; returns [(epoch, record)]."""
+    seen = []
+    train_model(model, ds, task, on_epoch=lambda epoch, mod: seen.append((epoch, mod)))
+    return seen
+
+
+def mean_raw_losses(seen):
+    return [float(np.mean(mod.input_loss)) for _, mod in seen]
+
+
+def confident_counts(seen):
+    return [int(np.count_nonzero(mod.selected & (mod.kappa >= 1.0))) for _, mod in seen]
+
+
 class TestTrainLoop:
     def _sine_setup(self, master=0):
         rng = SeededRng(master)
@@ -455,10 +471,10 @@ class TestTrainLoop:
     def test_loss_decreases_on_regression(self):
         ds, model = self._sine_setup()
         task = TaskSpec("regression", 60, 0.1)
-        res = train_model(model, ds, task)
-        assert res.epoch_mean_losses[-1] < 0.5 * res.epoch_mean_losses[0]
-        assert len(res.epoch_mean_losses) == 60
-        assert len(res.kappa_ge1_counts) == 60
+        seen = train_collecting(model, ds, task)
+        losses = mean_raw_losses(seen)
+        assert losses[-1] < 0.5 * losses[0]
+        assert len(losses) == 60
 
     def test_inactive_wrapper_is_bit_exact_neutral(self):
         # a confidence curvature so large that every factor is exactly 1.0
@@ -469,15 +485,15 @@ class TestTrainLoop:
         plain = TaskSpec("regression", 40, 0.1)
         inert = TaskSpec("regression", 40, 0.1,
                          wrapper=CrucialConfig(Variant.BASELINE, lam=1e300, threshold=0.0))
-        res_a = train_model(model_a, ds, plain)
-        res_b = train_model(model_b, ds, inert)
-        assert np.array_equal(res_a.model.params, res_b.model.params)
-        assert res_a.epoch_mean_losses == res_b.epoch_mean_losses
+        seen_a = train_collecting(model_a, ds, plain)
+        seen_b = train_collecting(model_b, ds, inert)
+        assert np.array_equal(model_a.params, model_b.params)
+        assert mean_raw_losses(seen_a) == mean_raw_losses(seen_b)
 
     def test_unwrapped_counts_report_whole_batch(self):
         ds, model = self._sine_setup()
-        res = train_model(model, ds, TaskSpec("regression", 3, 0.05))
-        assert res.kappa_ge1_counts == [64, 64, 64]
+        seen = train_collecting(model, ds, TaskSpec("regression", 3, 0.05))
+        assert confident_counts(seen) == [64, 64, 64]
 
     def test_divergence_guard_trips(self):
         ds, model = self._sine_setup()
@@ -495,10 +511,10 @@ class TestTrainLoop:
         _, model_b = self._sine_setup(3)
         task = TaskSpec("regression", 20, 0.1,
                         wrapper=CrucialConfig(Variant.ADP, lam=0.01))
-        res_a = train_model(model_a, ds, task)
-        res_b = train_model(model_b, ds, task)
-        assert res_a.epoch_mean_losses == res_b.epoch_mean_losses
-        assert np.array_equal(res_a.model.params, res_b.model.params)
+        seen_a = train_collecting(model_a, ds, task)
+        seen_b = train_collecting(model_b, ds, task)
+        assert mean_raw_losses(seen_a) == mean_raw_losses(seen_b)
+        assert np.array_equal(model_a.params, model_b.params)
 
     def test_adaptive_selection_count_cycles_on_classification(self):
         # the adaptive threshold tracks skewness, so the confident-set size
@@ -509,10 +525,76 @@ class TestTrainLoop:
         model = make_model("mlp", 16, 2, rng.derive("model"), hidden=(8,))
         task = TaskSpec("single_shot", 40, 1.0,
                         wrapper=CrucialConfig(Variant.ADP, lam=0.001))
-        res = train_model(model, ds, task)
-        counts = res.kappa_ge1_counts
+        counts = confident_counts(train_collecting(model, ds, task))
         assert len(set(counts)) > 1
         assert local_maxima(counts) >= 3
+
+
+class TestOnEpoch:
+    """on_epoch is the only view of an epoch: when it is called and with what."""
+
+    def _setup(self, master=5):
+        rng = SeededRng(master)
+        ds = gen_sine_regression(48, 24, 0.1, rng.derive("data"))
+        return ds, make_model("mlp", 8, 1, rng.derive("model"), hidden=(4,))
+
+    def test_one_call_per_epoch_in_order_with_train_epochs_record(self, monkeypatch):
+        returned = []
+
+        def spying_train_epoch(*args):
+            record = train_epoch(*args)
+            returned.append(record)
+            return record
+
+        monkeypatch.setattr(trainer, "train_epoch", spying_train_epoch)
+        ds, model = self._setup()
+        task = TaskSpec("regression", 7, 0.1, wrapper=CrucialConfig(Variant.ADP, lam=0.01))
+        seen = train_collecting(model, ds, task)
+        assert [epoch for epoch, _ in seen] == list(range(7))
+        assert len(returned) == 7
+        assert all(mod is record for (_, mod), record in zip(seen, returned))
+
+    @pytest.mark.parametrize("wrapper", [
+        None,
+        CrucialConfig(Variant.ADP, lam=0.01),
+        CrucialConfig(Variant.SIN, lam=0.01, omega=0.7),
+    ])
+    def test_input_loss_is_the_loss_before_the_step(self, wrapper):
+        ds, model = self._setup()
+        before = [model.params.copy()]
+        seen = []
+
+        def on_epoch(epoch, mod):
+            seen.append(mod)
+            before.append(model.params.copy())
+
+        train_model(model, ds, TaskSpec("regression", 5, 0.2, wrapper=wrapper),
+                    on_epoch=on_epoch)
+        assert len(seen) == 5
+        X, y = featurize(ds, model)
+        for params, mod in zip(before, seen):
+            model.params = params
+            assert np.array_equal(mod.input_loss, forward_backward(model, X, y)[0])
+        # each epoch stepped, so consecutive records differ
+        assert not np.array_equal(seen[0].input_loss, seen[-1].input_loss)
+
+    def test_the_final_guard_makes_no_call(self):
+        ds, model = self._setup()
+        seen = []
+        with pytest.raises(TrainingDiverged, match="after epoch 0"):
+            train_model(model, ds, TaskSpec("regression", 1, 1e305),
+                        on_epoch=lambda epoch, mod: seen.append(epoch))
+        assert seen == [0]
+
+    def test_a_diverging_epoch_is_not_seen(self):
+        ds, model = self._setup()
+        seen = []
+        with pytest.raises(TrainingDiverged, match=r"at epoch \d+") as info:
+            train_model(model, ds, TaskSpec("regression", 200, 50.0),
+                        on_epoch=lambda epoch, mod: seen.append(epoch))
+        t = int(str(info.value).rsplit(" ", 1)[-1])
+        assert t >= 1
+        assert seen == list(range(t))
 
 
 def loop_midrank_auc(scores, labels):
