@@ -34,7 +34,6 @@ from .loss import (
     CrucialConfig,
     LossTraceWriter,
     Variant,
-    initial_epoch_state,
     modulate_epoch,
     write_loss_trace,
 )
@@ -487,7 +486,7 @@ def cmd_trace_loss(cfg: dict) -> int:
                           f"(easy_start={cfg['easy_start']}, hard_start={cfg['hard_start']}, "
                           f"decay={cfg['decay']})")
     with np.errstate(all="ignore"):
-        record = modulate_epoch(losses, initial_epoch_state(), wrapper)
+        record = modulate_epoch(losses, wrapper)
     if not np.isfinite(record.value).all():
         raise ConfigError(f"a weighted loss leaves the float range (threshold={cfg['threshold']}, "
                           f"easy_start={cfg['easy_start']}, hard_start={cfg['hard_start']})")

@@ -12,11 +12,11 @@ Weinzaepfel & Revaud, NeurIPS 2020).  Samples with loss above the threshold
 get kappa < 1 (down-weighted, "not yet trustworthy"), samples below get
 kappa > 1 up to a hard cap of e.
 
-Two schedules move the threshold:
+Two schedules move the threshold, and modulate_epoch applies both:
 
 * the skewness-adaptive variant re-centers each epoch at
-  skewness * mean of the previous epoch's losses, so the emphasis flips as
-  the loss population's shape changes;
+  skewness * mean of the previous epoch's raw losses (0 in a first epoch),
+  so the emphasis flips as the loss population's shape changes;
 * the sinusoidally cycled variant sweeps a factor F = sin^2(omega*t + phase)
   through [0, 1], gating out easy samples when F is high and relaxing to a
   plain centered loss when F returns to 0.
@@ -54,14 +54,12 @@ __all__ = [
     "KAPPA_CAP",
     "CAP_BETA",
     "CrucialConfig",
-    "EpochState",
     "LossTraceWriter",
     "ModulatedLoss",
     "Variant",
     "advance_epoch_adp",
     "crucial_adp",
     "crucial_sin",
-    "initial_epoch_state",
     "kappa_and_value",
     "kappa_star",
     "modulate_epoch",
@@ -156,18 +154,6 @@ class ModulatedLoss:
     selected: np.ndarray
 
 
-@dataclass(frozen=True)
-class EpochState:
-    """Threshold state carried between epochs.
-
-    threshold is the adaptive eps used for every sample of epoch
-    epoch_index (0 for the other variants).
-    """
-
-    epoch_index: int
-    threshold: float
-
-
 def kappa_star(loss: float, threshold: float, lam: float) -> float:
     """Closed-form confidence weight minimizing the shared loss shell.
 
@@ -194,25 +180,17 @@ def modulated_value(loss: float, threshold: float, lam: float, kappa: float) -> 
     return kappa * (loss - threshold) + lam * log_k * log_k
 
 
-def initial_epoch_state() -> EpochState:
-    """State for the first epoch: no previous population, threshold 0."""
-    return EpochState(epoch_index=0, threshold=0.0)
+def advance_epoch_adp(prev_losses) -> float:
+    """The adaptive threshold that follows an epoch with these raw losses.
 
-
-def advance_epoch_adp(prev_losses, next_epoch_index: int = 1) -> EpochState:
-    """Fold a finished epoch's raw losses into the next adaptive state.
-
-    The next threshold is skewness * mean of the previous epoch's loss
-    population; for a symmetric population it stays at 0, for a
-    right-skewed one it moves up (down-weighting the still-hard tail), for
-    a left-skewed one it moves below zero.  Degenerate all-equal losses
-    have skewness 0 by convention, so the threshold collapses to 0.
+    It is skewness * mean of the previous epoch's loss population; for a
+    symmetric population it stays at 0, for a right-skewed one it moves up
+    (down-weighting the still-hard tail), for a left-skewed one it moves
+    below zero.  Degenerate all-equal losses have skewness 0 by convention,
+    so the threshold collapses to 0.
     """
     stats = loss_stats(prev_losses)
-    return EpochState(
-        epoch_index=next_epoch_index,
-        threshold=stats.skewness * stats.mean,
-    )
+    return stats.skewness * stats.mean
 
 
 def shell_value(gap, lam, kappa):
@@ -293,15 +271,18 @@ def _sin_losses(losses: np.ndarray, epoch: int, mu_l: float, cfg: CrucialConfig)
     )
 
 
-def modulate_epoch(losses, state: EpochState, cfg: CrucialConfig | None) -> ModulatedLoss:
+def modulate_epoch(losses, cfg: CrucialConfig | None, epoch: int = 0,
+                   prev_losses=None) -> ModulatedLoss:
     """Wrap one epoch's raw losses under cfg; returns one record of arrays.
 
-    BASELINE weighs every loss against cfg.threshold, ADP against
-    state.threshold, and SIN follows its cycle at state.epoch_index with
-    mu = cfg.mu_fixed, or the epoch's mean loss when that is None.  With no
-    wrapper (cfg None) the record is neutral: kappa 1, threshold 0, value =
-    loss, every sample selected, so wrapped and unwrapped training share the
-    identical update arithmetic.
+    BASELINE weighs every loss against cfg.threshold.  ADP weighs them
+    against advance_epoch_adp(prev_losses), prev_losses being the previous
+    epoch's raw losses, or against 0 when there are none (a first epoch).
+    SIN follows its cycle at epoch index epoch with mu = cfg.mu_fixed, or the
+    epoch's mean loss when that is None.  With no wrapper (cfg None) the
+    record is neutral: kappa 1, threshold 0, value = loss, every sample
+    selected, so wrapped and unwrapped training share the identical update
+    arithmetic.
     """
     losses = np.asarray(losses, dtype=np.float64)
     n = losses.shape[0]
@@ -309,9 +290,12 @@ def modulate_epoch(losses, state: EpochState, cfg: CrucialConfig | None) -> Modu
         kappa, threshold, value = np.ones(n), 0.0, losses
     elif cfg.variant is Variant.SIN:
         mu = cfg.mu_fixed if cfg.mu_fixed is not None else float(np.mean(losses))
-        return _sin_losses(losses, state.epoch_index, mu, cfg)
+        return _sin_losses(losses, epoch, mu, cfg)
     else:
-        threshold = state.threshold if cfg.variant is Variant.ADP else cfg.threshold
+        if cfg.variant is Variant.BASELINE:
+            threshold = cfg.threshold
+        else:
+            threshold = 0.0 if prev_losses is None else advance_epoch_adp(prev_losses)
         kappa, value = kappa_and_value(losses, threshold, cfg.lam)
     return ModulatedLoss(losses, kappa, np.full(n, threshold), value, np.ones(n, dtype=bool))
 
@@ -321,16 +305,16 @@ def _single(m: ModulatedLoss) -> ModulatedLoss:
     return ModulatedLoss(*(getattr(m, f.name)[0].item() for f in fields(ModulatedLoss)))
 
 
-def crucial_adp(loss: float, state: EpochState, cfg: CrucialConfig) -> ModulatedLoss:
+def crucial_adp(loss: float, prev_losses, cfg: CrucialConfig) -> ModulatedLoss:
     """Skewness-adaptive wrapped loss for one sample.
 
     Modulates every sample (never hard-drops): kappa comes from the closed
-    form against the epoch's adaptive threshold, and the value is the
-    shared shell.
+    form against the adaptive threshold that prev_losses, the previous
+    epoch's raw losses, set (0 when None), and the value is the shared shell.
     """
     if cfg.variant is not Variant.ADP:
         raise ValueError("crucial_adp: config variant must be ADP")
-    return _single(modulate_epoch([loss], state, cfg))
+    return _single(modulate_epoch([loss], cfg, prev_losses=prev_losses))
 
 
 def crucial_sin(loss: float, epoch: int, mu_l: float, cfg: CrucialConfig) -> ModulatedLoss:

@@ -22,8 +22,8 @@ import numpy as np
 from scipy.special import erfcx
 
 from .data import gen_drift_classification, gen_sine_regression, load_csv, save_csv
-from .loss import (CrucialConfig, EpochState, ModulatedLoss, Variant, kappa_and_value,
-                   modulate_epoch, shell_value)
+from .loss import (CrucialConfig, ModulatedLoss, Variant, kappa_and_value, modulate_epoch,
+                   shell_value)
 from .numerics import SeededRng, lambert_w0_array, loss_stats
 from .sampler import LossPopulation, PopulationKind
 from .trainer import forward_backward, make_model
@@ -196,7 +196,7 @@ def suite_sin_period_identity(rng: SeededRng):
     losses, mus = gen.uniform(0.0, 3.0, (25, 10)), gen.uniform(0.2, 2.0, 25).tolist()
     for loss, mu, t in zip(losses, mus, gen.integers(0, 64, 25).tolist()):
         at = replace(cfg, mu_fixed=mu)
-        a, b = (modulate_epoch(loss, EpochState(e, 0.0), at) for e in (t, t + 4))
+        a, b = (modulate_epoch(loss, at, e) for e in (t, t + 4))
         differ = np.logical_or.reduce([getattr(a, f.name) != getattr(b, f.name)
                                        for f in fields(ModulatedLoss)])
         if differ.any():
@@ -215,8 +215,7 @@ def suite_kappa_bounds(rng: SeededRng):
         i = np.argmin(ok)
         return False, f"kappa_star out of (0, e]: {k[i]} at l={l[i]}, eps={eps[i]}, lam={lam[i]}"
     cfg = CrucialConfig(variant=Variant.SIN)
-    cycled = np.concatenate([modulate_epoch(np.abs(l), EpochState(t, 0.0), cfg).kappa
-                             for t in range(16)])
+    cycled = np.concatenate([modulate_epoch(np.abs(l), cfg, t).kappa for t in range(16)])
     out = cycled[~((0.0 <= cycled) & (cycled <= math.e))]
     if out.size:
         return False, f"cycled kappa out of [0, e]: {out[0]}"

@@ -33,15 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .loss import (
-    CrucialConfig,
-    EpochState,
-    ModulatedLoss,
-    Variant,
-    advance_epoch_adp,
-    initial_epoch_state,
-    modulate_epoch,
-)
+from .loss import CrucialConfig, ModulatedLoss, Variant, modulate_epoch
 from .numerics import SeededRng
 
 __all__ = [
@@ -411,49 +403,47 @@ def _guard(losses: np.ndarray, when: str) -> None:
             f"mean loss {mean_loss:.3e} beyond guard {DIVERGENCE_LIMIT:.0e} {when}")
 
 
-def train_epoch(model: Model, data, task: TaskSpec, state: EpochState) -> ModulatedLoss:
+def train_epoch(model: Model, data, task: TaskSpec, epoch: int = 0,
+                prev_losses=None) -> ModulatedLoss:
     """One full-batch epoch, in place on model.params; returns the epoch's
     ModulatedLoss record (input_loss: the raw losses before the step).
 
-    data is the (X, y) pair from featurize.  The step is one backward pass
-    with each sample's dl/dout row scaled by kappa_i / n, i.e. the mean of
-    the kappa-weighted per-sample gradients; a mean raw loss above
-    DIVERGENCE_LIMIT aborts before the update.  Overflow in the forward pass
-    or the step is left to that guard, here or on the next forward pass; the
-    wrapper's kernel runs outside it and keeps its own warnings.
+    data is the (X, y) pair from featurize.  task.wrapper weighs the losses
+    as modulate_epoch does at this epoch index, given the previous epoch's
+    raw losses prev_losses (None in a first epoch).  The step is one
+    backward pass with each sample's dl/dout row scaled by kappa_i / n,
+    i.e. the mean of the kappa-weighted per-sample gradients; a mean raw
+    loss above DIVERGENCE_LIMIT aborts before the update.  Overflow in the
+    forward pass or the step is left to that guard, here or on the next
+    forward pass; the wrapper's kernel runs outside it and keeps its own
+    warnings.
     """
     X, y = data
     with np.errstate(over="ignore", invalid="ignore"):
         losses, dout, cache = _losses_and_dout(model, X, y)
-    _guard(losses, f"at epoch {state.epoch_index}")
-    mod = modulate_epoch(losses, state, task.wrapper)
+    _guard(losses, f"at epoch {epoch}")
+    mod = modulate_epoch(losses, task.wrapper, epoch, prev_losses)
     with np.errstate(over="ignore", invalid="ignore"):
         grad = model.backward(cache, dout * (mod.kappa / X.shape[0])[:, None])
         model.params -= task.learning_rate * grad
     return mod
 
 
-def _advance_state(state: EpochState, raw_losses: np.ndarray, task: TaskSpec) -> EpochState:
-    nxt = state.epoch_index + 1
-    if task.wrapper is not None and task.wrapper.variant is Variant.ADP:
-        return advance_epoch_adp(raw_losses, nxt)
-    return EpochState(epoch_index=nxt, threshold=0.0)
-
-
 def train_model(model: Model, dataset: Dataset, task: TaskSpec, *,
                 on_epoch: Callable[[int, ModulatedLoss], None] | None = None) -> None:
     """Train model in place for task.epochs full-batch epochs on one dataset
-    (featurized once) from initial_epoch_state(); returns None.  The trained
-    model's mean raw loss must pass the divergence guard too.  on_epoch, when
-    given, is the only view of an epoch: on_epoch(epoch, record) after each
-    step, with the record train_epoch returned (an epoch that diverges raises
-    first, and the final guard makes no call)."""
+    (featurized once); returns None.  Epoch t is train_epoch at index t
+    given epoch t-1's raw losses (none at epoch 0), so the wrapper's adaptive
+    threshold and cycle start afresh at every call.  The trained model's mean
+    raw loss must pass the divergence guard too.  on_epoch, when given, is
+    the only view of an epoch: on_epoch(epoch, record) after each step, with
+    the record train_epoch returned (an epoch that diverges raises first,
+    and the final guard makes no call)."""
     data = featurize(dataset, model)
-    state = initial_epoch_state()
+    prev_losses = None
     for epoch in range(task.epochs):
-        if epoch:
-            state = _advance_state(state, mod.input_loss, task)
-        mod = train_epoch(model, data, task, state)
+        mod = train_epoch(model, data, task, epoch, prev_losses)
+        prev_losses = mod.input_loss
         if on_epoch is not None:
             on_epoch(epoch, mod)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -558,10 +548,10 @@ def run_continuous(model: Model, prefixes: list[Dataset], task: TaskSpec,
     make_prefixes returns them.  After each stage the model is scored on
     every prefix (row i of R).  The untrained baseline row comes from a
     fresh model drawn with one extra derived seed, recorded on the result.
-    Each stage is one train_model call, which updates model in place and
-    starts from initial_epoch_state(): the adaptive threshold and the
-    cycle's epoch index restart at every stage.  Returns the filled
-    TransferMatrix; model ends as the last stage left it.
+    Each stage is one train_model call, which updates model in place; each
+    stage starts at epoch 0 with no previous losses, so the adaptive
+    threshold and the cycle's epoch index restart at every stage.  Returns
+    the filled TransferMatrix; model ends as the last stage left it.
     """
     if not prefixes:
         raise ValueError("run_continuous: no prefixes")

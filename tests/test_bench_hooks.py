@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from crucial import loss, properties, sampler, trainer
+from crucial import data, loss, properties, sampler, trainer
 from crucial.numerics import SeededRng
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -69,8 +69,7 @@ def test_trace_writer_span_counts_the_rows_it_writes(tmp_path):
     # The tracer counts rows from the writer's second positional argument
     # and bytes from its first; a signature drift breaks these counters.
     n = 1500
-    record = loss.modulate_epoch(np.linspace(0.1, 2.0, n), loss.initial_epoch_state(),
-                                 loss.CrucialConfig(loss.Variant.ADP))
+    record = loss.modulate_epoch(np.linspace(0.1, 2.0, n), loss.CrucialConfig(loss.Variant.ADP))
     path = tmp_path / "trace.csv"
     with _installed() as tracer:
         loss.write_loss_trace(path, np.zeros(n, dtype=int), np.arange(n), record)
@@ -79,6 +78,30 @@ def test_trace_writer_span_counts_the_rows_it_writes(tmp_path):
     rows = path.read_text(encoding="utf-8").count("\n") - 1
     assert tracer.counters["write_loss_trace.rows"] == rows == n
     assert tracer.counters["write_loss_trace.bytes"] == path.stat().st_size
+
+
+def test_a_traced_adp_run_spans_each_threshold_it_computes():
+    # The tracer rebinds loss.advance_epoch_adp where modulate_epoch looks it
+    # up; a training path that computed the threshold under any other name
+    # would run untraced and leave the loss.advance_epoch_adp metrics at 0.
+    epochs = 5
+    task = trainer.TaskSpec("regression", epochs, 0.1,
+                            wrapper=loss.CrucialConfig(loss.Variant.ADP, lam=0.01))
+
+    def trained():
+        rng = SeededRng(6)
+        ds = data.gen_sine_regression(32, 16, 0.1, rng.derive("data"))
+        model = trainer.make_model("mlp", 8, 1, rng.derive("model"), hidden=(4,))
+        trainer.train_model(model, ds, task)
+        return model.params
+
+    untraced = trained()
+    with _installed() as tracer:
+        traced = trained()
+    names = [span[1] for span in tracer.spans]
+    assert names.count("trainer.train_epoch") == epochs
+    assert names.count("loss.advance_epoch_adp") == epochs - 1
+    assert traced.tobytes() == untraced.tobytes()
 
 
 def test_traced_suites_report_what_untraced_ones_do():

@@ -16,14 +16,12 @@ from crucial.loss import (
     CAP_BETA,
     KAPPA_CAP,
     CrucialConfig,
-    EpochState,
     LossTraceWriter,
     ModulatedLoss,
     Variant,
     advance_epoch_adp,
     crucial_adp,
     crucial_sin,
-    initial_epoch_state,
     kappa_and_value,
     kappa_star,
     modulate_epoch,
@@ -108,9 +106,8 @@ class TestKappaStar:
 class TestAdp:
     def test_first_epoch_pinned_example(self):
         cfg = CrucialConfig(Variant.ADP, lam=0.01)
-        state = initial_epoch_state()
-        assert state.threshold == 0.0 and state.epoch_index == 0
-        m = crucial_adp(0.7, state, cfg)
+        m = crucial_adp(0.7, None, cfg)  # a first epoch: no previous losses
+        assert m.threshold == 0.0
         # beta = 0.7/0.01 = 70, argmin weight is e^{-W(35)}
         assert m.kappa == pytest.approx(0.07428234290062577, abs=1e-15)
         expected = m.kappa * 0.7 + 0.01 * math.log(m.kappa) ** 2
@@ -120,22 +117,21 @@ class TestAdp:
 
     def test_loss_at_threshold_gives_zero_value(self):
         cfg = CrucialConfig(Variant.ADP, lam=0.01)
-        state = advance_epoch_adp([0.2, 0.2, 0.2, 1.0])
-        m = crucial_adp(state.threshold, state, cfg)
+        prev = [0.2, 0.2, 0.2, 1.0]
+        m = crucial_adp(advance_epoch_adp(prev), prev, cfg)
         assert m.kappa == 1.0
         assert m.value == 0.0
 
     def test_threshold_is_skewness_times_mean(self):
-        state = advance_epoch_adp([0.2, 0.2, 0.2, 1.0])
+        threshold = advance_epoch_adp([0.2, 0.2, 0.2, 1.0])
         sk = 2.0 / math.sqrt(3.0)  # brute-force third standardized moment
-        assert state.threshold == pytest.approx(sk * 0.4, rel=1e-12)
-        assert state.threshold == pytest.approx(0.46188, abs=5e-6)
-        assert state.epoch_index == 1
+        assert threshold == pytest.approx(sk * 0.4, rel=1e-12)
+        assert threshold == pytest.approx(0.46188, abs=5e-6)
 
     def test_threshold_sign_follows_skew_sign(self):
-        assert advance_epoch_adp([1.0, 2.0, 3.0]).threshold == pytest.approx(0.0, abs=1e-12)
-        assert advance_epoch_adp([0.2, 0.2, 0.2, 1.0]).threshold > 0.0
-        assert advance_epoch_adp([1.0, 1.8, 1.8, 1.8]).threshold < 0.0
+        assert advance_epoch_adp([1.0, 2.0, 3.0]) == pytest.approx(0.0, abs=1e-12)
+        assert advance_epoch_adp([0.2, 0.2, 0.2, 1.0]) > 0.0
+        assert advance_epoch_adp([1.0, 1.8, 1.8, 1.8]) < 0.0
 
     def test_empty_epoch_rejected(self):
         with pytest.raises(ValueError):
@@ -143,9 +139,9 @@ class TestAdp:
 
     def test_never_gates_out(self):
         cfg = CrucialConfig(Variant.ADP, lam=0.01)
-        state = advance_epoch_adp([0.5, 1.5, 4.0, 0.1])
+        prev = [0.5, 1.5, 4.0, 0.1]
         for l in (0.0, 0.01, 0.5, 2.0, 10.0):
-            assert crucial_adp(l, state, cfg).selected is True
+            assert crucial_adp(l, prev, cfg).selected is True
 
 
 class TestSin:
@@ -221,7 +217,7 @@ class TestSin:
 def baseline(losses, threshold, lam):
     """One epoch wrapped against a fixed, caller-supplied threshold."""
     cfg = CrucialConfig(Variant.BASELINE, lam=lam, threshold=threshold)
-    return modulate_epoch(losses, initial_epoch_state(), cfg)
+    return modulate_epoch(losses, cfg)
 
 
 class TestBaseline:
@@ -249,17 +245,18 @@ class TestGradientFactor:
     def test_envelope_matches_finite_difference(self):
         # d/dl of the modulated value equals kappa at the inner minimum
         cfg = CrucialConfig(Variant.ADP, lam=0.01)
-        state = advance_epoch_adp([0.3, 0.5, 0.9, 2.0])
+        prev = [0.3, 0.5, 0.9, 2.0]
+        threshold = advance_epoch_adp(prev)
         gen = SeededRng(31).generator
         h = 1e-7
         for _ in range(200):
             l = float(gen.uniform(0.0, 2.5))
-            if abs((l - state.threshold) / cfg.lam - CAP_BETA) < 1e-3:
+            if abs((l - threshold) / cfg.lam - CAP_BETA) < 1e-3:
                 continue  # the cap corner itself is only one-sided smooth
-            up = crucial_adp(l + h, state, cfg).value
-            dn = crucial_adp(l - h, state, cfg).value
+            up = crucial_adp(l + h, prev, cfg).value
+            dn = crucial_adp(l - h, prev, cfg).value
             fd = (up - dn) / (2.0 * h)
-            factor = crucial_adp(l, state, cfg).kappa
+            factor = crucial_adp(l, prev, cfg).kappa
             assert fd == pytest.approx(factor, abs=1e-6)
 
 
@@ -280,7 +277,7 @@ class TestModulateEpoch:
             lam = float(gen.uniform(1e-3, 1.0))
             losses = np.concatenate([self.LOSSES, [thr, thr + 2.0 * lam * CAP_BETA]])
             cfg = CrucialConfig(Variant.BASELINE, lam=lam, threshold=thr)
-            m = modulate_epoch(losses, initial_epoch_state(), cfg)
+            m = modulate_epoch(losses, cfg)
             ref = np.array([kappa_star(float(l), thr, lam) for l in losses])
             beta = (losses - thr) / lam
             away = np.abs(beta / 2.0 - W_DOMAIN_MIN) >= 1e-8
@@ -297,17 +294,17 @@ class TestModulateEpoch:
         lam = gen.uniform(1e-3, 1.0, self.LOSSES.size)
         kappa, value = kappa_and_value(self.LOSSES, thr, lam)
         for i, l in enumerate(self.LOSSES.tolist()):
-            one = modulate_epoch([l], initial_epoch_state(), CrucialConfig(
+            one = modulate_epoch([l], CrucialConfig(
                 Variant.BASELINE, lam=float(lam[i]), threshold=float(thr[i])))
             assert (kappa[i], value[i]) == (one.kappa[0], one.value[0])
         assert value.tobytes() == shell_value(self.LOSSES - thr, lam, kappa).tobytes()
 
     def test_adp_and_baseline_match_the_per_sample_wrappers(self):
         cfg = CrucialConfig(Variant.ADP, lam=0.01)
-        state = advance_epoch_adp([0.2, 0.2, 0.2, 1.0])
-        m = modulate_epoch(self.LOSSES, state, cfg)
-        assert _rows(m) == [astuple(crucial_adp(float(l), state, cfg)) for l in self.LOSSES]
-        assert m.threshold.tolist() == [state.threshold] * self.LOSSES.size
+        prev = [0.2, 0.2, 0.2, 1.0]
+        m = modulate_epoch(self.LOSSES, cfg, 1, prev)
+        assert _rows(m) == [astuple(crucial_adp(float(l), prev, cfg)) for l in self.LOSSES]
+        assert m.threshold.tolist() == [advance_epoch_adp(prev)] * self.LOSSES.size
         m = baseline(self.LOSSES, 0.9, 0.05)
         assert _rows(m) == [_rows(baseline([l], 0.9, 0.05))[0] for l in self.LOSSES]
 
@@ -315,7 +312,7 @@ class TestModulateEpoch:
         cfg = CrucialConfig(Variant.SIN, lam=0.01, omega=math.pi / 4.0)
         mu = float(np.mean(self.LOSSES))
         for t in range(8):  # F = 0, 1/2, 1, 1/2, then again
-            m = modulate_epoch(self.LOSSES, EpochState(epoch_index=t, threshold=0.0), cfg)
+            m = modulate_epoch(self.LOSSES, cfg, t)
             assert _rows(m) == [astuple(crucial_sin(float(l), t, mu, cfg)) for l in self.LOSSES]
             f = math.sin(math.pi / 4.0 * (t % 4)) ** 2  # the period is 4 epochs
             assert np.array_equal(m.selected, ~(self.LOSSES < f * mu / 2.0))
@@ -325,7 +322,7 @@ class TestModulateEpoch:
     def test_gated_rows_carry_zero_weight(self):
         cfg = CrucialConfig(Variant.SIN, lam=0.01, omega=0.37, phase=0.4, mu_fixed=1.3)
         for t in range(12):
-            m = modulate_epoch(self.LOSSES, EpochState(epoch_index=t, threshold=0.0), cfg)
+            m = modulate_epoch(self.LOSSES, cfg, t)
             f = math.sin(0.37 * t + 0.4) ** 2
             assert np.array_equal(m.selected, ~(self.LOSSES < f * 1.3 / 2.0))
             assert np.all(m.kappa[~m.selected] == 0.0)
@@ -337,12 +334,12 @@ class TestModulateEpoch:
         cfg = CrucialConfig(Variant.SIN, lam=0.01, omega=math.pi / 4.0)
         losses = np.full(6, -0.0)
         for t in range(8):  # F = 0, 1/2, 1, 1/2, then again
-            m = modulate_epoch(losses, EpochState(epoch_index=t, threshold=0.0), cfg)
+            m = modulate_epoch(losses, cfg, t)
             assert np.all(m.selected) and np.all(m.value == 0.0)
             assert np.all(m.kappa == (0.0 if t % 4 == 2 else 1.0))
 
     def test_no_wrapper_is_the_neutral_record(self):
-        m = modulate_epoch(self.LOSSES, initial_epoch_state(), None)
+        m = modulate_epoch(self.LOSSES, None)
         assert np.all(m.kappa == 1.0) and np.all(m.threshold == 0.0) and np.all(m.selected)
         assert np.array_equal(m.value, self.LOSSES)
 
@@ -379,7 +376,7 @@ class TestOverflowingBeta:
 
     def test_tiny_lam_trace_rows_stay_finite(self):
         # trace-loss --lam 1e-320: the hard sample's beta overflows
-        m = modulate_epoch(np.array([0.25, 2.5]), initial_epoch_state(),
+        m = modulate_epoch(np.array([0.25, 2.5]),
                            CrucialConfig(Variant.BASELINE, lam=1e-320, threshold=math.log(2.0)))
         assert m.kappa[0] == KAPPA_CAP
         assert 0.0 < m.kappa[1] < 1e-300 and 0.0 < m.value[1] < 1e-300
@@ -411,8 +408,7 @@ class TestConfigValidation:
         for variant in Variant:
             with pytest.raises(ValueError, match="threshold"):
                 CrucialConfig(variant, threshold=np.nextafter(top, math.inf))
-        m = modulate_epoch([0.0], initial_epoch_state(),
-                           CrucialConfig(Variant.BASELINE, threshold=top))
+        m = modulate_epoch([0.0], CrucialConfig(Variant.BASELINE, threshold=top))
         assert m.kappa[0] == KAPPA_CAP and np.isfinite(m.value[0])
 
     def test_modulated_value_rejects_nonpositive_kappa(self):
@@ -423,8 +419,7 @@ class TestConfigValidation:
 class TestTraceExport:
     def test_csv_bytes_are_stable(self, tmp_path):
         cfg = CrucialConfig(Variant.ADP, lam=0.01)
-        state = initial_epoch_state()
-        mod = modulate_epoch([0.25, 2.5], state, cfg)
+        mod = modulate_epoch([0.25, 2.5], cfg)
         path = tmp_path / "trace.csv"
         write_loss_trace(path, [0, 0], [0, 1], mod)
         text = path.read_text(encoding="utf-8")
@@ -434,7 +429,7 @@ class TestTraceExport:
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] == "0"
         assert first[2] == repr(0.25)
-        assert first[3] == repr(crucial_adp(0.25, state, cfg).kappa)
+        assert first[3] == repr(crucial_adp(0.25, None, cfg).kappa)
         assert first[6] == "true"
         # rewriting produces identical bytes
         path2 = tmp_path / "trace2.csv"
@@ -446,7 +441,7 @@ class TestTraceExport:
     def test_long_trace_keeps_every_row_in_order(self, tmp_path):
         cfg = CrucialConfig(Variant.SIN, lam=0.01, omega=math.pi / 4.0, mu_fixed=1.0)
         losses = SeededRng(4).generator.uniform(0.0, 2.0, 10_000)
-        mod = modulate_epoch(losses, EpochState(epoch_index=1, threshold=0.0), cfg)
+        mod = modulate_epoch(losses, cfg, 1)
         path = tmp_path / "trace.csv"
         write_loss_trace(path, np.full(losses.size, 3), np.arange(losses.size), mod)
         lines = path.read_text(encoding="utf-8").strip().split("\n")[1:]
@@ -526,7 +521,7 @@ class TestTraceMatchesCsvReference:
     def test_sin_epoch_with_gated_rows(self, tmp_path):
         cfg = CrucialConfig(Variant.SIN, lam=0.01, omega=math.pi / 4.0, mu_fixed=1.0)
         losses = SeededRng(4).generator.uniform(0.0, 2.0, 3000)
-        m = modulate_epoch(losses, EpochState(epoch_index=1, threshold=0.0), cfg)
+        m = modulate_epoch(losses, cfg, 1)
         assert 0 < int(m.selected.sum()) < losses.size
         self.assert_same_bytes(tmp_path, np.full(losses.size, 1), np.arange(losses.size), m)
 

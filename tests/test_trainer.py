@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 import reference
 from crucial import trainer
 from crucial.data import Dataset, gen_drift_classification, gen_sine_regression, make_prefixes
-from crucial.loss import CrucialConfig, EpochState, Variant
+from crucial.loss import CrucialConfig, ModulatedLoss, Variant, advance_epoch_adp, modulate_epoch
 from crucial.numerics import SeededRng, derive_seed
 from crucial.trainer import (
     TaskSpec,
@@ -238,14 +239,14 @@ class TestBackward:
         losses, _ = forward_backward(model, X, y)
         if variant is Variant.ADP:
             cfg = CrucialConfig(Variant.ADP, lam=0.05)
-            state = EpochState(epoch_index=3, threshold=float(np.median(losses)))
+            epoch, prev_losses = 3, losses
         else:
             cfg = CrucialConfig(Variant.SIN, lam=0.01, omega=0.37, phase=0.4)
-            state = EpochState(epoch_index=2, threshold=0.0)
+            epoch, prev_losses = 2, None
         rows = per_sample_rows(model, X, y)
         before = model.params.copy()
         task = TaskSpec("regression", 1, 0.1, wrapper=cfg)
-        mod = train_epoch(model, (X, y), task, state)
+        mod = train_epoch(model, (X, y), task, epoch, prev_losses)
         if variant is Variant.SIN:
             gated = ~mod.selected
             assert 0 < np.count_nonzero(gated) < 16
@@ -595,6 +596,31 @@ class TestOnEpoch:
         t = int(str(info.value).rsplit(" ", 1)[-1])
         assert t >= 1
         assert seen == list(range(t))
+
+    def test_adp_weighs_each_epoch_against_the_previous_records_losses(self):
+        # Epoch t >= 1 is weighed against advance_epoch_adp of epoch t-1's raw
+        # losses and epoch 0 against 0.0, on every train_model call: a second
+        # call on the same model, as in a continuous stage, starts afresh.
+        ds, model = self._setup()
+        task = TaskSpec("regression", 6, 0.1, wrapper=CrucialConfig(Variant.ADP, lam=0.01))
+        for _ in range(2):
+            seen = train_collecting(model, ds, task)
+            assert [epoch for epoch, _ in seen] == list(range(6))
+            expect = [0.0] + [advance_epoch_adp(mod.input_loss) for _, mod in seen[:-1]]
+            assert all(threshold != 0.0 for threshold in expect[1:])
+            for (_, mod), threshold in zip(seen, expect):
+                assert np.array_equal(bits(mod.threshold),
+                                      bits(np.full(mod.input_loss.size, threshold)))
+
+    def test_sin_records_are_the_cycle_at_their_epoch(self):
+        ds, model = self._setup()
+        cfg = CrucialConfig(Variant.SIN, lam=0.01, omega=0.7, phase=0.3)
+        seen = train_collecting(model, ds, TaskSpec("regression", 9, 0.1, wrapper=cfg))
+        assert [epoch for epoch, _ in seen] == list(range(9))
+        for t, mod in seen:
+            ref = modulate_epoch(mod.input_loss, cfg, t)
+            for f in fields(ModulatedLoss):
+                assert getattr(mod, f.name).tobytes() == getattr(ref, f.name).tobytes(), (t, f)
 
 
 def loop_midrank_auc(scores, labels):
