@@ -40,7 +40,7 @@ for i in range(3):
         ("cycled", CrucialConfig(Variant.SIN, lam=0.01, omega=math.pi / 4.0)),
     ):
         model = make_model("linear", 16, 1, rng.derive("model"))
-        task = TaskSpec("regression", 400, 0.1, wrapper=wrapper)
+        task = TaskSpec(400, 0.1, wrapper=wrapper)
         train_model(model, train, task)
         mses[name] = evaluate(model, test)["mse"]
     print(f"  seed {i}: plain {mses['plain']:.5f}  adaptive {mses['adaptive']:.5f}  "
@@ -56,7 +56,7 @@ print()
 rng = SeededRng(derive_seed(42, "c9"))
 train = gen_sine_regression(512, 64, 0.2, rng.derive("data/train"))
 model = make_model("linear", 16, 1, rng.derive("model"))
-task = TaskSpec("regression", 40, 0.15,
+task = TaskSpec(40, 0.15,
                 wrapper=CrucialConfig(Variant.ADP, lam=0.001))
 counts = []
 train_model(model, train, task, on_epoch=lambda epoch, mod: counts.append(
@@ -77,7 +77,7 @@ prefixes = make_prefixes(ds, [16, 32, 48, 64])
 print("continuous task, 4 prefix cuts, plain vs adaptive wrapper")
 for name, wrapper in (("plain", None), ("adaptive", CrucialConfig(Variant.ADP, lam=0.01))):
     model = make_model("mlp", 16, 2, rng.derive("model"), hidden=(8,))
-    task = TaskSpec("continuous", 120, 0.1, wrapper=wrapper)
+    task = TaskSpec(120, 0.1, wrapper=wrapper)
     tm = run_continuous(model, prefixes, task, rng.derive("continuous"))
     print(f"  {name:9s} BWT {bwt(tm):+.4f}  FWT {fwt(tm):+.4f}")
     if name == "adaptive":

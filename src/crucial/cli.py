@@ -76,6 +76,9 @@ class ConfigError(Exception):
 
 _LN2 = math.log(2.0)
 
+# train --task to the model's output count, which picks the loss.
+_TASK_OUTPUTS = {"regression": 1, "single_shot": 2, "continuous": 2}
+
 # The synthetic-data keys that train and gen-data share.
 _GENERATOR_DEFAULTS = {
     "n": 512,
@@ -385,12 +388,14 @@ def _train_one(cfg: dict, csv_set, run_seed: int, run_id: str, out_dir: str) -> 
         wrapper = _wrapper_config(cfg)
         train_ds, test_ds = _make_datasets(cfg, rng, csv_set)
         hidden = tuple(_list(cfg, "hidden", int))
-        task = TaskSpec(cfg["task"], cfg["epochs"], cfg["learning_rate"], wrapper)
-        model = make_model(cfg["model"], cfg["window"], task.n_outputs, rng.derive("model"),
-                           hidden=hidden)
+        if cfg["task"] not in _TASK_OUTPUTS:
+            raise ConfigError(f"unknown task {cfg['task']!r}")
+        task = TaskSpec(cfg["epochs"], cfg["learning_rate"], wrapper)
+        model = make_model(cfg["model"], cfg["window"], _TASK_OUTPUTS[cfg["task"]],
+                           rng.derive("model"), hidden=hidden)
         for ds in (train_ds, test_ds):  # bad data fails here, before any training
             featurize(ds, model)
-        if task.task == "continuous":
+        if cfg["task"] == "continuous":
             cuts = _list(cfg, "cuts", int)
             if len(cuts) < 2:  # a transfer matrix needs at least two stages
                 raise ConfigError(f"key cuts: the continuous task needs at least 2 cuts, "
@@ -398,7 +403,7 @@ def _train_one(cfg: dict, csv_set, run_seed: int, run_id: str, out_dir: str) -> 
             prefixes = make_prefixes(train_ds, cuts)
 
     rows = []  # (epoch, split, metric_name, value)
-    if task.task == "continuous":
+    if cfg["task"] == "continuous":
         tm = run_continuous(model, prefixes, task, rng.derive("continuous"))
         write_transfer_json(os.path.join(out_dir, f"transfer_{run_id}.json"), tm)
         rows += [(i, f"prefix{j}", "score", tm.R[i, j]) for i, j in np.ndindex(tm.R.shape)]

@@ -1,4 +1,4 @@
-"""Desk-scale models and training loops for the three task shapes.
+"""Desk-scale models and task-agnostic training loops.
 
 Three small numpy models (tanh MLP, linear = the MLP with no hidden layer,
 Elman recurrent) share one flat parameter layout and a summed backward pass:
@@ -10,7 +10,7 @@ is a detached per-sample weight (envelope theorem), so the full-batch step
 is one ordinary backward pass with each row of dl/dout scaled by kappa_i / n;
 no per-sample gradient is formed.  With no wrapper the factors are
 identically 1.0 and the epoch is a plain gradient-descent epoch, bit for
-bit.  The continuous task trains one model sequentially over nested prefix
+bit.  run_continuous trains one model sequentially over nested prefix
 datasets and fills the transfer matrix R (R[i, j] = score on prefix j after
 stage i) from which backward and forward transfer are computed.
 
@@ -289,24 +289,20 @@ def make_model(kind: str, window: int, n_outputs: int, rng: SeededRng,
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """One training job: task shape, budget, optional wrapper.
+    """One training budget: epochs, learning rate, optional wrapper.
 
-    The task picks the model's output count, and the output count picks the
-    loss: regression trains one output under MSE, both classification shapes
-    train two under cross-entropy.  The wrapper, when present, scales each
-    sample's row of dl/dout by its confidence factor before the one backward
-    pass.  A cycled wrapper's angle omega*epoch + phase must stay finite up to
-    the last epoch.
+    It names no task: the model's output count picks the loss, MSE for one
+    output and cross-entropy for more.  The wrapper, when present, scales
+    each sample's row of dl/dout by its confidence factor before the one
+    backward pass.  A cycled wrapper's angle omega*epoch + phase must stay
+    finite up to the last epoch.
     """
 
-    task: str                        # regression | single_shot | continuous
     epochs: int
     learning_rate: float
     wrapper: CrucialConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.task not in ("regression", "single_shot", "continuous"):
-            raise ValueError(f"TaskSpec: unknown task {self.task!r}")
         if self.epochs < 1:
             raise ValueError("TaskSpec: epochs must be >= 1")
         if not math.isfinite(self.learning_rate) or self.learning_rate <= 0.0:
@@ -316,10 +312,6 @@ class TaskSpec:
                 and not math.isfinite(cfg.omega * (self.epochs - 1) + cfg.phase)):
             raise ValueError("TaskSpec: the cycled wrapper's last angle "
                              "omega*(epochs - 1) + phase is not finite")
-
-    @property
-    def n_outputs(self) -> int:
-        return 1 if self.task == "regression" else 2
 
 
 def featurize(dataset: Dataset, model: Model):
@@ -499,7 +491,8 @@ class TransferMatrix:
     """Continuous-task outcome: R[i, j] = score on prefix j after stage i.
 
     baseline holds the untrained reference scores b from a freshly seeded
-    model; baseline_seed records the extra seed that model used.
+    model; baseline_seed records the extra seed that model used.  R has two
+    or more stages, the fewest over which BWT and FWT are defined.
     """
 
     R: np.ndarray
@@ -509,8 +502,8 @@ class TransferMatrix:
     def __post_init__(self) -> None:
         self.R = np.asarray(self.R, dtype=np.float64)
         self.baseline = np.asarray(self.baseline, dtype=np.float64)
-        if self.R.ndim != 2 or self.R.shape[0] != self.R.shape[1]:
-            raise ValueError("TransferMatrix: R must be square")
+        if self.R.ndim != 2 or self.R.shape[0] != self.R.shape[1] or self.R.shape[0] < 2:
+            raise ValueError("TransferMatrix: R must be square with at least 2 stages")
         if self.baseline.shape != (self.R.shape[0],):
             raise ValueError("TransferMatrix: baseline length must match R")
 
@@ -522,8 +515,6 @@ def bwt(tm: TransferMatrix) -> float:
     positive means later stages improved earlier prefixes.
     """
     k = tm.R.shape[0]
-    if k < 2:
-        raise ValueError("bwt: needs at least 2 stages")
     return float(sum(tm.R[k - 1, i] - tm.R[i, i] for i in range(k - 1)) / (k - 1))
 
 
@@ -533,8 +524,6 @@ def fwt(tm: TransferMatrix) -> float:
     fwt = sum_{i=2}^{K} (R[i-1, i] - b[i]) / (K - 1) in 1-based terms.
     """
     k = tm.R.shape[0]
-    if k < 2:
-        raise ValueError("fwt: needs at least 2 stages")
     return float(
         sum(tm.R[i - 1, i] - tm.baseline[i] for i in range(1, k)) / (k - 1)
     )
@@ -544,17 +533,18 @@ def run_continuous(model: Model, prefixes: list[Dataset], task: TaskSpec,
                    rng: SeededRng) -> TransferMatrix:
     """Train sequentially over nested prefixes and fill the transfer matrix.
 
-    prefixes are datasets of strictly increasing series length, as
-    make_prefixes returns them.  After each stage the model is scored on
-    every prefix (row i of R).  The untrained baseline row comes from a
-    fresh model drawn with one extra derived seed, recorded on the result.
-    Each stage is one train_model call, which updates model in place; each
-    stage starts at epoch 0 with no previous losses, so the adaptive
-    threshold and the cycle's epoch index restart at every stage.  Returns
-    the filled TransferMatrix; model ends as the last stage left it.
+    prefixes are two or more datasets of strictly increasing series length,
+    as make_prefixes returns them; fewer raise ValueError before training.
+    After each stage the model is scored on every prefix (row i of R).  The
+    untrained baseline row comes from a fresh model drawn with one extra
+    derived seed, recorded on the result.  Each stage is one train_model
+    call, which updates model in place; each stage starts at epoch 0 with no
+    previous losses, so the adaptive threshold and the cycle's epoch index
+    restart at every stage.  Returns the filled TransferMatrix; model ends
+    as the last stage left it.
     """
-    if not prefixes:
-        raise ValueError("run_continuous: no prefixes")
+    if len(prefixes) < 2:
+        raise ValueError("run_continuous: needs at least 2 prefixes")
     ts = [p.values.shape[1] for p in prefixes]
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("run_continuous: prefixes must be strictly nested in time")

@@ -207,7 +207,7 @@ def test_criterion_06_gradient_checks():
 
 def _train_mse(train, test, wrapper, rng):
     model = make_model("linear", 16, 1, rng.derive("model"))
-    task = TaskSpec("regression", 400, 0.1, wrapper=wrapper)
+    task = TaskSpec(400, 0.1, wrapper=wrapper)
     train_model(model, train, task)
     return evaluate(model, test)["mse"]
 
@@ -252,7 +252,7 @@ def test_criterion_08_transfer_direction():
             ("adp", CrucialConfig(Variant.ADP, lam=0.01)),
         ):
             model = make_model("mlp", 16, 2, rng.derive("model"), hidden=(8,))
-            task = TaskSpec("continuous", 120, 0.1, wrapper=wrapper)
+            task = TaskSpec(120, 0.1, wrapper=wrapper)
             tm = run_continuous(model, prefixes, task, rng.derive("continuous"))
             rows[name]["bwt"].append(bwt(tm))
             rows[name]["fwt"].append(fwt(tm))
@@ -268,7 +268,7 @@ def test_criterion_09_cyclicality():
     rng = SeededRng(derive_seed(42, "c9"))
     train = gen_sine_regression(512, 64, 0.2, rng.derive("data/train"))
     model = make_model("linear", 16, 1, rng.derive("model"))
-    task = TaskSpec("regression", 40, 0.15,
+    task = TaskSpec(40, 0.15,
                     wrapper=CrucialConfig(Variant.ADP, lam=0.001))
     counts = []
     train_model(model, train, task, on_epoch=lambda epoch, mod: counts.append(

@@ -85,7 +85,7 @@ def test_a_traced_adp_run_spans_each_threshold_it_computes():
     # up; a training path that computed the threshold under any other name
     # would run untraced and leave the loss.advance_epoch_adp metrics at 0.
     epochs = 5
-    task = trainer.TaskSpec("regression", epochs, 0.1,
+    task = trainer.TaskSpec(epochs, 0.1,
                             wrapper=loss.CrucialConfig(loss.Variant.ADP, lam=0.01))
 
     def trained():

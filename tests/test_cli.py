@@ -418,6 +418,23 @@ class TestTrain:
         assert len(payload["R"]) == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("task,argv,final_rows", [
+        ("regression", (), {("test", "mse")}),
+        ("single_shot", ("--dataset", "drift"), {("test", "accuracy"), ("test", "auc")}),
+        ("continuous", ("--dataset", "drift", "--cuts", "4,8,16"),
+         {("final", "bwt"), ("final", "fwt")}),
+    ], ids=["regression", "single_shot", "continuous"])
+    def test_task_picks_the_final_metric_rows(self, tmp_path, capsys, task, argv, final_rows):
+        # --task picks the model's output count, and the count picks the loss
+        # and so the metrics; only the continuous task writes a transfer file.
+        out = tmp_path / "out"
+        assert run("train", "--output-dir", str(out), "--task", task, *self.FAST, *argv) == 0
+        capsys.readouterr()
+        with open(out / "metrics_run0.csv", newline="", encoding="utf-8") as fh:
+            rows = {(r["split"], r["metric_name"]) for r in csv.DictReader(fh)}
+        assert {row for row in rows if row[0] in ("test", "final")} == final_rows
+        assert (out / "transfer_run0.json").exists() == (task == "continuous")
+
     def test_csv_dataset_path(self, tmp_path, capsys):
         data_dir = tmp_path / "data"
         assert run("gen-data", "--output-dir", str(data_dir), "--kind", "drift",
@@ -623,6 +640,7 @@ _BAD_INPUTS = {
     "sine_single_shot": (("train", "--dataset", "sine") + _SINGLE, None),
     "continuous_one_cut": (("train", "--task", "continuous", "--dataset", "drift",
                             "--cuts", "16"), None),
+    "task_lifelong": (("train", "--task", "lifelong"), None),
     "simulate_one_draw_far_tail": (("simulate", "--n", "1", "--sigmas", "300", "--rates", "2",
                                     "--seed", "3"), None),
     "simulate_one_draw": (("simulate", "--n", "1"), None),
@@ -674,6 +692,7 @@ _BAD_INPUTS = {
 # case -> the text its config error must hold, where the cause is not plain from the case
 _BAD_MESSAGES = {
     "sweep_seeds_zero": "sweep_seeds must be >= 1",
+    "task_lifelong": "unknown task 'lifelong'",
     "window_zero": "window and n_outputs must be positive",
     "mlp_hidden_zero": "hidden sizes must be positive",
     "elman_rnn_hidden_zero": "hidden size must be positive",

@@ -245,7 +245,7 @@ class TestBackward:
             epoch, prev_losses = 2, None
         rows = per_sample_rows(model, X, y)
         before = model.params.copy()
-        task = TaskSpec("regression", 1, 0.1, wrapper=cfg)
+        task = TaskSpec(1, 0.1, wrapper=cfg)
         mod = train_epoch(model, (X, y), task, epoch, prev_losses)
         if variant is Variant.SIN:
             gated = ~mod.selected
@@ -422,29 +422,19 @@ class TestLayout:
 class TestTaskSpec:
     def test_pairing_rules(self):
         with pytest.raises(ValueError):
-            TaskSpec("lifelong", 1, 0.1)
+            TaskSpec(0, 0.1)
         with pytest.raises(ValueError):
-            TaskSpec("regression", 0, 0.1)
-        with pytest.raises(ValueError):
-            TaskSpec("regression", 1, 0.0)
+            TaskSpec(1, 0.0)
 
     def test_cycled_wrapper_angle_must_stay_finite(self):
         sin = CrucialConfig(Variant.SIN, omega=1e308)
-        TaskSpec("regression", 2, 0.1, wrapper=sin)  # last angle 1e308
+        TaskSpec(2, 0.1, wrapper=sin)  # last angle 1e308
         with pytest.raises(ValueError, match="last angle"):
-            TaskSpec("regression", 3, 0.1, wrapper=sin)
+            TaskSpec(3, 0.1, wrapper=sin)
         with pytest.raises(ValueError, match="last angle"):  # -1e308 - 1e308
-            TaskSpec("regression", 2, 0.1,
+            TaskSpec(2, 0.1,
                      wrapper=CrucialConfig(Variant.SIN, omega=-1e308, phase=-1e308))
-        TaskSpec("regression", 3, 0.1, wrapper=CrucialConfig(Variant.ADP, omega=1e308))
-
-    @pytest.mark.parametrize("task,n_outputs", [
-        ("regression", 1),
-        ("single_shot", 2),
-        ("continuous", 2),
-    ])
-    def test_task_derives_the_output_count(self, task, n_outputs):
-        assert TaskSpec(task, 1, 0.1).n_outputs == n_outputs
+        TaskSpec(3, 0.1, wrapper=CrucialConfig(Variant.ADP, omega=1e308))
 
 
 def train_collecting(model, ds, task):
@@ -471,7 +461,7 @@ class TestTrainLoop:
 
     def test_loss_decreases_on_regression(self):
         ds, model = self._sine_setup()
-        task = TaskSpec("regression", 60, 0.1)
+        task = TaskSpec(60, 0.1)
         seen = train_collecting(model, ds, task)
         losses = mean_raw_losses(seen)
         assert losses[-1] < 0.5 * losses[0]
@@ -483,8 +473,8 @@ class TestTrainLoop:
         ds, model_a = self._sine_setup()
         _, model_b = self._sine_setup()
         assert np.array_equal(model_a.params, model_b.params)
-        plain = TaskSpec("regression", 40, 0.1)
-        inert = TaskSpec("regression", 40, 0.1,
+        plain = TaskSpec(40, 0.1)
+        inert = TaskSpec(40, 0.1,
                          wrapper=CrucialConfig(Variant.BASELINE, lam=1e300, threshold=0.0))
         seen_a = train_collecting(model_a, ds, plain)
         seen_b = train_collecting(model_b, ds, inert)
@@ -493,24 +483,24 @@ class TestTrainLoop:
 
     def test_unwrapped_counts_report_whole_batch(self):
         ds, model = self._sine_setup()
-        seen = train_collecting(model, ds, TaskSpec("regression", 3, 0.05))
+        seen = train_collecting(model, ds, TaskSpec(3, 0.05))
         assert confident_counts(seen) == [64, 64, 64]
 
     def test_divergence_guard_trips(self):
         ds, model = self._sine_setup()
-        task = TaskSpec("regression", 200, 50.0)
+        task = TaskSpec(200, 50.0)
         with pytest.raises(TrainingDiverged):
             train_model(model, ds, task)
 
     def test_the_last_step_is_guarded_too(self):
         ds, model = self._sine_setup()
         with pytest.raises(TrainingDiverged, match="after epoch 0"):
-            train_model(model, ds, TaskSpec("regression", 1, 1e305))
+            train_model(model, ds, TaskSpec(1, 1e305))
 
     def test_training_is_deterministic(self):
         ds, model_a = self._sine_setup(3)
         _, model_b = self._sine_setup(3)
-        task = TaskSpec("regression", 20, 0.1,
+        task = TaskSpec(20, 0.1,
                         wrapper=CrucialConfig(Variant.ADP, lam=0.01))
         seen_a = train_collecting(model_a, ds, task)
         seen_b = train_collecting(model_b, ds, task)
@@ -524,7 +514,7 @@ class TestTrainLoop:
         ds = gen_drift_classification(512, 64, 1.0, 0.0, rng.derive("data/train"),
                                       class_sep=1.2)
         model = make_model("mlp", 16, 2, rng.derive("model"), hidden=(8,))
-        task = TaskSpec("single_shot", 40, 1.0,
+        task = TaskSpec(40, 1.0,
                         wrapper=CrucialConfig(Variant.ADP, lam=0.001))
         counts = confident_counts(train_collecting(model, ds, task))
         assert len(set(counts)) > 1
@@ -549,7 +539,7 @@ class TestOnEpoch:
 
         monkeypatch.setattr(trainer, "train_epoch", spying_train_epoch)
         ds, model = self._setup()
-        task = TaskSpec("regression", 7, 0.1, wrapper=CrucialConfig(Variant.ADP, lam=0.01))
+        task = TaskSpec(7, 0.1, wrapper=CrucialConfig(Variant.ADP, lam=0.01))
         seen = train_collecting(model, ds, task)
         assert [epoch for epoch, _ in seen] == list(range(7))
         assert len(returned) == 7
@@ -569,7 +559,7 @@ class TestOnEpoch:
             seen.append(mod)
             before.append(model.params.copy())
 
-        train_model(model, ds, TaskSpec("regression", 5, 0.2, wrapper=wrapper),
+        train_model(model, ds, TaskSpec(5, 0.2, wrapper=wrapper),
                     on_epoch=on_epoch)
         assert len(seen) == 5
         X, y = featurize(ds, model)
@@ -583,7 +573,7 @@ class TestOnEpoch:
         ds, model = self._setup()
         seen = []
         with pytest.raises(TrainingDiverged, match="after epoch 0"):
-            train_model(model, ds, TaskSpec("regression", 1, 1e305),
+            train_model(model, ds, TaskSpec(1, 1e305),
                         on_epoch=lambda epoch, mod: seen.append(epoch))
         assert seen == [0]
 
@@ -591,7 +581,7 @@ class TestOnEpoch:
         ds, model = self._setup()
         seen = []
         with pytest.raises(TrainingDiverged, match=r"at epoch \d+") as info:
-            train_model(model, ds, TaskSpec("regression", 200, 50.0),
+            train_model(model, ds, TaskSpec(200, 50.0),
                         on_epoch=lambda epoch, mod: seen.append(epoch))
         t = int(str(info.value).rsplit(" ", 1)[-1])
         assert t >= 1
@@ -602,7 +592,7 @@ class TestOnEpoch:
         # losses and epoch 0 against 0.0, on every train_model call: a second
         # call on the same model, as in a continuous stage, starts afresh.
         ds, model = self._setup()
-        task = TaskSpec("regression", 6, 0.1, wrapper=CrucialConfig(Variant.ADP, lam=0.01))
+        task = TaskSpec(6, 0.1, wrapper=CrucialConfig(Variant.ADP, lam=0.01))
         for _ in range(2):
             seen = train_collecting(model, ds, task)
             assert [epoch for epoch, _ in seen] == list(range(6))
@@ -615,7 +605,7 @@ class TestOnEpoch:
     def test_sin_records_are_the_cycle_at_their_epoch(self):
         ds, model = self._setup()
         cfg = CrucialConfig(Variant.SIN, lam=0.01, omega=0.7, phase=0.3)
-        seen = train_collecting(model, ds, TaskSpec("regression", 9, 0.1, wrapper=cfg))
+        seen = train_collecting(model, ds, TaskSpec(9, 0.1, wrapper=cfg))
         assert [epoch for epoch, _ in seen] == list(range(9))
         for t, mod in seen:
             ref = modulate_epoch(mod.input_loss, cfg, t)
@@ -714,11 +704,8 @@ class TestTransfer:
         assert fwt(tm) == pytest.approx(fwt_direct, abs=1e-15)
 
     def test_single_stage_matrix_rejected(self):
-        tm = TransferMatrix(R=np.ones((1, 1)), baseline=np.ones(1), baseline_seed=0)
-        with pytest.raises(ValueError):
-            bwt(tm)
-        with pytest.raises(ValueError):
-            fwt(tm)
+        with pytest.raises(ValueError, match="at least 2 stages"):
+            TransferMatrix(R=np.ones((1, 1)), baseline=np.ones(1), baseline_seed=0)
 
     def test_matrix_validation(self):
         with pytest.raises(ValueError):
@@ -732,7 +719,7 @@ class TestTransfer:
             ds = gen_drift_classification(128, 32, 1.0, 0.0, rng.derive("data"))
             prefixes = make_prefixes(ds, [8, 16, 32])
             model = make_model("linear", 8, 2, rng.derive("model"))
-            task = TaskSpec("continuous", 15, 0.1)
+            task = TaskSpec(15, 0.1)
             return run_continuous(model, prefixes, task, rng.derive("run")), rng
 
         tm_a, rng = one_run()
@@ -748,11 +735,20 @@ class TestTransfer:
         ds = gen_drift_classification(32, 16, 0.0, 0.0, rng.derive("data"))
         prefixes = make_prefixes(ds, [4, 8])
         model = make_model("linear", 8, 2, rng.derive("model"))
-        task = TaskSpec("continuous", 2, 0.1)
+        task = TaskSpec(2, 0.1)
         with pytest.raises(ValueError):
             run_continuous(model, [], task, rng)
         with pytest.raises(ValueError):
             run_continuous(model, [prefixes[1], prefixes[0]], task, rng)
+
+    def test_run_continuous_refuses_one_prefix_before_training(self):
+        rng = SeededRng(5)
+        ds = gen_drift_classification(32, 16, 0.0, 0.0, rng.derive("data"))
+        model = make_model("linear", 8, 2, rng.derive("model"))
+        before = model.params.copy()
+        with pytest.raises(ValueError, match="at least 2 prefixes"):
+            run_continuous(model, make_prefixes(ds, [8]), TaskSpec(2, 0.1), rng)
+        assert model.params.tobytes() == before.tobytes()
 
 
 class TestWriters:
