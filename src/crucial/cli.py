@@ -334,14 +334,13 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def _wrapper_config(cfg: dict) -> CrucialConfig | None:
-    name = cfg["wrapper"].lower()
-    if name == "none":
-        return None
-    if name not in [v.value for v in Variant]:
+    name, policy = cfg["wrapper"], cfg["mu_policy"]
+    if name not in ("none", *(v.value for v in Variant)):
         raise ConfigError(f"unknown wrapper {name!r}")
-    policy = cfg["mu_policy"]
     if policy not in ("fixed", "epoch_mean"):
         raise ConfigError(f"unknown mu_policy {policy!r}")
+    if name == "none":
+        return None
     return CrucialConfig(Variant(name), lam=cfg["lam"], omega=cfg["omega"], phase=cfg["phase"],
                          mu_fixed=cfg["mu_value"] if policy == "fixed" else None,
                          threshold=cfg["threshold"])

@@ -26,11 +26,10 @@ Logs are natural throughout.
 LossTraceWriter records every sample's weight, threshold and value in every
 epoch as CSV, streamed while training hands it one epoch at a time;
 write_loss_trace is one append on it.  Long traces are formatted on every
-CPU the process may use: each block of rows is split into contiguous
-ranges, each sent as it arrives to a bare helper interpreter running
-crucial.tracetext, which formats it as soon as it is complete, so this
-process holds no trace rows, and the file is byte-identical to a
-one-process write.
+CPU the process may use: each block of rows is sent as it arrives to a bare
+helper interpreter of its own running crucial.tracetext, which formats it
+as soon as it is complete, so this process holds no trace rows, and the
+file is byte-identical to a one-process write.
 """
 
 from __future__ import annotations
@@ -80,15 +79,15 @@ _MAX_THRESHOLD = sys.float_info.max / KAPPA_CAP
 # sin^2 factors closer than this to 0 or 1 take the exact limit branches.
 _F_EPS = 1e-12
 
-# The loss-trace writer gives each lane at least this many rows: a helper
+# The loss-trace writer gives each helper at least this many rows: a helper
 # interpreter takes about 14 ms to start and exit and a row 4.5-5 us to
-# format (2-core VM, Python 3.11), so a smaller range is done sooner
+# format (2-core VM, Python 3.11), so a smaller trace is done sooner
 # in-process.
-_TRACE_MIN_LANE_ROWS = 8192
-# A helper keeps its range's input and text until the writer reads it,
-# about 125 bytes a row, so a lane takes at most this many rows (about 33 MB
-# in a helper) at a time.
-_TRACE_MAX_LANE_ROWS = 1 << 18
+_TRACE_MIN_BLOCK_ROWS = 8192
+# A helper keeps its block's input and text until the writer reads it,
+# about 125 bytes a row, so a block has at most this many rows (about 33 MB
+# in a helper).
+_TRACE_MAX_BLOCK_ROWS = 1 << 18
 _TRACE_HELPER = (sys.executable, "-I", "-S", tracetext.__file__)
 
 
@@ -358,30 +357,32 @@ class LossTraceWriter:
 
     Used as a context manager; append(epochs, sample_ids, record) takes the
     next rows in file order, any number at a time, in write_loss_trace's
-    columns.  n_rows fixes the plan up front: blocks of up to _usable_cpus()
-    * _TRACE_MAX_LANE_ROWS rows, each split into one contiguous range per
-    lane of at least _TRACE_MIN_LANE_ROWS rows, so short traces never leave
-    the process.  A block of more than one lane starts one helper per lane
-    with its first row: each range's rows go to its helper as they arrive,
-    and a helper's stdin is closed as soon as its range is complete, so it
-    formats while training goes on.  At the block's last row this process
-    copies each helper's text into the trace in row order.  A block of one
-    lane is formatted here, straight into the trace.  This process keeps no
+    columns.  n_rows fixes the plan up front: one lane per usable CPU with
+    at least _TRACE_MIN_BLOCK_ROWS rows each.  With one lane the trace is
+    formatted here, straight into the file.  Otherwise it is cut into blocks
+    of min(_TRACE_MAX_BLOCK_ROWS, ceil(n_rows / lanes)) rows, and each
+    block's first row starts a helper of its own: the block's rows go to it
+    as they arrive, and its stdin closes with the block's last row, so it
+    formats while training goes on.  Starting a block while a helper per CPU
+    is open first copies the oldest helper's text into the trace; leaving
+    the with block copies the rest, in row order.  This process keeps no
     trace rows.  Entering the with block creates the file and writes its
     header, so a bad path fails there.  Appending more rows than n_rows, or
-    leaving the with block with fewer, raises ValueError; a helper that fails
-    raises RuntimeError.  On any exception in the with block every helper is
-    killed and reaped and the file is removed.
+    leaving the with block with fewer, raises ValueError; a helper that
+    fails raises RuntimeError.  On any exception in the with block every
+    helper is killed and reaped and the file is removed.
     """
 
     def __init__(self, path, n_rows: int):
         self._path = path
         self._n_rows = n_rows
         self._cpus = _usable_cpus()
+        lanes = min(self._cpus, n_rows // _TRACE_MIN_BLOCK_ROWS)
+        # the rows of each helper's block; None formats the trace in this process
+        self._block = min(_TRACE_MAX_BLOCK_ROWS, -(-n_rows // lanes)) if lanes > 1 else None
         self._rows = 0        # rows appended so far
         self._fh = None       # the file, once the with block is entered
-        self._bounds = None   # the current block's lane bounds
-        self._helpers = []    # the current block's helpers, one per lane if it has several
+        self._helpers = []    # the open helpers, oldest first
 
     def __enter__(self) -> "LossTraceWriter":
         self._fh = open(self._path, "wb")
@@ -394,6 +395,8 @@ class LossTraceWriter:
                 if self._rows != self._n_rows:
                     raise ValueError(f"LossTraceWriter: {self._rows} rows appended, "
                                      f"{self._n_rows} declared")
+                while self._helpers:
+                    self._copy_oldest()
                 self._fh.close()  # an empty trace is its header alone
                 return
         except BaseException:
@@ -419,60 +422,41 @@ class LossTraceWriter:
         stop = base + cols[0].size
         if stop > self._n_rows:
             raise ValueError(f"LossTraceWriter: {stop} rows appended, {self._n_rows} declared")
+        if self._block is None:
+            self._fh.writelines(tracetext.encoded_chunks(cols, 0, stop - base))
+            self._rows = stop
         while self._rows < stop:
-            if self._bounds is None:
-                self._begin_block()
-            bounds = self._bounds
-            for lane, (a, b) in enumerate(zip(bounds, bounds[1:])):
-                lo, hi = max(a, self._rows), min(b, stop)
-                if lo >= hi:
-                    continue
-                if self._helpers:
-                    stdin = self._helpers[lane].stdin
-                    # a helper that has gone is caught by its exit status at the block's end
-                    with contextlib.suppress(BrokenPipeError):
-                        stdin.writelines(tracetext.batch(cols, lo - base, hi - base))
-                    if hi == b:
-                        _close(stdin)  # its range is complete: the helper formats it now
-                else:
-                    self._fh.writelines(tracetext.encoded_chunks(cols, lo - base, hi - base))
-            self._rows = min(stop, bounds[-1])
-            if self._rows == bounds[-1]:
-                self._end_block()
-
-    def _begin_block(self) -> None:
-        """Plan the lanes of the block starting at the next row; start its helpers."""
-        start = self._rows
-        n = min(self._cpus * _TRACE_MAX_LANE_ROWS, self._n_rows - start)
-        lanes = max(1, min(self._cpus, n // _TRACE_MIN_LANE_ROWS))
-        self._bounds = [start + n * i // lanes for i in range(lanes + 1)]
-        if lanes > 1:
-            for _ in range(lanes):
+            lo = self._rows
+            if lo % self._block == 0:  # a block begins: its helper, one per CPU at most
+                if len(self._helpers) == self._cpus:
+                    self._copy_oldest()
                 self._helpers.append(subprocess.Popen(_TRACE_HELPER, stdin=subprocess.PIPE,
                                                       stdout=subprocess.PIPE))
+            end = min(lo - lo % self._block + self._block, self._n_rows)  # the block's end
+            self._rows = min(stop, end)
+            stdin = self._helpers[-1].stdin
+            # a helper that has gone is caught by its exit status when its text is copied
+            with contextlib.suppress(BrokenPipeError):
+                stdin.writelines(tracetext.batch(cols, lo - base, self._rows - base))
+            if self._rows == end:
+                _close(stdin)  # its block is complete: the helper formats it now
 
-    def _end_block(self) -> None:
-        """Write the finished block's helpers' text, in lane order."""
-        for proc in self._helpers:
-            shutil.copyfileobj(proc.stdout, self._fh)
-            if proc.wait() != 0:
-                raise RuntimeError(f"LossTraceWriter: a helper lane exited with "
-                                   f"status {proc.returncode}")
-        self._reap()
-        self._bounds = None
+    def _copy_oldest(self) -> None:
+        """Copy the oldest helper's text, its block complete, into the trace; reap it."""
+        proc = self._helpers[0]
+        shutil.copyfileobj(proc.stdout, self._fh)
+        if proc.wait() != 0:
+            raise RuntimeError(f"LossTraceWriter: a helper exited with status {proc.returncode}")
+        proc.stdout.close()
+        self._helpers.pop(0)
 
-    def _reap(self) -> None:
-        """Kill (a no-op once waited for) and reap every helper; close its pipes."""
+    def _discard(self) -> None:
+        """Kill and reap every open helper, closing its pipes; remove the file."""
         for proc in self._helpers:
             proc.kill()
             _close(proc.stdin)
             _close(proc.stdout)
             proc.wait()
-        self._helpers = []
-
-    def _discard(self) -> None:
-        """Reap every helper and remove the file."""
-        self._reap()
         try:
             self._fh.close()
         finally:
@@ -493,8 +477,8 @@ def write_loss_trace(path, epochs, sample_ids, modulated: ModulatedLoss) -> None
     Columns are (epoch, sample_id, input_loss, kappa, threshold, value,
     selected); floats are written with repr so a reload round-trips
     bit-exactly, and every line ends in \\r\\n.
-    This is one append on a LossTraceWriter, which documents the lanes and
-    blocks; a helper that fails makes this raise RuntimeError, and no helper
+    This is one append on a LossTraceWriter, which documents its blocks and
+    helpers; a helper that fails makes this raise RuntimeError, and no helper
     or pipe outlives the call.
     """
     with LossTraceWriter(path, np.size(epochs)) as trace:

@@ -3,18 +3,18 @@
 This module imports nothing but ``sys``, so that it also runs as a bare
 helper interpreter (``python -I -S tracetext.py``) that starts in about
 15 ms instead of importing numpy and scipy.  ``loss.LossTraceWriter``
-hands each range of a multi-lane block of a trace's rows to such a helper
-and formats a single-lane block itself; both run ``encoded_chunks``, so the
-bytes do not depend on how many lanes ran.
+hands each block of a long trace's rows to such a helper of its own and
+formats a trace too short for two helpers itself; both run
+``encoded_chunks``, so the bytes do not depend on how many helpers ran.
 
-A helper's stdin carries its range's rows as batches, each made by
+A helper's stdin carries its block's rows as batches, each made by
 ``batch``: an 8-byte row count, then the rows' seven column buffers, one
 after the other in ``COLUMNS`` order, all in native byte order.  The writer
-sends a batch whenever training hands it rows of that range and closes
-stdin as soon as the range is complete.  The helper reads its stdin to the
-end in one call and writes the range's text to stdout only then, so
+sends a batch whenever training hands it rows of that block and closes
+stdin as soon as the block is complete.  The helper reads its stdin to the
+end in one call and writes the block's text to stdout only then, so
 neither side ever blocks on a full pipe while the other still writes; the
-text waits in the helper until the writer reads it at the block's end.  A
+text waits in the helper until the writer copies it into the trace.  A
 batch cut short makes the helper exit 1 with a message on stderr.
 """
 

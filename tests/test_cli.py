@@ -494,19 +494,19 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("train: diverged:")
         assert not (tmp_path / "aggregate.csv").exists()
 
-    # A trace of 16,384 rows is split between two helpers, started with the
-    # first epoch; 20,000-row epochs in blocks of 16,384 rows fill and write
-    # the first block during the first epoch and start the second block's
-    # helpers.  The second epoch diverges in both.
-    @pytest.mark.parametrize("argv, max_lane_rows, helpers", [
-        (("--n", "512", "--epochs", "32"), None, 2),
-        (("--n", "20000", "--epochs", "2"), loss_module._TRACE_MIN_LANE_ROWS, 4),
+    # A trace of 16,384 rows is split between two 8,192-row blocks, and the
+    # first epoch starts the first block's helper; a 20,000-row epoch in
+    # blocks of 8,192 rows starts three helpers, and the third first writes
+    # the first block into the file.  The second epoch diverges in both.
+    @pytest.mark.parametrize("argv, max_block_rows, helpers", [
+        (("--n", "512", "--epochs", "32"), None, 1),
+        (("--n", "20000", "--epochs", "2"), loss_module._TRACE_MIN_BLOCK_ROWS, 3),
     ], ids=["helper_started", "block_written"])
     def test_a_diverging_run_leaves_only_its_config(self, tmp_path, capsys, monkeypatch, started,
-                                                    argv, max_lane_rows, helpers):
+                                                    argv, max_block_rows, helpers):
         monkeypatch.setattr(loss_module, "_usable_cpus", lambda: 2)
-        if max_lane_rows is not None:
-            monkeypatch.setattr(loss_module, "_TRACE_MAX_LANE_ROWS", max_lane_rows)
+        if max_block_rows is not None:
+            monkeypatch.setattr(loss_module, "_TRACE_MAX_BLOCK_ROWS", max_block_rows)
         code = run("train", "--output-dir", str(tmp_path), "--wrapper", "adp", "--t", "8",
                    "--window", "4", "--test-n", "8", "--learning-rate", "1e305", *argv)
         assert code == 1
@@ -515,13 +515,13 @@ class TestTrain:
         assert len(started) == helpers and started.all_reaped()
 
     def test_a_streamed_trace_holds_no_lane_range(self, tmp_path, capsys, monkeypatch, started):
-        # 81,920 rows in 5 blocks of two 8,192-row lanes: each lane's rows go
-        # to its helper as they arrive, so this process's whole run, training
-        # included, peaks below the columns of one lane (8,192 rows of 49
-        # bytes), where keeping a lane's columns until its block ends would
-        # hold them on top of training.
+        # 81,920 rows in 10 blocks of 8,192 rows: each block's rows go to its
+        # helper as they arrive, so this process's whole run, training
+        # included, peaks below the columns of one block (8,192 rows of 49
+        # bytes), where keeping a block's columns until it ends would hold
+        # them on top of training.
         monkeypatch.setattr(loss_module, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(loss_module, "_TRACE_MAX_LANE_ROWS", loss_module._TRACE_MIN_LANE_ROWS)
+        monkeypatch.setattr(loss_module, "_TRACE_MAX_BLOCK_ROWS", loss_module._TRACE_MIN_BLOCK_ROWS)
         n, epochs = 512, 160
         tracemalloc.start()
         try:
@@ -532,20 +532,20 @@ class TestTrain:
             tracemalloc.stop()
         assert code == 0
         capsys.readouterr()
-        lane_bytes = loss_module._TRACE_MIN_LANE_ROWS * sum(
+        block_bytes = loss_module._TRACE_MIN_BLOCK_ROWS * sum(
             np.dtype(code).itemsize for _, code in COLUMNS)
-        assert peak < lane_bytes, (peak, lane_bytes)
+        assert peak < block_bytes, (peak, block_bytes)
         assert len(started) == 10 and started.all_reaped()
         with open(tmp_path / "loss_trace_run0.csv", "rb") as fh:
             assert sum(1 for _ in fh) == 1 + n * epochs
 
     def test_a_streamed_trace_is_the_only_file_beside_the_config(self, tmp_path, capsys,
                                                                 monkeypatch, started):
-        # 32,768 rows in 2 blocks of two 8,192-row lanes: once each epoch's
-        # rows reach the writer, the output directory holds the echoed config
-        # and the trace, and nothing else.
+        # 32,768 rows in 4 blocks of 8,192 rows: once each epoch's rows reach
+        # the writer, the output directory holds the echoed config and the
+        # trace, and nothing else.
         monkeypatch.setattr(loss_module, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(loss_module, "_TRACE_MAX_LANE_ROWS", loss_module._TRACE_MIN_LANE_ROWS)
+        monkeypatch.setattr(loss_module, "_TRACE_MAX_BLOCK_ROWS", loss_module._TRACE_MIN_BLOCK_ROWS)
         listings = []
         train_model = cli.train_model
 
@@ -688,6 +688,8 @@ _BAD_INPUTS = {
     "elman_rnn_hidden_zero": (("train", "--model", "elman_rnn", "--hidden", "0"), None),
     "empty_flag_name": (("train", "--=x"), None),
     "csv_bad_rows": (_CSV, _HEADER + "0,1,0.1,0.2,0.3\r\n1,1,0.1,x,0.3\r\n2,1,0.1,0.2\r\n"),
+    "wrapper_uppercase": (("train", "--wrapper", "ADP"), None),
+    "mu_policy_unknown": (("train", "--mu-policy", "bogus"), None),
 }
 # case -> the text its config error must hold, where the cause is not plain from the case
 _BAD_MESSAGES = {
@@ -699,6 +701,8 @@ _BAD_MESSAGES = {
     "empty_flag_name": "empty flag name",
     "csv_bad_rows": "csv rejected 2 rows: row 3: non-numeric value cell; "
                     "row 4: expected 5 cells, got 4",
+    "wrapper_uppercase": "unknown wrapper 'ADP'",
+    "mu_policy_unknown": "unknown mu_policy 'bogus'",
 }
 
 

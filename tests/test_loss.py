@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import astuple, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from crucial.loss import (
     write_loss_trace,
 )
 from crucial.numerics import W_DOMAIN_MIN, SeededRng
-from crucial.tracetext import CHUNK_ROWS
+from crucial.tracetext import CHUNK_ROWS, COLUMNS, HEADER
 
 
 def golden_min(f, lo, hi, tol=1e-12):
@@ -526,22 +527,27 @@ class TestTraceMatchesCsvReference:
         self.assert_same_bytes(tmp_path, np.full(losses.size, 1), np.arange(losses.size), m)
 
 
-MIN_LANE_ROWS = loss_module._TRACE_MIN_LANE_ROWS
-# The streaming writer's traced peak over 512-row appends, whatever its lane
-# size: 256 KiB, under two thirds of one minimum lane's columns (49 bytes a
+MIN_BLOCK_ROWS = loss_module._TRACE_MIN_BLOCK_ROWS
+# The streaming writer's traced peak over 512-row appends, whatever its block
+# size: 256 KiB, under two thirds of one minimum block's columns (49 bytes a
 # row).  It reads about 160 kB on Python 3.11.
 TRACE_WRITER_PEAK_BYTES = 1 << 18
 SPECIAL = np.array([math.nan, math.inf, -math.inf, 5e-324, -0.0, 0.0, 1e16, 0.1])
+ROW_BYTES = sum(np.dtype(code).itemsize for _, code in COLUMNS)
 
 
-def lane_splits(n, lanes):
-    return [n * i // lanes for i in range(1, lanes)]
+def block_splits(n, cpus):
+    """The rows where the helper blocks of an n-row trace on cpus CPUs meet."""
+    lanes = min(cpus, n // MIN_BLOCK_ROWS)
+    block = min(loss_module._TRACE_MAX_BLOCK_ROWS, -(-n // lanes))
+    return list(range(block, n, block))
 
 
-def record_with_specials_at_splits(n, lanes):
-    """A record whose float columns hold every special value on both sides of each split."""
+def record_with_specials_at_splits(n, cpus):
+    """A record whose float columns hold every special value on both sides of
+    each block split of an n-row trace on cpus CPUs."""
     m = random_record(n, n, thresholds=(-0.0, 0.0))
-    for split in lane_splits(n, lanes):
+    for split in block_splits(n, cpus):
         rows = slice(split - SPECIAL.size // 2, split + SPECIAL.size // 2)
         for column, shift in ((m.input_loss, 0), (m.kappa, 3), (m.threshold, 5), (m.value, 6)):
             column[rows] = np.roll(SPECIAL, shift)
@@ -594,9 +600,9 @@ class TestTraceLanes:
     """Traces long enough to be split between helper processes.
 
     epoch_rows None writes a trace in one write_loss_trace call; 512 streams
-    it one 512-row epoch at a time, so lane and block bounds fall inside an
-    epoch.  A block of more than one lane gives each of its ranges to a
-    helper of its own; a block of one lane is formatted in this process.
+    it one 512-row epoch at a time, so block bounds fall inside an epoch.  A
+    trace of more than one lane gives each of its blocks to a helper of its
+    own; a trace of one lane is formatted in this process.
     """
 
     def assert_same_bytes(self, tmp_path, epochs, sample_ids, modulated, epoch_rows):
@@ -610,24 +616,24 @@ class TestTraceLanes:
     # 1001-row appends send the helpers batches whose 8-byte columns sit at
     # offsets that are not multiples of 8 in the helper's input.
     @pytest.mark.parametrize("epoch_rows", [None, 512, 1001])
-    @pytest.mark.parametrize("lanes, n, split_at_chunk_edge", [
-        (2, 2 * MIN_LANE_ROWS, True),
-        (2, 2 * MIN_LANE_ROWS + 1, True),            # odd total
-        (2, 2 * MIN_LANE_ROWS + 1001, False),         # odd total, split inside a chunk
-        (3, 3 * MIN_LANE_ROWS + 7, False),
+    @pytest.mark.parametrize("cpus, n, split_at_chunk_edge", [
+        (2, 2 * MIN_BLOCK_ROWS, True),
+        (2, 2 * MIN_BLOCK_ROWS + 2 * CHUNK_ROWS - 1, True),  # odd total, blocks of 9 chunks
+        (2, 2 * MIN_BLOCK_ROWS + 1001, False),  # odd total, split inside a chunk
+        (3, 3 * MIN_BLOCK_ROWS + 7, False),
     ])
-    def test_lanes_write_the_csv_reference_bytes(self, tmp_path, monkeypatch, started, lanes, n,
+    def test_lanes_write_the_csv_reference_bytes(self, tmp_path, monkeypatch, started, cpus, n,
                                                  split_at_chunk_edge, epoch_rows):
-        monkeypatch.setattr(loss_module, "_usable_cpus", lambda: lanes)
-        splits = lane_splits(n, lanes)
+        monkeypatch.setattr(loss_module, "_usable_cpus", lambda: cpus)
+        splits = block_splits(n, cpus)
         assert all((s % CHUNK_ROWS == 0) == split_at_chunk_edge for s in splits)
-        m = record_with_specials_at_splits(n, lanes)
+        m = record_with_specials_at_splits(n, cpus)
         sample_ids = np.arange(n) % 512
         sample_ids[splits[0] - 1:splits[0] + 1] = (-5, np.iinfo(np.int64).max)
         self.assert_same_bytes(tmp_path, np.arange(n) // 512, sample_ids, m, epoch_rows)
         text = (tmp_path / "new.csv").read_text(encoding="utf-8")
         assert ",-0.0," in text and ",0.0," in text and ",5e-324," in text
-        assert len(started) == lanes
+        assert len(started) == cpus
         assert all(proc.returncode == 0 for proc in started)
         assert_left_clean(tmp_path, started, ["new.csv", "ref.csv"])
 
@@ -635,14 +641,14 @@ class TestTraceLanes:
     def test_a_long_trace_is_written_in_blocks_of_bounded_lanes(self, tmp_path, monkeypatch,
                                                                  started, epoch_rows):
         monkeypatch.setattr(loss_module, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(loss_module, "_TRACE_MAX_LANE_ROWS", MIN_LANE_ROWS + 100)
-        # Blocks of 2 * (MIN_LANE_ROWS + 100) rows: two of two lanes, then a
-        # last block too short to split.
-        n = 5 * MIN_LANE_ROWS + 123
-        assert (MIN_LANE_ROWS + 100) % 512 and 2 * (MIN_LANE_ROWS + 100) % 512
-        m = record_with_specials_at_splits(n, 5)
+        monkeypatch.setattr(loss_module, "_TRACE_MAX_BLOCK_ROWS", MIN_BLOCK_ROWS + 100)
+        # Blocks of MIN_BLOCK_ROWS + 100 rows, each with a helper of its own:
+        # four full ones, then a short fifth.
+        n = 5 * MIN_BLOCK_ROWS + 123
+        assert (MIN_BLOCK_ROWS + 100) % 512
+        m = record_with_specials_at_splits(n, 2)
         self.assert_same_bytes(tmp_path, np.arange(n) // 512, np.arange(n) % 512, m, epoch_rows)
-        assert len(started) == 4
+        assert len(started) == 5
         assert all(proc.returncode == 0 for proc in started)
         assert_left_clean(tmp_path, started, ["new.csv", "ref.csv"])
 
@@ -650,7 +656,7 @@ class TestTraceLanes:
     def test_a_trace_below_the_lane_minimum_starts_no_process(self, tmp_path, monkeypatch,
                                                                started, epoch_rows):
         monkeypatch.setattr(loss_module, "_usable_cpus", lambda: 2)
-        n = 2 * MIN_LANE_ROWS - 1
+        n = 2 * MIN_BLOCK_ROWS - 1
         self.assert_same_bytes(tmp_path, np.zeros(n, dtype=int), np.arange(n),
                                random_record(n, 5), epoch_rows)
         assert started == []
@@ -663,7 +669,7 @@ class TestTraceLanes:
                                                            started, script):
         monkeypatch.setattr(loss_module, "_usable_cpus", lambda: 3)
         monkeypatch.setattr(loss_module, "_TRACE_HELPER", (sys.executable, "-c", script))
-        n = 3 * MIN_LANE_ROWS
+        n = 3 * MIN_BLOCK_ROWS
         with pytest.raises(RuntimeError, match="status 3"):
             write_loss_trace(tmp_path / "t.csv", np.zeros(n, dtype=int), np.arange(n),
                              random_record(n, 6))
@@ -679,7 +685,7 @@ class TestTraceLanes:
         batch = loss_module.tracetext.batch
         monkeypatch.setattr(loss_module.tracetext, "batch", lambda *args: cut(batch(*args)))
         monkeypatch.setattr(loss_module, "_usable_cpus", lambda: 2)
-        n = 2 * MIN_LANE_ROWS
+        n = 2 * MIN_BLOCK_ROWS
         with pytest.raises(RuntimeError, match="status 1"):
             write_loss_trace(tmp_path / "t.csv", np.zeros(n, dtype=int), np.arange(n),
                              random_record(n, 9))
@@ -687,15 +693,16 @@ class TestTraceLanes:
         assert len(started) == 2
         assert_left_clean(tmp_path, started)
 
-    # 6 * MIN_LANE_ROWS rows in blocks of 2 * MIN_LANE_ROWS: one row fewer
-    # declared leaves the third block too short for helpers, and the error
-    # comes on the last append; one more is missed when the writer closes.
-    @pytest.mark.parametrize("declared_extra, helpers", [(-1, 4), (1, 6)])
+    # 6 * MIN_BLOCK_ROWS rows in blocks of MIN_BLOCK_ROWS: one row fewer
+    # declared leaves the sixth block a row short, and the error comes on the
+    # last append; one more is missed when the writer closes, before a
+    # seventh block starts.
+    @pytest.mark.parametrize("declared_extra, helpers", [(-1, 6), (1, 6)])
     def test_rows_other_than_declared_raise_and_leave_no_file(self, tmp_path, monkeypatch,
                                                               started, declared_extra, helpers):
         monkeypatch.setattr(loss_module, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(loss_module, "_TRACE_MAX_LANE_ROWS", MIN_LANE_ROWS)
-        n = 6 * MIN_LANE_ROWS
+        monkeypatch.setattr(loss_module, "_TRACE_MAX_BLOCK_ROWS", MIN_BLOCK_ROWS)
+        n = 6 * MIN_BLOCK_ROWS
         with pytest.raises(ValueError, match="declared"):
             append_in_pieces(tmp_path / "t.csv", np.arange(n) // 512, np.arange(n) % 512,
                              random_record(n, 10), 512, declared=n + declared_extra)
@@ -707,13 +714,13 @@ class TestTraceLanes:
             pass
 
         monkeypatch.setattr(loss_module, "_usable_cpus", lambda: 2)
-        n = 2 * MIN_LANE_ROWS
+        n, rows = 2 * MIN_BLOCK_ROWS, MIN_BLOCK_ROWS + 512
         columns = astuple(random_record(n, 7))
         with pytest.raises(Interrupted):
             with LossTraceWriter(tmp_path / "t.csv", n) as trace:
-                first = slice(0, MIN_LANE_ROWS)
-                trace.append(np.zeros(MIN_LANE_ROWS, dtype=int), np.arange(MIN_LANE_ROWS),
-                             ModulatedLoss(*(c[first] for c in columns)))
+                # the first block and the first 512 rows of the second
+                trace.append(np.zeros(rows, dtype=int), np.arange(rows),
+                             ModulatedLoss(*(c[:rows] for c in columns)))
                 assert started[0].stdin.closed and not started[1].stdin.closed
                 raise Interrupted
         # Nothing reads the first helper's text, which overflows its pipe,
@@ -722,11 +729,11 @@ class TestTraceLanes:
         assert [proc.returncode for proc in started] == [-signal.SIGKILL] * 2
         assert_left_clean(tmp_path, started)
 
-    @pytest.mark.parametrize("lanes", [1, 2])
+    @pytest.mark.parametrize("cpus", [1, 2])
     def test_a_missing_directory_fails_before_any_helper_starts(self, tmp_path, monkeypatch,
-                                                                 started, lanes):
-        monkeypatch.setattr(loss_module, "_usable_cpus", lambda: lanes)
-        n = 2 * MIN_LANE_ROWS
+                                                                 started, cpus):
+        monkeypatch.setattr(loss_module, "_usable_cpus", lambda: cpus)
+        n = 2 * MIN_BLOCK_ROWS
         with pytest.raises(FileNotFoundError):
             write_loss_trace(tmp_path / "missing" / "t.csv", np.zeros(n, dtype=int),
                              np.arange(n), random_record(n, 11))
@@ -734,11 +741,11 @@ class TestTraceLanes:
         assert_left_clean(tmp_path, started)
 
     def test_a_helper_gets_eof_once_its_range_is_complete(self, tmp_path, monkeypatch, started):
-        # Two 8,192-row lanes appended one 512-row epoch at a time: the first
-        # helper's stdin closes with the 16th epoch, so it formats its range
+        # Two 8,192-row blocks appended one 512-row epoch at a time: the first
+        # helper's stdin closes with the 16th epoch, so it formats its block
         # while the other 16 arrive.
         monkeypatch.setattr(loss_module, "_usable_cpus", lambda: 2)
-        n, epoch_rows = 2 * MIN_LANE_ROWS, 512
+        n, epoch_rows = 2 * MIN_BLOCK_ROWS, 512
         columns = astuple(random_record(n, 12))
         closed = []
         with LossTraceWriter(tmp_path / "t.csv", n) as trace:
@@ -748,20 +755,65 @@ class TestTraceLanes:
                              ModulatedLoss(*(c[piece] for c in columns)))
                 closed.append(started[0].stdin.closed)
                 if a + epoch_rows < n:
-                    assert started[0].returncode is None  # not reaped before the block's end
-        assert closed == [a + epoch_rows >= MIN_LANE_ROWS for a in range(0, n, epoch_rows)]
+                    assert started[0].returncode is None  # not reaped before the writer closes
+        assert closed == [a + epoch_rows >= MIN_BLOCK_ROWS for a in range(0, n, epoch_rows)]
         assert [proc.returncode for proc in started] == [0, 0]
         assert_left_clean(tmp_path, started, ["t.csv"])
 
-    # A 2-lane trace appended one epoch at a time, in blocks of two lanes of
-    # 8,192 or 32,768 rows: this process keeps no lane's columns (49 bytes a
-    # row, 401 kB at the smaller lane), only an epoch's rows at a time.
-    @pytest.mark.parametrize("max_lane_rows", [MIN_LANE_ROWS, 4 * MIN_LANE_ROWS])
-    def test_the_writer_holds_no_lane_of_rows(self, tmp_path, monkeypatch, started,
-                                              max_lane_rows):
+    def test_each_block_starts_its_own_helper(self, tmp_path, monkeypatch, started):
+        # Four blocks of MIN_BLOCK_ROWS rows on 2 CPUs, appended one 512-row
+        # epoch at a time: each block's first row starts its helper, and the
+        # third and fourth blocks first copy and reap the oldest open one.
         monkeypatch.setattr(loss_module, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(loss_module, "_TRACE_MAX_LANE_ROWS", max_lane_rows)
-        n = 8 * MIN_LANE_ROWS
+        monkeypatch.setattr(loss_module, "_TRACE_MAX_BLOCK_ROWS", MIN_BLOCK_ROWS)
+        n, epoch_rows = 4 * MIN_BLOCK_ROWS, 512
+        m = record_with_specials_at_splits(n, 2)
+        epochs, sample_ids = np.arange(n) // epoch_rows, np.arange(n) % epoch_rows
+        columns = astuple(m)
+        with LossTraceWriter(tmp_path / "new.csv", n) as trace:
+            for a in range(0, n, epoch_rows):
+                piece = slice(a, a + epoch_rows)
+                trace.append(epochs[piece], sample_ids[piece],
+                             ModulatedLoss(*(c[piece] for c in columns)))
+                assert len(started) == a // MIN_BLOCK_ROWS + 1  # the blocks reached
+                unreaped = min(len(started), 2)
+                assert ([proc.returncode is not None for proc in started]
+                        == [True] * (len(started) - unreaped) + [False] * unreaped)
+        csv_loss_trace(tmp_path / "ref.csv", epochs, sample_ids, m)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert [proc.returncode for proc in started] == [0] * 4
+        assert_left_clean(tmp_path, started, ["new.csv", "ref.csv"])
+
+    def test_a_204800_row_trace_on_2_cpus_is_two_blocks_of_102400_rows(self, tmp_path,
+                                                                        monkeypatch, started):
+        # 400 epochs of 512 rows, the bench's wrapped regression trace; each
+        # helper here writes the byte count of its input instead of its text.
+        monkeypatch.setattr(loss_module, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(loss_module, "_TRACE_HELPER", (
+            sys.executable, "-c", "import sys; print(len(sys.stdin.buffer.read()), end=';')"))
+        epoch_rows = 512
+        columns = astuple(random_record(epoch_rows, 14))
+        helpers = []
+        with LossTraceWriter(tmp_path / "t.csv", 400 * epoch_rows) as trace:
+            for epoch in range(400):
+                trace.append(np.full(epoch_rows, epoch), np.arange(epoch_rows),
+                             ModulatedLoss(*columns))
+                helpers.append(len(started))
+        assert helpers == [1] * 200 + [2] * 200  # the second starts with row 102,400
+        block_bytes = 200 * (8 + epoch_rows * ROW_BYTES)  # a row count and columns a batch
+        assert (tmp_path / "t.csv").read_bytes() == HEADER + f"{block_bytes};".encode() * 2
+        assert [proc.returncode for proc in started] == [0, 0]
+        assert_left_clean(tmp_path, started, ["t.csv"])
+
+    # A 2-CPU trace appended one epoch at a time, in blocks of 8,192 or
+    # 32,768 rows: this process keeps no block's columns (49 bytes a row,
+    # 401 kB at the smaller block), only an epoch's rows at a time.
+    @pytest.mark.parametrize("max_block_rows", [MIN_BLOCK_ROWS, 4 * MIN_BLOCK_ROWS])
+    def test_the_writer_holds_no_lane_of_rows(self, tmp_path, monkeypatch, started,
+                                              max_block_rows):
+        monkeypatch.setattr(loss_module, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(loss_module, "_TRACE_MAX_BLOCK_ROWS", max_block_rows)
+        n = 8 * MIN_BLOCK_ROWS
         m = random_record(n, 13)
         epochs, sample_ids = np.arange(n) // 512, np.arange(n) % 512
         tracemalloc.start()
@@ -770,7 +822,7 @@ class TestTraceLanes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(started) == n // max_lane_rows
+        assert len(started) == n // max_block_rows
         assert peak < TRACE_WRITER_PEAK_BYTES, peak
         assert_left_clean(tmp_path, started, ["t.csv"])
 
@@ -784,6 +836,11 @@ class TestTraceLanes:
         status, lines, maxrss_kb = map(int, launched.stdout.split())
         assert (status, lines) == (0, 200 * 512)
         assert maxrss_kb < 32 * 1024, maxrss_kb
+
+    def test_the_readme_states_the_block_bounds(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        for rows in (loss_module._TRACE_MIN_BLOCK_ROWS, loss_module._TRACE_MAX_BLOCK_ROWS):
+            assert f"{rows:,}" in readme
 
     @pytest.mark.parametrize("column", ["epochs", "sample_ids"])
     @pytest.mark.parametrize("values", [[3.0, 3.0], [True, False],
