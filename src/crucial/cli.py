@@ -39,7 +39,7 @@ from .loss import (
 )
 from .numerics import SeededRng, derive_seed
 from .properties import SUITES, run_suites
-from .sampler import LossPopulation, PopulationKind, analytic_expected_errors, compare_conditions
+from .sampler import LossPopulation, PopulationKind, analytic_expected_errors, compare_grid
 from .trainer import (
     TaskSpec,
     TrainingDiverged,
@@ -291,14 +291,15 @@ def cmd_simulate(cfg: dict) -> int:
         names[name] = label
 
     master = SeededRng(cfg["seed"])
+    reports = compare_grid(
+        [(pop, rate, master.derive(f"grid/{pop.kind.value}/{pop.sigma!r}/{rate!r}"))
+         for pop, rate in grid], n, workers)
     all_pass = True
     with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8") as summary:
         summary.write("population sigma rate analytic_eu analytic_ep mc_eu mc_ep "
                       "se_eu se_ep ordering_analytic ordering_mc pass\n")
-        for (pop, rate), name in zip(grid, names):
+        for (pop, rate), name, report in zip(grid, names, reports):
             kind, sigma = pop.kind.value, pop.sigma
-            point = master.derive(f"grid/{kind}/{sigma!r}/{rate!r}")
-            report = compare_conditions(pop, rate, n, point, workers=workers)
             checks = report.checks(tol)
             analytic_order, mc_order = report.analytic_order.value, report.mc_order.value
             all_pass = all_pass and checks["passed"]

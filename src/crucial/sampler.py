@@ -18,17 +18,20 @@ A grid point's Monte Carlo estimate is one stratified pass: one jittered
 uniform per equal-probability stratum, inverted through the population's
 quantile for U and through the tilted population's quantile for P.  So P is
 drawn exactly from the tilted law, on the same uniforms as U (common random
-numbers).  The draws are cut into fixed chunks with derived substreams and
-reduced in chunk order, so estimates do not depend on the worker count.
-Every worker count runs its chunks on pool threads (lanes), each computing
-its chunks in place in one workspace of chunk-sized buffers, not in a new
-array per operation.  Errors are always summed in units of an exact power of
-two near their width, so their fourth powers stay finite wherever the closed
-forms are, and scaling the sums back keeps every bit.
+numbers).  The draws are made at mu 0, since mu only shifts the population.
+They are cut into fixed chunks with derived substreams and reduced in chunk
+order, so estimates do not depend on the worker count.  One pool of
+threads (lanes) runs the chunks of every point of a grid, with no wait
+between points; each lane computes its chunks in place in one workspace of
+chunk-sized buffers, not in a new array per operation.  Errors are always
+summed in units of an exact power of two near their width, so their fourth
+powers stay finite wherever the closed forms are, and scaling the sums back
+keeps every bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -49,6 +52,7 @@ __all__ = [
     "SelectionMode",
     "analytic_expected_errors",
     "compare_conditions",
+    "compare_grid",
     "distribution_cycle_sim",
     "mc_expected_errors",
 ]
@@ -382,20 +386,22 @@ def _tilted_chunk(pop: LossPopulation, center: float, rate: float, size: int,
 def _run_chunks(tasks, workers: int, size: int):
     """Call every task with a workspace for size draws; results in task order.
 
-    The tasks are dealt to min(workers, len(tasks)) pool threads (lanes),
-    for every worker count: lane k runs tasks k, k + lanes, ... one after
-    another in one workspace, allocated once.
+    The tasks are run by min(workers, _MC_CHUNKS, len(tasks)) pool threads
+    (lanes), for every worker count.  Each lane allocates one workspace and
+    takes the next task not yet taken until none is left, so no lane waits
+    while another still has tasks queued behind it.
     """
-    lanes = max(1, min(workers, len(tasks)))
-
-    def lane(k: int) -> list:
-        work = _workspace(size)
-        return [task(work) for task in tasks[k::lanes]]
-
+    lanes = max(1, min(workers, _MC_CHUNKS, len(tasks)))
     results = [None] * len(tasks)
+    taken = itertools.count()   # next() on a count is atomic under the GIL
+
+    def lane(_) -> None:
+        work = _workspace(size)
+        while (i := next(taken)) < len(tasks):
+            results[i] = tasks[i](work)
+
     with ThreadPoolExecutor(max_workers=lanes) as pool:
-        for k, part in enumerate(pool.map(lane, range(lanes))):
-            results[k::lanes] = part
+        list(pool.map(lane, range(lanes)))   # re-raises a task's exception
     return results
 
 
@@ -418,22 +424,37 @@ def _times_power_of_two(x: float, exponent: int) -> float:
         return math.copysign(math.inf, x)
 
 
-def _mc_pass(pop: LossPopulation, rate: float, n: int, rng: SeededRng, workers: int):
-    """Both conditions' (estimate, standard error) from one stratified pass."""
+def _mc_passes(points, n: int, workers: int):
+    """Both conditions' (estimate, standard error) at each (pop, rate, rng)
+    point, each from one stratified pass; every pass's chunks share one pool.
+
+    A point's draws are made at mu 0: mu shifts the draws and the population
+    mean alike, so the errors do not depend on it, and a draw of size sigma
+    added to a far larger mu would round away.  Each point's sums are reduced
+    in chunk order from its own results, so they depend neither on the
+    worker count nor on the other points.
+    """
     if n < 2:
         raise ValueError("mc_expected_errors: n must be >= 2 for a standard error")
-    center = pop.population_mean()
     sizes = _chunk_sizes(n, _MC_CHUNKS)
-    starts = [sum(sizes[:i]) for i in range(len(sizes))]
-    tasks = [
-        (lambda work, i=i, st=st, sz=sz: _uniform_chunk(
-            pop, center, st, sz, n, rng.derive(f"u/chunk{i}"), work)
-         + _tilted_chunk(pop, center, rate, sz, work))
-        for i, (st, sz) in enumerate(zip(starts, sizes)) if sz > 0
-    ]
-    s1u, s2u, s1p, s2p = map(sum, zip(*_run_chunks(tasks, workers, sizes[0])))
-    return (_mean_and_stderr(s1u, s2u, n, _error_exponent(pop)),
-            _mean_and_stderr(s1p, s2p, n, _error_exponent(pop, rate)))
+    blocks = [(i, sum(sizes[:i]), sz) for i, sz in enumerate(sizes) if sz > 0]
+
+    def pass_tasks(pop: LossPopulation, rate: float, rng: SeededRng) -> list:
+        pop = LossPopulation(pop.kind, 0.0, pop.sigma)
+        center = pop.population_mean()
+        return [lambda work, i=i, st=st, sz=sz: (
+                    _uniform_chunk(pop, center, st, sz, n, rng.derive(f"u/chunk{i}"), work)
+                    + _tilted_chunk(pop, center, rate, sz, work))
+                for i, st, sz in blocks]
+
+    results = _run_chunks([t for point in points for t in pass_tasks(*point)], workers,
+                          sizes[0])
+    passes = []
+    for j, (pop, rate, _) in enumerate(points):
+        s1u, s2u, s1p, s2p = map(sum, zip(*results[j * len(blocks):(j + 1) * len(blocks)]))
+        passes.append((_mean_and_stderr(s1u, s2u, n, _error_exponent(pop)),
+                       _mean_and_stderr(s1p, s2p, n, _error_exponent(pop, rate))))
+    return passes
 
 
 def mc_expected_errors(pop: LossPopulation, cond: SelectionCondition, n: int,
@@ -454,25 +475,40 @@ def mc_expected_errors(pop: LossPopulation, cond: SelectionCondition, n: int,
 
     Draws are partitioned into fixed chunks with substreams derived from
     rng, and reduced in chunk order, so the result depends only on the seed,
-    never on the worker count.  The chunks are dealt to at most ``workers``
-    threads (never more than there are chunks), and each thread computes
-    its chunks in place in one workspace of chunk-sized buffers.
+    never on the worker count.  This is compare_grid's Monte Carlo pass on a
+    grid of one point, drawn at mu 0 since mu only shifts the population:
+    the chunks are run by at most ``workers`` threads (never more than
+    _MC_CHUNKS), each computing its chunks in place in one workspace of
+    chunk-sized buffers.
     """
-    u, p = _mc_pass(pop, cond.rate, n, rng, workers)
+    u, p = _mc_passes([(pop, cond.rate, rng)], n, workers)[0]
     return u if cond.mode is SelectionMode.UNIFORM else p
+
+
+def compare_grid(points, n: int, workers: int = 1) -> list[ErrorReport]:
+    """Each (pop, rate, rng) point's report, in order.
+
+    Every point's closed forms come first, so where analytic_expected_errors
+    refuses one, ValueError is raised before any draw.  Then each point gets
+    one pass of n draws on its substream rng.derive("cond-u"), which gives
+    both conditions' estimates, P's drawn exactly on U's uniforms.  One pool
+    of at most min(workers, _MC_CHUNKS) threads runs every point's chunks,
+    with no wait between points; a point's report is the same bits whatever
+    the worker count and whichever points share the pool.
+    """
+    forms = [analytic_expected_errors(pop, rate) for pop, rate, _ in points]
+    passes = _mc_passes([(pop, rate, rng.derive("cond-u")) for pop, rate, rng in points],
+                        n, workers)
+    return [ErrorReport(pop, rate, e_u, e_p, diamond, mc_eu, mc_eu_se, mc_ep, mc_ep_se,
+                        n, rng.seed)
+            for (pop, rate, rng), (e_u, e_p, diamond), ((mc_eu, mc_eu_se), (mc_ep, mc_ep_se))
+            in zip(points, forms, passes)]
 
 
 def compare_conditions(pop: LossPopulation, rate: float, n: int, rng: SeededRng,
                        workers: int = 1) -> ErrorReport:
-    """One grid point's report.  The closed forms come first, so where
-    analytic_expected_errors refuses them ValueError is raised before any draw;
-    one pass of n draws on the substream rng.derive("cond-u") then gives
-    both conditions' estimates, P's drawn exactly on U's uniforms."""
-    e_u, e_p, diamond = analytic_expected_errors(pop, rate)
-    (mc_eu, mc_eu_stderr), (mc_ep, mc_ep_stderr) = _mc_pass(
-        pop, rate, n, rng.derive("cond-u"), workers)
-    return ErrorReport(pop, rate, e_u, e_p, diamond, mc_eu, mc_eu_stderr, mc_ep, mc_ep_stderr,
-                       n, rng.seed)
+    """One grid point's report: compare_grid on a grid of that one point."""
+    return compare_grid([(pop, rate, rng)], n, workers)[0]
 
 
 # The toy loop of distribution_cycle_sim: initial population, selection

@@ -129,3 +129,21 @@ def test_traced_sampler_pass_reports_what_an_untraced_one_does():
     assert names.count("sampler.compare_conditions") == 1
     # one U and one P kernel call per chunk
     assert names.count("sampler.chunk") == 2 * sampler._MC_CHUNKS
+
+
+def test_traced_grid_reports_what_an_untraced_one_does():
+    # The whole simulate grid runs in one compare_grid call; its lane tasks
+    # must still call the chunk kernels by the names the tracer rebinds.
+    def grid():
+        return [(sampler.LossPopulation(sampler.PopulationKind.NORMAL, sigma=0.5), 1.0,
+                 SeededRng(8)),
+                (sampler.LossPopulation(sampler.PopulationKind.HALF_NORMAL, mu=0.1, sigma=0.8),
+                 1.5, SeededRng(9))]
+    untraced = sampler.compare_grid(grid(), 2_000, workers=2)
+    with _installed() as tracer:
+        traced = sampler.compare_grid(grid(), 2_000, workers=2)
+    names = [span[1] for span in tracer.spans]
+    assert traced == untraced
+    assert names.count("sampler.analytic_expected_errors") == 2
+    # one U and one P kernel call per chunk of each point
+    assert names.count("sampler.chunk") == 2 * 2 * sampler._MC_CHUNKS

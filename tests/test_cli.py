@@ -180,6 +180,25 @@ class TestSimulate:
         assert len(base) == 6  # 4 reports + summary + resolved config
         capsys.readouterr()
 
+    def test_a_report_does_not_depend_on_its_neighbours(self, tmp_path, capsys):
+        # Every point's chunks share one pool; a point's report must be the
+        # same bytes whichever other points run beside it.
+        args = ("--n", "3000", "--seed", "5", "--workers", "2", "--sigmas", "0.5,1.0",
+                "--rates", "0.5,2.0")
+        both = tmp_path / "both"
+        run("simulate", "--output-dir", str(both), "--populations", "normal,half_normal", *args)
+        alone = {}
+        for kind in ("normal", "half_normal"):
+            out = tmp_path / kind
+            run("simulate", "--output-dir", str(out), "--populations", kind, *args)
+            alone.update({name: data for name, data in tree_bytes(out).items()
+                          if name.startswith("report_")})
+        reports = {name: data for name, data in tree_bytes(both).items()
+                   if name.startswith("report_")}
+        assert len(reports) == 8
+        assert reports == alone
+        capsys.readouterr()
+
     def test_a_wide_normal_population_keeps_finite_standard_errors(self, tmp_path, capsys):
         # P's squared errors are about 1e160, so their squares pass float max
         # unless they are summed in scaled units.

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import sys
 import threading
 import warnings
 
@@ -24,6 +25,7 @@ from crucial.sampler import (
     SelectionMode,
     analytic_expected_errors,
     compare_conditions,
+    compare_grid,
     distribution_cycle_sim,
     mc_expected_errors,
 )
@@ -659,10 +661,11 @@ class TestMonteCarlo:
         assert (both.rate, both.n_samples, both.seed) == (2.0, 1_000, 2)
 
     # U's (estimate, standard error) at this point when P still had its own
-    # substream; sharing U's draws with P must leave them bit for bit.
+    # substream; sharing U's draws with P must leave them bit for bit.  They
+    # are the values at mu 0, where every pass now draws.
     U_BEFORE_SHARING = {
         PopulationKind.NORMAL: (0.6423074636141337, 0.020685274852716626),
-        PopulationKind.HALF_NORMAL: (0.23348387596714024, 0.00911734026608434),
+        PopulationKind.HALF_NORMAL: (0.23348387596714018, 0.00911734026608434),
     }
 
     @pytest.mark.parametrize("kind", list(PopulationKind))
@@ -678,7 +681,9 @@ class TestMonteCarlo:
         assert (rep.mc_eu, rep.mc_eu_stderr) == u
         assert (rep.mc_ep, rep.mc_ep_stderr) == p
         assert all(type(v) is float for v in (*u, *p))
-        # chunk i of both conditions reads the uniforms of cond-u's u/chunk{i}
+        # chunk i of both conditions reads the uniforms of cond-u's u/chunk{i},
+        # drawn from the population moved to mu 0
+        pop = LossPopulation(kind, mu=0.0, sigma=0.8)
         center = pop.population_mean()
         sums = [ref_uniform_chunk(pop, center, st, sz, n, sub.derive(f"u/chunk{i}"))
                 + ref_tilted_chunk(pop, center, rate, st, sz, n, sub.derive(f"u/chunk{i}"))
@@ -686,6 +691,18 @@ class TestMonteCarlo:
         s1u, s2u, s1p, s2p = map(sum, zip(*sums))
         assert ref_mean_and_stderr(s1u, s2u, n) == u
         assert ref_mean_and_stderr(s1p, s2p, n) == p
+
+    @pytest.mark.parametrize("kind", list(PopulationKind))
+    def test_mu_only_shifts_the_population(self, kind):
+        # Draws of size sigma added to a far larger mu would round away and
+        # read every error as 0; the pass draws at mu 0 instead.
+        for mode in SelectionMode:
+            cond = SelectionCondition(mode, 1.0)
+            pairs = {mc_expected_errors(LossPopulation(kind, mu=mu, sigma=1.0), cond, 20_000,
+                                        SeededRng(3))
+                     for mu in (0.0, 1e8, 1e17, -1e30)}
+            assert len(pairs) == 1, (mode, pairs)
+            assert next(iter(pairs))[1] > 0.0
 
     def test_overflowing_closed_form_raises_before_any_draw(self, monkeypatch):
         def refuse(*args):
@@ -703,6 +720,73 @@ class TestMonteCarlo:
         for n, mode in [(0, SelectionMode.UNIFORM)] + [(1, m) for m in SelectionMode]:
             with pytest.raises(ValueError, match="n must be >= 2"):
                 mc_expected_errors(pop, SelectionCondition(mode), n, SeededRng(0))
+
+
+class TestGrid:
+    """compare_grid runs every point's chunks in one pool."""
+
+    @staticmethod
+    def grid():
+        """Four points: normal and half-normal, two sigmas, two rates."""
+        return [(LossPopulation(PopulationKind.NORMAL, 0.1, 0.5), 0.5, SeededRng(40)),
+                (LossPopulation(PopulationKind.HALF_NORMAL, 0.1, 0.5), 1.5, SeededRng(41)),
+                (LossPopulation(PopulationKind.NORMAL, -0.3, 2.0), 1.5, SeededRng(42)),
+                (LossPopulation(PopulationKind.HALF_NORMAL, 0.0, 2.0), 0.5, SeededRng(43))]
+
+    @pytest.mark.parametrize("workers", [1, 2, 4, 32])
+    def test_each_point_is_its_own_compare_conditions(self, workers):
+        reports = compare_grid(self.grid(), 3_000, workers)
+        assert len(reports) == 4
+        for report, (pop, rate, rng) in zip(reports, self.grid()):
+            assert report == compare_conditions(pop, rate, 3_000, rng)
+
+    @pytest.mark.parametrize("workers", [1, 2, 4, 32])
+    def test_a_grid_allocates_one_workspace_per_lane(self, workers, monkeypatch):
+        threads, workspaces = set(), []
+        kernel, workspace = sampler._uniform_chunk, sampler._workspace
+
+        def counted_kernel(*args):
+            threads.add(threading.get_ident())
+            return kernel(*args)
+
+        def counted_workspace(size):
+            workspaces.append(size)
+            return workspace(size)
+        monkeypatch.setattr(sampler, "_uniform_chunk", counted_kernel)
+        monkeypatch.setattr(sampler, "_workspace", counted_workspace)
+        compare_grid(self.grid(), 3_000, workers)
+        lanes = min(workers, sampler._MC_CHUNKS)
+        assert len(workspaces) == lanes
+        assert 1 <= len(threads) <= lanes
+
+    def test_every_chunk_runs_once_under_fast_thread_switching(self, monkeypatch):
+        # The lanes share one task counter; a task taken twice or skipped
+        # would change a point's sums.  More lanes than cores, switching often.
+        calls = []
+        kernel = sampler._uniform_chunk
+
+        def counted(*args):
+            calls.append(args[2])
+            return kernel(*args)
+        want = compare_grid(self.grid(), 3_000, 1)
+        monkeypatch.setattr(sampler, "_uniform_chunk", counted)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = compare_grid(self.grid(), 3_000, 16)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+        assert len(calls) == 4 * sampler._MC_CHUNKS
+
+    def test_a_bad_later_point_raises_before_any_draw(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a chunk ran")
+        monkeypatch.setattr(sampler, "_uniform_chunk", refuse)
+        grid = self.grid() + [(LossPopulation(PopulationKind.NORMAL, 0.0, 1e200), 1.0,
+                               SeededRng(0))]
+        with pytest.raises(ValueError, match="not finite"):
+            compare_grid(grid, 1_000, 2)
 
 
 class TestCycleSim:
