@@ -25,11 +25,12 @@ Logs are natural throughout.
 
 LossTraceWriter records every sample's weight, threshold and value in every
 epoch as CSV, streamed while training hands it one epoch at a time;
-write_loss_trace is one append on it.  Long traces are formatted on every
-CPU the process may use: each block of rows is sent as it arrives to a bare
-helper interpreter of its own running crucial.tracetext, which formats it
-as soon as it is complete, so this process holds no trace rows, and the
-file is byte-identical to a one-process write.
+write_loss_trace is one append on it, which packs its rows once as
+crucial.tracetext lays them out.  Long traces are formatted on every CPU the
+process may use: each block of packed rows is sent as it arrives to a bare
+helper interpreter of its own running crucial.tracetext, which formats it as
+soon as it is complete, so this process holds no trace rows, and the file is
+byte-identical to a one-process write.
 """
 
 from __future__ import annotations
@@ -85,8 +86,8 @@ _F_EPS = 1e-12
 # in-process.
 _TRACE_MIN_BLOCK_ROWS = 8192
 # A helper keeps its block's input and text until the writer reads it,
-# about 125 bytes a row, so a block has at most this many rows (about 33 MB
-# in a helper).
+# about 130 bytes a row (56 of them packed input), so a block has at most
+# this many rows (about 34 MB in a helper).
 _TRACE_MAX_BLOCK_ROWS = 1 << 18
 _TRACE_HELPER = (sys.executable, "-I", "-S", tracetext.__file__)
 
@@ -361,9 +362,9 @@ class LossTraceWriter:
     at least _TRACE_MIN_BLOCK_ROWS rows each.  With one lane the trace is
     formatted here, straight into the file.  Otherwise it is cut into blocks
     of min(_TRACE_MAX_BLOCK_ROWS, ceil(n_rows / lanes)) rows, and each
-    block's first row starts a helper of its own: the block's rows go to it
-    as they arrive, and its stdin closes with the block's last row, so it
-    formats while training goes on.  Starting a block while a helper per CPU
+    block's first row starts a helper of its own: the block's packed rows go
+    to it as they arrive, and its stdin closes with the block's last row, so
+    it formats while training goes on.  Starting a block while a helper per CPU
     is open first copies the oldest helper's text into the trace; leaving
     the with block copies the rest, in row order.  This process keeps no
     trace rows.  Entering the with block creates the file and writes its
@@ -415,15 +416,19 @@ class LossTraceWriter:
             if c.dtype.kind not in "iu" or not np.can_cast(c.dtype, np.int64):
                 raise ValueError(f"LossTraceWriter: {name} must hold int64 integers, "
                                  f"not {c.dtype}")
-        cols[-1] = cols[-1].astype(bool, copy=False)
-        cols = [np.ascontiguousarray(c, dtype=code)
-                for c, (_, code) in zip(cols, tracetext.COLUMNS)]
-        base = self._rows  # the trace row of cols' first entry
+        base = self._rows  # the trace row of the first row appended
         stop = base + cols[0].size
         if stop > self._n_rows:
             raise ValueError(f"LossTraceWriter: {stop} rows appended, {self._n_rows} declared")
+        # the rows packed as tracetext lays them out: int64 fields, floats through a view
+        rows = np.empty((cols[0].size, len(cols)), dtype=np.int64)
+        rows[:, 0], rows[:, 1], rows[:, 6] = cols[0], cols[1], cols[6].astype(bool, copy=False)
+        floats = rows.view(np.float64)
+        for j in range(2, 6):
+            floats[:, j] = cols[j]
+        packed = memoryview(rows.reshape(-1)).cast("B")  # 1-D: an empty 2-D view will not cast
         if self._block is None:
-            self._fh.writelines(tracetext.encoded_chunks(cols, 0, stop - base))
+            self._fh.writelines(tracetext.encoded_chunks(packed))
             self._rows = stop
         while self._rows < stop:
             lo = self._rows
@@ -437,7 +442,8 @@ class LossTraceWriter:
             stdin = self._helpers[-1].stdin
             # a helper that has gone is caught by its exit status when its text is copied
             with contextlib.suppress(BrokenPipeError):
-                stdin.writelines(tracetext.batch(cols, lo - base, self._rows - base))
+                stdin.write(packed[(lo - base) * tracetext.ROW_BYTES:
+                                   (self._rows - base) * tracetext.ROW_BYTES])
             if self._rows == end:
                 _close(stdin)  # its block is complete: the helper formats it now
 

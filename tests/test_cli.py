@@ -19,7 +19,6 @@ from crucial import cli
 from crucial.cli import _DEFAULTS, main, parse_config_file, resolve_config
 from crucial.data import load_csv
 from crucial.loss import KAPPA_CAP
-from crucial.tracetext import COLUMNS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -536,9 +535,9 @@ class TestTrain:
     def test_a_streamed_trace_holds_no_lane_range(self, tmp_path, capsys, monkeypatch, started):
         # 81,920 rows in 10 blocks of 8,192 rows: each block's rows go to its
         # helper as they arrive, so this process's whole run, training
-        # included, peaks below the columns of one block (8,192 rows of 49
-        # bytes), where keeping a block's columns until it ends would hold
-        # them on top of training.
+        # included, peaks below 401,408 bytes, seven eighths of one block's
+        # packed rows (8,192 rows of 56 bytes), where keeping a block's rows
+        # until it ends would hold them on top of training.
         monkeypatch.setattr(loss_module, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(loss_module, "_TRACE_MAX_BLOCK_ROWS", loss_module._TRACE_MIN_BLOCK_ROWS)
         n, epochs = 512, 160
@@ -551,9 +550,7 @@ class TestTrain:
             tracemalloc.stop()
         assert code == 0
         capsys.readouterr()
-        block_bytes = loss_module._TRACE_MIN_BLOCK_ROWS * sum(
-            np.dtype(code).itemsize for _, code in COLUMNS)
-        assert peak < block_bytes, (peak, block_bytes)
+        assert peak < 401_408, peak
         assert len(started) == 10 and started.all_reaped()
         with open(tmp_path / "loss_trace_run0.csv", "rb") as fh:
             assert sum(1 for _ in fh) == 1 + n * epochs
@@ -871,6 +868,56 @@ def test_non_finite_float_keys_exit_cleanly(tmp_path, capsys, argv):
             assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], case
             if code == 2:
                 assert [p.name for p in out.glob("*")] in ([], ["config_resolved.txt"]), case
+
+
+# The exit-code contract over every key of every command: each base run,
+# with any one key set to any of these strings, makes main return 0, 1 or 2
+# and raise nothing.  Size keys never get 2**64 spelled out, which int()
+# parses and a run would try to allocate or run at that scale; every other
+# string fails them at once or keeps the run tiny.
+_BAD_STRINGS = ("nan", "inf", "-inf", "-1", "0", "1e308", "-1e308", "1e-320", "1e400", "abc",
+                "", " ", "1,", ",", "0x10", "2**64", "18446744073709551616")
+_SIZE_KEYS = {"n", "t", "test_n", "epochs", "sweep_seeds", "workers"}
+_SIM = ("simulate", "--n", "16", "--sigmas", "0.5", "--rates", "1")
+_BASE_RUNS = {
+    "simulate": _SIM,
+    "simulate_half_normal": (*_SIM, "--populations", "half_normal"),
+    "properties": ("properties", "--suites", "erfc_reflection"),
+    "trace_loss": ("trace-loss", "--epochs", "2"),
+    "gen_data": ("gen-data", "--n", "16", "--t", "8"),
+    "gen_data_drift": ("gen-data", "--kind", "drift", "--n", "16", "--t", "8"),
+    **{f"train_{w}": ("train", "--wrapper", w, *_TINY) for w in ("none", "baseline", "adp", "sin")},
+    "train_sin_fixed_mu": ("train", "--wrapper", "sin", "--mu-policy", "fixed", *_TINY),
+    "train_mlp": ("train", "--model", "mlp", *_TINY),
+    "train_elman_rnn": ("train", "--model", "elman_rnn", *_TINY),
+    "train_single_shot": ("train", "--task", "single_shot", "--dataset", "drift", *_TINY),
+    "train_continuous": ("train", "--task", "continuous", "--dataset", "drift", "--cuts", "4,8",
+                         *_TINY),
+    "train_csv": ("train", "--dataset", "csv", *_TINY),
+}
+
+
+@pytest.mark.parametrize("base", list(_BASE_RUNS))
+def test_every_key_keeps_the_exit_code_contract(tmp_path, capsys, monkeypatch, base):
+    argv = _BASE_RUNS[base]
+    if base == "train_csv":
+        assert run("gen-data", "--n", "16", "--t", "8", "--output-dir", str(tmp_path / "data")) == 0
+        argv += ("--csv-path", str(tmp_path / "data" / "dataset.csv"))
+    monkeypatch.chdir(tmp_path)  # an output_dir of one of the strings is made here
+    failures = []
+    for key in _DEFAULTS[argv[0]]:
+        for value in _BAD_STRINGS:
+            if key in _SIZE_KEYS and value == "18446744073709551616":
+                continue
+            case = f"{base} --{key} {value!r}"
+            try:
+                code = run(*argv, "--output-dir", "out", "--" + key, value)
+            except Exception as exc:  # an escaped exception breaks the contract
+                code = repr(exc)
+            capsys.readouterr()
+            if code not in (0, 1, 2):
+                failures.append(f"{case}: {code}")
+    assert not failures, failures
 
 
 def test_readme_cli_block_uses_only_known_keys():

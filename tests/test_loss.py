@@ -31,7 +31,7 @@ from crucial.loss import (
     write_loss_trace,
 )
 from crucial.numerics import W_DOMAIN_MIN, SeededRng
-from crucial.tracetext import CHUNK_ROWS, COLUMNS, HEADER
+from crucial.tracetext import CHUNK_ROWS, HEADER, ROW_BYTES
 
 
 def golden_min(f, lo, hi, tol=1e-12):
@@ -529,11 +529,10 @@ class TestTraceMatchesCsvReference:
 
 MIN_BLOCK_ROWS = loss_module._TRACE_MIN_BLOCK_ROWS
 # The streaming writer's traced peak over 512-row appends, whatever its block
-# size: 256 KiB, under two thirds of one minimum block's columns (49 bytes a
-# row).  It reads about 160 kB on Python 3.11.
+# size: 256 KiB, under three fifths of one minimum block's packed rows (56
+# bytes a row).  It reads about 160 kB on Python 3.11.
 TRACE_WRITER_PEAK_BYTES = 1 << 18
 SPECIAL = np.array([math.nan, math.inf, -math.inf, 5e-324, -0.0, 0.0, 1e16, 0.1])
-ROW_BYTES = sum(np.dtype(code).itemsize for _, code in COLUMNS)
 
 
 def block_splits(n, cpus):
@@ -572,22 +571,28 @@ def assert_left_clean(directory, started, names=()):
     assert started.all_reaped()
 
 
-# Feeds a bare helper (argv: tracetext.py, rows, rows per batch) and prints
+# Feeds a bare helper (argv: tracetext.py, rows, rows per write) and prints
 # its exit status, the lines it wrote and its ru_maxrss in KiB.
 HELPER_LAUNCHER = """
 import array, os, subprocess, sys
-path, n, batch_rows = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+path, n, write_rows = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 sys.path.insert(0, os.path.dirname(path))
 import tracetext
-rows = range(n)
-cols = [array.array("q", (i // 512 for i in rows)), array.array("q", (i % 512 for i in rows)),
-        array.array("d", (i / 7.0 for i in rows)), array.array("d", (1.0 / (i + 1) for i in rows)),
-        array.array("d", (i // 512 * 0.1 for i in rows)), array.array("d", (i / 3.0 for i in rows)),
-        array.array("B", (i % 2 for i in rows))]
+rows, width, row_bytes = range(n), len(tracetext.COLUMNS), tracetext.ROW_BYTES
+packed = array.array("q", bytes(n * row_bytes))
+bits = lambda f: array.array("q", array.array("d", map(f, rows)).tobytes())
+packed[0::width] = array.array("q", (i // 512 for i in rows))
+packed[1::width] = array.array("q", (i % 512 for i in rows))
+packed[2::width] = bits(lambda i: i / 7.0)
+packed[3::width] = bits(lambda i: 1.0 / (i + 1))
+packed[4::width] = bits(lambda i: i // 512 * 0.1)
+packed[5::width] = bits(lambda i: i / 3.0)
+packed[6::width] = array.array("q", (i % 2 for i in rows))
+data = memoryview(packed).cast("B")
 proc = subprocess.Popen([sys.executable, "-I", "-S", path], stdin=subprocess.PIPE,
                         stdout=subprocess.PIPE)
-for a in range(0, n, batch_rows):
-    proc.stdin.writelines(tracetext.batch(cols, a, min(a + batch_rows, n)))
+for a in range(0, n, write_rows):
+    proc.stdin.write(data[a * row_bytes:min(a + write_rows, n) * row_bytes])
 proc.stdin.close()
 lines = proc.stdout.read().count(b"\\n")
 _, status, usage = os.wait4(proc.pid, 0)
@@ -613,8 +618,8 @@ class TestTraceLanes:
         csv_loss_trace(tmp_path / "ref.csv", epochs, sample_ids, modulated)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
-    # 1001-row appends send the helpers batches whose 8-byte columns sit at
-    # offsets that are not multiples of 8 in the helper's input.
+    # 1001-row appends send the helpers writes that end inside a chunk and
+    # inside an epoch, and that a block bound splits.
     @pytest.mark.parametrize("epoch_rows", [None, 512, 1001])
     @pytest.mark.parametrize("cpus, n, split_at_chunk_edge", [
         (2, 2 * MIN_BLOCK_ROWS, True),
@@ -676,22 +681,13 @@ class TestTraceLanes:
         assert len(started) == 3
         assert_left_clean(tmp_path, started)
 
-    @pytest.mark.parametrize("cut", [
-        lambda parts: [*parts[:-1], parts[-1][:-1]],  # the last column a byte short
-        lambda parts: [parts[0][:5]],                 # the row count itself
-    ], ids=["column", "row_count"])
-    def test_a_batch_cut_short_fails_its_helper(self, tmp_path, monkeypatch, started, capfd,
-                                                cut):
-        batch = loss_module.tracetext.batch
-        monkeypatch.setattr(loss_module.tracetext, "batch", lambda *args: cut(batch(*args)))
-        monkeypatch.setattr(loss_module, "_usable_cpus", lambda: 2)
-        n = 2 * MIN_BLOCK_ROWS
-        with pytest.raises(RuntimeError, match="status 1"):
-            write_loss_trace(tmp_path / "t.csv", np.zeros(n, dtype=int), np.arange(n),
-                             random_record(n, 9))
-        assert "cut short" in capfd.readouterr().err
-        assert len(started) == 2
-        assert_left_clean(tmp_path, started)
+    @pytest.mark.parametrize("size", [1, ROW_BYTES - 1, ROW_BYTES + 1, 2 * ROW_BYTES - 1])
+    def test_input_of_part_of_a_row_fails_a_bare_helper(self, size):
+        helper = subprocess.run(loss_module._TRACE_HELPER, input=bytes(size),
+                                capture_output=True, check=False)
+        assert (helper.returncode, helper.stdout) == (1, b"")
+        assert helper.stderr.decode() == (f"tracetext: {size} bytes of input are not whole "
+                                          f"{ROW_BYTES}-byte rows\n")
 
     # 6 * MIN_BLOCK_ROWS rows in blocks of MIN_BLOCK_ROWS: one row fewer
     # declared leaves the sixth block a row short, and the error comes on the
@@ -800,14 +796,16 @@ class TestTraceLanes:
                              ModulatedLoss(*columns))
                 helpers.append(len(started))
         assert helpers == [1] * 200 + [2] * 200  # the second starts with row 102,400
-        block_bytes = 200 * (8 + epoch_rows * ROW_BYTES)  # a row count and columns a batch
+        # a block's packed rows and nothing else: no header of any kind
+        block_bytes = 200 * epoch_rows * ROW_BYTES
+        assert block_bytes == 5_734_400
         assert (tmp_path / "t.csv").read_bytes() == HEADER + f"{block_bytes};".encode() * 2
         assert [proc.returncode for proc in started] == [0, 0]
         assert_left_clean(tmp_path, started, ["t.csv"])
 
     # A 2-CPU trace appended one epoch at a time, in blocks of 8,192 or
-    # 32,768 rows: this process keeps no block's columns (49 bytes a row,
-    # 401 kB at the smaller block), only an epoch's rows at a time.
+    # 32,768 rows: this process keeps no block's packed rows (56 bytes a row,
+    # 459 kB at the smaller block), only an epoch's rows at a time.
     @pytest.mark.parametrize("max_block_rows", [MIN_BLOCK_ROWS, 4 * MIN_BLOCK_ROWS])
     def test_the_writer_holds_no_lane_of_rows(self, tmp_path, monkeypatch, started,
                                               max_block_rows):
@@ -827,7 +825,7 @@ class TestTraceLanes:
         assert_left_clean(tmp_path, started, ["t.csv"])
 
     def test_a_bare_helper_peaks_under_32_mb(self):
-        # 102,400 rows in 512-row batches: 5 MB of columns and about 9 MB of
+        # 102,400 rows in 512-row writes: 5.7 MB of packed rows and about 9 MB of
         # text.  The helper's peak RSS is read with os.wait4 in a launcher
         # that imports only the stdlib, so no numpy parent's pages count.
         launched = subprocess.run(
